@@ -16,7 +16,6 @@ from .dynamics import (
 from .feasibility import (
     FeasibilityResult,
     LinearConstraintSystem,
-    Relation,
     decide_feasibility,
 )
 from .geometry import (

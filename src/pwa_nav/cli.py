@@ -49,7 +49,11 @@ def cmd_plan(args) -> int:
         return EXIT_BAD_SCENARIO
     os.makedirs(args.out, exist_ok=True)
     cfg = MissionConfig(scenario, max_iterations=args.max_iters, seed=args.seed)
-    mission = run_mission(cfg)
+    try:
+        mission = run_mission(cfg)
+    except IdentificationError as exc:
+        print(f"identification failed: {exc}", file=sys.stderr)
+        return EXIT_SYSID_FAILED
     log.info("mission finished: %s after %d iterations",
              mission.status.value, len(mission.records))
 

@@ -1,6 +1,14 @@
 """Feasibility of mixed strict/non-strict linear inequality systems over a
 box-constrained control variable.
 
+A system is one array form, LinearConstraintSystem(A, b, strict, box): row
+i reads A[i] . u > b[i] where strict[i] and A[i] . u <= b[i] elsewhere, with
+u in the control box. Two exact entry points share one slack-LP core:
+decide_feasibility solves the strict-slack LP of one system, and
+balance_witnesses_batch the balanced LP of several systems at once.
+screen_feasibility and decide_with_screen put a cheap interval screen in
+front of the exact decision.
+
 Strict inequalities are certified by slack maximization: the system is
 feasible iff the maximal common slack of the strict rows exceeds TOL_STRICT,
 and the achieved slack doubles as a robustness margin.
@@ -12,14 +20,14 @@ constraints as equalities, and the maximum of d is attained at a vertex. For
 m <= 3 inputs every such subset is solved in one batched NumPy call: the
 feasible candidate with the largest d is the exact optimum, and an empty
 candidate set proves the polytope empty rather than reporting a solver
-status. Larger m goes to HiGHS.
+status. Larger m goes to HiGHS, whose infeasibility status alone certifies
+emptiness; any other failure raises RuntimeError.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -44,33 +52,33 @@ _SINGULAR_DET = 1e-12
 _FEAS_TOL = 1e-9
 
 
-class Relation(Enum):
-    STRICT_GREATER = "strict_greater"  # coeffs . u >  rhs
-    NONSTRICT_LEQ = "nonstrict_leq"    # coeffs . u <= rhs
-
-
-@dataclass(frozen=True)
-class Row:
-    coeffs: tuple[float, ...]
-    rhs: float
-    relation: Relation
-
-
 @dataclass
 class LinearConstraintSystem:
-    dim: int
-    rows: list[Row]
-    box: np.ndarray  # (dim, 2) [lo, hi]
+    """Rows A[i] . u > b[i] where strict[i], else A[i] . u <= b[i], over the
+    control box u in [box[:, 0], box[:, 1]]."""
+
+    A: np.ndarray       # (rows, dim)
+    b: np.ndarray       # (rows,)
+    strict: np.ndarray  # (rows,) bool
+    box: np.ndarray     # (dim, 2) [lo, hi]
 
     def __post_init__(self):
+        self.A = np.asarray(self.A, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        self.strict = np.asarray(self.strict, dtype=bool)
         self.box = np.asarray(self.box, dtype=float)
-        if self.box.shape != (self.dim, 2):
+        if self.box.ndim != 2 or self.box.shape[1] != 2:
             raise ValueError("box must be (dim, 2)")
         if np.any(self.box[:, 0] > self.box[:, 1]):
             raise ValueError("empty control box")
-        for r in self.rows:
-            if len(r.coeffs) != self.dim:
-                raise ValueError("row coefficient length mismatch")
+        if self.A.ndim != 2 or self.A.shape[1] != self.dim:
+            raise ValueError("A must be (rows, dim)")
+        if self.b.shape != self.A.shape[:1] or self.strict.shape != self.A.shape[:1]:
+            raise ValueError("b and strict must have one entry per row of A")
+
+    @property
+    def dim(self) -> int:
+        return self.box.shape[0]
 
 
 @dataclass
@@ -78,14 +86,6 @@ class FeasibilityResult:
     feasible: bool
     witness: np.ndarray | None
     margin: float
-
-
-def strict_greater(coeffs, rhs) -> Row:
-    return Row(tuple(float(c) for c in coeffs), float(rhs), Relation.STRICT_GREATER)
-
-
-def nonstrict_leq(coeffs, rhs) -> Row:
-    return Row(tuple(float(c) for c in coeffs), float(rhs), Relation.NONSTRICT_LEQ)
 
 
 def decide_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult:
@@ -99,67 +99,51 @@ def decide_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult:
     plain feasibility check with margin DELTA_CAP.
     """
     G, h = _slack_rows(sys, balanced=False)
-    return _result(sys, G, _max_slack([(sys, G, h)])[0], empty_margin=0.0)
-
-
-def balance_witness(sys: LinearConstraintSystem) -> FeasibilityResult:
-    """Maximize a uniform slack over all rows:
-
-        max d  s.t.  a.u >= rhs + d   (strict rows)
-                     a.u <= rhs - d   (non-strict rows)
-                     u in box, 0 <= d <= DELTA_CAP
-
-    A slack-maximal witness from decide_feasibility often sits on active
-    non-strict rows, where any model error flips the inequality; the balanced
-    witness buys margin on every row at once. Infeasible (or margin below
-    TOL_STRICT) whenever some non-strict row is necessarily tight — callers
-    should then fall back to the plain witness.
-
-    Since d = 0 relaxes every row to its non-strict form, an LP that is
-    infeasible outright (reported with margin -1.0) certifies that the
-    original system is empty too, sparing callers the fallback solve.
-    """
-    if not sys.rows:
-        return decide_feasibility(sys)
-    G, h = _slack_rows(sys, balanced=True)
-    return _result(sys, G, _max_slack([(sys, G, h)])[0], empty_margin=-1.0)
+    return _result(sys, G, _max_slack([(sys, G, h)])[0])
 
 
 def balance_witnesses_batch(
     systems: list[LinearConstraintSystem],
 ) -> list[FeasibilityResult] | None:
-    """Solve the balance LP of several independent systems together.
+    """Maximize a uniform slack over all rows of each system:
 
-    Returns None when some system is empty even with every row relaxed to
-    non-strict; otherwise one per-system result with the same semantics as
-    balance_witness (a system without rows gets margin DELTA_CAP).
+        max d  s.t.  a.u >= rhs + d   (strict rows)
+                     a.u <= rhs - d   (non-strict rows)
+                     u in box, 0 <= d <= DELTA_CAP
+
+    The systems are independent and are solved together.
+
+    A slack-maximal witness from decide_feasibility often sits on active
+    non-strict rows, where any model error flips the inequality; the balanced
+    witness buys margin on every row at once. A system is reported
+    infeasible (margin below TOL_STRICT) whenever some non-strict row is
+    necessarily tight; callers should then fall back to decide_feasibility.
+    A system without rows is feasible with margin DELTA_CAP.
+
+    Since d = 0 relaxes every row to its non-strict form, a system whose LP
+    is infeasible outright is empty too. Then None is returned, which spares
+    callers the fallback solve.
     """
     blocks = [(sys, *_slack_rows(sys, balanced=True)) for sys in systems]
     optima = _max_slack(blocks)
     if any(z is None for z in optima):
         return None
-    return [_result(sys, G, z, empty_margin=-1.0)
-            for (sys, G, _), z in zip(blocks, optima)]
+    return [_result(sys, G, z) for (sys, G, _), z in zip(blocks, optima)]
 
 
 def _slack_rows(sys: LinearConstraintSystem, balanced: bool):
     """Rows (G, h) of the slack LP in z = (u, d), as G z <= h.
 
-    Strict rows always carry +d; non-strict rows carry it only in the
-    balanced form."""
-    m = sys.dim
-    coeffs = np.array([r.coeffs for r in sys.rows], dtype=float).reshape(-1, m)
-    rhs = np.array([r.rhs for r in sys.rows], dtype=float)
-    strict = np.array([r.relation is Relation.STRICT_GREATER for r in sys.rows],
-                      dtype=bool)
-    sign = np.where(strict, -1.0, 1.0)
-    slack = (strict | balanced).astype(float)
-    return np.column_stack([sign[:, None] * coeffs, slack]), sign * rhs
+    Strict rows are negated into <= form and always carry +d; non-strict
+    rows carry it only in the balanced form."""
+    sign = np.where(sys.strict, -1.0, 1.0)
+    slack = (sys.strict | balanced).astype(float)
+    return np.column_stack([sign[:, None] * sys.A, slack]), sign * sys.b
 
 
-def _result(sys, G, z, empty_margin: float) -> FeasibilityResult:
+def _result(sys, G, z) -> FeasibilityResult:
     if z is None:
-        return FeasibilityResult(False, None, empty_margin)
+        return FeasibilityResult(False, None, 0.0)
     u = np.clip(z[:sys.dim], sys.box[:, 0], sys.box[:, 1])
     if not G[:, -1].any():
         # No row carries the slack: a plain feasibility check.
@@ -252,7 +236,9 @@ def _enumerate_vertices(G, h, box) -> list[np.ndarray | None]:
 def _highs(blocks) -> list[np.ndarray | None]:
     """All blocks in one block-diagonal HiGHS LP maximizing the sum of the
     per-block slacks; the blocks share no variables, so each is optimized
-    individually. An infeasible combined LP marks every block empty."""
+    individually. Only a certificate of infeasibility (HiGHS status 2) marks
+    the blocks empty; any other failure raises, since reporting it as empty
+    would certify a reach edge Absent on a solver hiccup."""
     offsets = np.cumsum([0] + [G.shape[1] for _, G, _ in blocks])
     c = np.zeros(offsets[-1])
     c[offsets[1:] - 1] = -1.0
@@ -262,8 +248,10 @@ def _highs(blocks) -> list[np.ndarray | None]:
               zip(*(_slack_bounds(sys.box) for sys, _, _ in blocks)))
     res = linprog(c, A_ub=a_ub, b_ub=b_ub if len(b_ub) else None,
                   bounds=np.column_stack([lo, hi]), method="highs", options=_LP_OPTIONS)
-    if res.status != 0:
+    if res.status == 2:
         return [None] * len(blocks)
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed with status {res.status}: {res.message}")
     return [res.x[offsets[i]:offsets[i + 1]] for i in range(len(blocks))]
 
 
@@ -274,62 +262,52 @@ def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
     Single-variable rows are folded into the box first; then either some row
     is unsatisfiable over the folded box (infeasible) or the folded-box
     center satisfies every row with slack above TOL_STRICT (feasible).
+    The rows are walked as Python floats so that the screen stops at the
+    first conclusive row; on systems of a few rows that beats whole-array
+    NumPy passes.
     """
-    lo = sys.box[:, 0].copy()
-    hi = sys.box[:, 1].copy()
+    lo = sys.box[:, 0].tolist()
+    hi = sys.box[:, 1].tolist()
+    rows = list(zip(sys.A.tolist(), sys.b.tolist(), sys.strict.tolist()))
     general = []
-    for r in sys.rows:
-        a = np.asarray(r.coeffs)
-        nz = np.nonzero(a)[0]
-        if len(nz) == 0:
+    for a, rhs, strict in rows:
+        nz = [k for k, c in enumerate(a) if c != 0.0]
+        if not nz:
             # constant row: satisfiable iff 0 > rhs (strict) / 0 <= rhs
-            if r.relation is Relation.STRICT_GREATER:
-                if 0.0 <= r.rhs + TOL_STRICT:
-                    return FeasibilityResult(False, None, 0.0)
-            elif r.rhs < 0.0:
+            if (0.0 <= rhs + TOL_STRICT) if strict else (rhs < 0.0):
                 return FeasibilityResult(False, None, 0.0)
             continue
         if len(nz) == 1:
             k = nz[0]
-            bound = r.rhs / a[k]
-            if r.relation is Relation.STRICT_GREATER:
-                if a[k] > 0:
-                    lo[k] = max(lo[k], bound)
-                else:
-                    hi[k] = min(hi[k], bound)
+            bound = rhs / a[k]
+            if strict == (a[k] > 0):
+                lo[k] = max(lo[k], bound)
             else:
-                if a[k] > 0:
-                    hi[k] = min(hi[k], bound)
-                else:
-                    lo[k] = max(lo[k], bound)
-        general.append(r)
-    if np.any(lo > hi):
+                hi[k] = min(hi[k], bound)
+        general.append((a, rhs, strict))
+    if any(l > h for l, h in zip(lo, hi)):
         return FeasibilityResult(False, None, 0.0)
 
     # Row-wise interval bounds over the folded box.
-    for r in general:
-        a = np.asarray(r.coeffs)
-        hi_val = float(np.sum(np.maximum(a * lo, a * hi)))
-        if r.relation is Relation.STRICT_GREATER:
-            if hi_val <= r.rhs + TOL_STRICT:
+    for a, rhs, strict in general:
+        if strict:
+            if sum(max(c * l, c * h) for c, l, h in zip(a, lo, hi)) <= rhs + TOL_STRICT:
                 return FeasibilityResult(False, None, 0.0)
-        else:
-            lo_val = float(np.sum(np.minimum(a * lo, a * hi)))
-            if lo_val > r.rhs:
-                return FeasibilityResult(False, None, 0.0)
+        elif sum(min(c * l, c * h) for c, l, h in zip(a, lo, hi)) > rhs:
+            return FeasibilityResult(False, None, 0.0)
 
-    center = 0.5 * (lo + hi)
+    center = [0.5 * (l + h) for l, h in zip(lo, hi)]
     margin = DELTA_CAP
-    for r in sys.rows:
-        val = float(np.dot(r.coeffs, center))
-        if r.relation is Relation.STRICT_GREATER:
-            slack = val - r.rhs
+    for a, rhs, strict in rows:
+        val = sum(c * x for c, x in zip(a, center))
+        if strict:
+            slack = val - rhs
             if slack <= TOL_STRICT:
                 return None
             margin = min(margin, slack)
-        elif val > r.rhs:
+        elif val > rhs:
             return None
-    return FeasibilityResult(True, center, margin)
+    return FeasibilityResult(True, np.array(center), margin)
 
 
 def decide_with_screen(sys: LinearConstraintSystem) -> FeasibilityResult:

@@ -5,6 +5,10 @@ invariance inequalities in that vertex's control input. Predictive decisions
 for cells with unidentified dynamics tighten (robust) or loosen (expanded)
 those rows by deviation radii derived from the Lipschitz constants, branching
 over the 2^m sign patterns of the control components.
+
+Each vertex system is one array-form LinearConstraintSystem: the strict
+exit-flow row first, then the non-strict invariance rows, then, in
+prediction, one sign row per control input.
 """
 
 from __future__ import annotations
@@ -18,14 +22,10 @@ import numpy as np
 from .dynamics import AffineModel
 from .feasibility import (
     TOL_STRICT,
-    FeasibilityResult,
     LinearConstraintSystem,
-    balance_witness,
     balance_witnesses_batch,
     decide_feasibility,
     decide_with_screen,
-    nonstrict_leq,
-    strict_greater,
 )
 from .geometry import (
     Polytope,
@@ -108,6 +108,18 @@ def _row_partition(cell: Polytope, exit_facet: int, vertex_j: int):
     return list(incident)
 
 
+def _nominal_rows(cell: Polytope, exit_facet: int, vertex_j: int, model: AffineModel):
+    """Nominal rows (A, b) at v_j in the unknown input u_j: first the exit
+    row A[0] . u > b[0], then the invariance rows A[i] . u <= b[i] in
+    _row_partition order. With n a facet normal, the flow n . (A v + B u + c)
+    must be positive through the exit facet and non-positive through the
+    others."""
+    v = cell.vertices[vertex_j]
+    N = cell.normals[[exit_facet, *_row_partition(cell, exit_facet, vertex_j)]]
+    drift = model.A @ v + model.c
+    return N @ model.B, -(N @ drift)
+
+
 def vertex_constraint_system(
     cell: Polytope,
     exit_facet: int,
@@ -117,15 +129,10 @@ def vertex_constraint_system(
 ) -> LinearConstraintSystem:
     """Nominal rows in the unknown input u_j: strict positive flow through
     the exit facet, non-strict inflow on the other facets containing v_j."""
-    v = cell.vertices[vertex_j]
-    n1 = cell.normals[exit_facet]
-    drift = model.A @ v + model.c
-    rows = [strict_greater(n1 @ model.B, -float(n1 @ drift))]
-    for i in _row_partition(cell, exit_facet, vertex_j):
-        ni = cell.normals[i]
-        rows.append(nonstrict_leq(ni @ model.B, -float(ni @ drift)))
-    m = model.B.shape[1]
-    return LinearConstraintSystem(m, rows, np.asarray(control_box, dtype=float))
+    A, b = _nominal_rows(cell, exit_facet, vertex_j, model)
+    strict = np.zeros(len(b), dtype=bool)
+    strict[0] = True
+    return LinearConstraintSystem(A, b, strict, control_box)
 
 
 def decide_exit_facet(
@@ -173,38 +180,27 @@ def _perturbed_rows(
     pattern,
     tighten: bool,
 ):
-    """Rows of the robust (tighten=True) or expanded (tighten=False) system
-    for one sign pattern. Unit normals make the ||n|| factors one."""
+    """Rows (A, b, strict) of the robust (tighten=True) or expanded
+    (tighten=False) system for one sign pattern s: the nominal rows moved by
+    the deviation radii, then the sign rows u_k > 0 (s_k > 0) or u_k <= 0
+    (s_k < 0). Unit normals make the ||n|| factors one."""
+    A, b = _nominal_rows(cell, exit_facet, vertex_j, ref_model)
     v = cell.vertices[vertex_j]
-    drift = ref_model.A @ v + ref_model.c
     shift = bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c
     s = np.asarray(pattern, dtype=float)
-    rows = []
-    n1 = cell.normals[exit_facet]
-    b_minus = n1 @ ref_model.B - s * bounds.eps_B
-    b_plus = n1 @ ref_model.B + s * bounds.eps_B
-    if tighten:
-        rows.append(strict_greater(b_minus, -float(n1 @ drift) + shift))
-    else:
-        rows.append(strict_greater(b_plus, -float(n1 @ drift) - shift))
-    for i in _row_partition(cell, exit_facet, vertex_j):
-        ni = cell.normals[i]
-        b_minus = ni @ ref_model.B - s * bounds.eps_B
-        b_plus = ni @ ref_model.B + s * bounds.eps_B
-        if tighten:
-            rows.append(nonstrict_leq(b_plus, -float(ni @ drift) - shift))
-        else:
-            rows.append(nonstrict_leq(b_minus, -float(ni @ drift) + shift))
-    m = ref_model.B.shape[1]
-    for k in range(m):
-        e = np.zeros(m)
-        if pattern[k] > 0:
-            e[k] = 1.0
-            rows.append(strict_greater(e, 0.0))
-        else:
-            e[k] = 1.0
-            rows.append(nonstrict_leq(e, 0.0))
-    return rows
+    m = len(s)
+    # Tightening adds -s*eps_B and +shift to the exit row and +s*eps_B and
+    # -shift to the invariance rows; expanding flips every sign.
+    side = np.ones(len(b))
+    side[0] = -1.0
+    if not tighten:
+        side = -side
+    strict = np.zeros(len(b) + m, dtype=bool)
+    strict[0] = True
+    strict[len(b):] = s > 0
+    return (np.concatenate([A + side[:, None] * (s * bounds.eps_B), np.eye(m)]),
+            np.concatenate([b - side * shift, np.zeros(m)]),
+            strict)
 
 
 def robust_vertex_system(
@@ -212,8 +208,9 @@ def robust_vertex_system(
 ) -> LinearConstraintSystem:
     """Maximally tightened rows: feasibility certifies reachability for any
     dynamics within the deviation radii of the reference model."""
-    rows = _perturbed_rows(cell, exit_facet, vertex_j, ref_model, bounds, pattern, True)
-    return LinearConstraintSystem(ref_model.B.shape[1], rows, np.asarray(control_box, float))
+    return LinearConstraintSystem(
+        *_perturbed_rows(cell, exit_facet, vertex_j, ref_model, bounds, pattern, True),
+        control_box)
 
 
 def expanded_vertex_system(
@@ -221,8 +218,9 @@ def expanded_vertex_system(
 ) -> LinearConstraintSystem:
     """Maximally loosened rows: joint infeasibility over all patterns
     certifies unreachability for any dynamics within the radii."""
-    rows = _perturbed_rows(cell, exit_facet, vertex_j, ref_model, bounds, pattern, False)
-    return LinearConstraintSystem(ref_model.B.shape[1], rows, np.asarray(control_box, float))
+    return LinearConstraintSystem(
+        *_perturbed_rows(cell, exit_facet, vertex_j, ref_model, bounds, pattern, False),
+        control_box)
 
 
 def predict_exit_facet(

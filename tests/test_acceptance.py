@@ -13,14 +13,7 @@ import pytest
 
 from pwa_nav.cli import main
 from pwa_nav.dynamics import AffineField, AffineModel, linearize_at, terrain_model
-from pwa_nav.feasibility import (
-    TOL_STRICT,
-    LinearConstraintSystem,
-    Relation,
-    decide_feasibility,
-    nonstrict_leq,
-    strict_greater,
-)
+from pwa_nav.feasibility import TOL_STRICT, LinearConstraintSystem, decide_feasibility
 from pwa_nav.geometry import Polytope, build_grid_partition
 from pwa_nav.graph import EdgeRecord, ReachGraph, ReachStatus, shortest_path
 from pwa_nav.reach import (
@@ -170,32 +163,31 @@ def test_05_feasibility_brute_force():
     start = time.perf_counter()
     disagreements = 0
     for _ in range(200):
-        rows = []
+        A, b, strict = [], [], []
         for _ in range(int(rng.integers(1, 13))):
-            coeffs = rng.uniform(-1, 1, size=2)
-            rhs = rng.uniform(-0.8, 0.8)
-            rows.append(strict_greater(coeffs, rhs) if rng.random() < 0.5
-                        else nonstrict_leq(coeffs, rhs))
-        sys = LinearConstraintSystem(2, rows, box)
+            A.append(rng.uniform(-1, 1, size=2))
+            b.append(rng.uniform(-0.8, 0.8))
+            strict.append(rng.random() < 0.5)
+        sys = LinearConstraintSystem(A, b, strict, box)
         res = decide_feasibility(sys)
+        rows = list(zip(sys.A, sys.b, sys.strict))
 
         def grid_hit(slack):
             ok = np.ones_like(U1, dtype=bool)
-            for r in rows:
-                val = r.coeffs[0] * U1 + r.coeffs[1] * U2
-                if r.relation is Relation.STRICT_GREATER:
-                    ok &= val > r.rhs + slack
+            for a, rhs, is_strict in rows:
+                val = a[0] * U1 + a[1] * U2
+                if is_strict:
+                    ok &= val > rhs + slack
                 else:
-                    ok &= val <= r.rhs
+                    ok &= val <= rhs
             return bool(ok.any())
 
         if res.feasible:
             u = res.witness
             sat = all(
-                (u @ r.coeffs - r.rhs > TOL_STRICT - 1e-9)
-                if r.relation is Relation.STRICT_GREATER
-                else (u @ r.coeffs <= r.rhs + 1e-9)
-                for r in rows
+                (u @ a - rhs > TOL_STRICT - 1e-9) if is_strict
+                else (u @ a <= rhs + 1e-9)
+                for a, rhs, is_strict in rows
             )
             disagreements += not sat
         else:

@@ -1,10 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwa_nav
 from pwa_nav.artifacts import load_graph_json
 from pwa_nav.cli import main
 from pwa_nav.scenario import ScenarioError, parse_scenario
@@ -173,6 +178,21 @@ class TestCmdPlan:
         rc = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "o"),
                    "--max-iters", "1"])
         assert rc == 3
+
+    def test_samples_below_identifiability_exits_four(self, tmp_path):
+        # N = 3 passes the schema but lies below the n + m + 1 = 5 samples
+        # a least-squares fit needs; run as a process to see any traceback.
+        data = copy.deepcopy(INTEGRATOR_SCENARIO)
+        data["sysid"]["N"] = 3
+        scenario = write_scenario(tmp_path, data)
+        env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pwa_nav.cli", "plan", "--scenario", scenario,
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert "identification failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCmdTruthGraph:

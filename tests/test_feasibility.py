@@ -1,24 +1,18 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from pwa_nav import feasibility
 from pwa_nav.feasibility import (
     DELTA_CAP,
     TOL_STRICT,
     LinearConstraintSystem,
-    Relation,
-    balance_witness,
     balance_witnesses_batch,
     decide_feasibility,
     decide_with_screen,
-    nonstrict_leq,
     screen_feasibility,
-    strict_greater,
 )
 
 BOX_1D = np.array([[-5.0, 5.0]])
@@ -31,12 +25,12 @@ SOLVER_TOL = 1e-9  # LP primal feasibility slack
 def substitute(sys, u):
     """True iff u satisfies every row (strict rows with slack > TOL_STRICT),
     allowing the solver's own primal tolerance on non-strict rows."""
-    for r in sys.rows:
-        val = float(np.dot(r.coeffs, u))
-        if r.relation is Relation.STRICT_GREATER:
-            if val - r.rhs <= TOL_STRICT - SOLVER_TOL:
+    for a, rhs, strict in zip(sys.A, sys.b, sys.strict):
+        val = float(np.dot(a, u))
+        if strict:
+            if val - rhs <= TOL_STRICT - SOLVER_TOL:
                 return False
-        elif val > r.rhs + SOLVER_TOL:
+        elif val > rhs + SOLVER_TOL:
             return False
     return bool(
         np.all(u >= sys.box[:, 0] - SOLVER_TOL)
@@ -44,26 +38,28 @@ def substitute(sys, u):
     )
 
 
+def solve_balanced(sys):
+    """The balanced LP of one system: its result, or None when the system is
+    empty even with every row relaxed."""
+    batch = balance_witnesses_batch([sys])
+    return None if batch is None else batch[0]
+
+
 class TestDecideFeasibility:
     def test_1d_interval(self):
-        sys = LinearConstraintSystem(
-            1, [strict_greater([1.0], 0.0), nonstrict_leq([1.0], 5.0)], BOX_1D
-        )
+        sys = LinearConstraintSystem([[1.0], [1.0]], [0.0, 5.0], [True, False], BOX_1D)
         res = decide_feasibility(sys)
         assert res.feasible
         assert res.margin >= 2.0
         assert substitute(sys, res.witness)
 
     def test_1d_empty_intersection(self):
-        sys = LinearConstraintSystem(
-            1, [strict_greater([1.0], 0.0), nonstrict_leq([1.0], 0.0)], BOX_1D
-        )
+        sys = LinearConstraintSystem([[1.0], [1.0]], [0.0, 0.0], [True, False], BOX_1D)
         assert not decide_feasibility(sys).feasible
 
     def test_2d_mixed(self):
         sys = LinearConstraintSystem(
-            2, [strict_greater([1.0, 1.0], 1.0), nonstrict_leq([1.0, 0.0], 0.0)], BOX_2D
-        )
+            [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.0], [True, False], BOX_2D)
         res = decide_feasibility(sys)
         assert res.feasible
         assert substitute(sys, res.witness)
@@ -74,58 +70,67 @@ class TestDecideFeasibility:
         assert hit
 
     def test_no_strict_rows_reports_delta_cap(self):
-        sys = LinearConstraintSystem(1, [nonstrict_leq([1.0], 3.0)], BOX_1D)
+        sys = LinearConstraintSystem([[1.0]], [3.0], [False], BOX_1D)
         res = decide_feasibility(sys)
         assert res.feasible and res.margin == DELTA_CAP
 
     def test_no_strict_rows_infeasible(self):
-        sys = LinearConstraintSystem(
-            1, [nonstrict_leq([1.0], -10.0)], BOX_1D
-        )
+        sys = LinearConstraintSystem([[1.0]], [-10.0], [False], BOX_1D)
         assert not decide_feasibility(sys).feasible
 
     def test_empty_rows_feasible(self):
-        res = decide_feasibility(LinearConstraintSystem(2, [], BOX_2D))
+        res = decide_feasibility(LinearConstraintSystem(np.zeros((0, 2)), [], [], BOX_2D))
         assert res.feasible
 
     def test_determinism(self):
         sys = LinearConstraintSystem(
-            2,
-            [strict_greater([1.0, -0.3], 0.2), nonstrict_leq([0.5, 1.0], 2.0)],
-            BOX_2D,
-        )
+            [[1.0, -0.3], [0.5, 1.0]], [0.2, 2.0], [True, False], BOX_2D)
         a = decide_feasibility(sys)
         b = decide_feasibility(sys)
         assert np.array_equal(a.witness, b.witness) and a.margin == b.margin
 
     def test_monotonicity_adding_rows(self):
-        rows = [strict_greater([1.0, 0.0], 4.0)]
-        base = decide_feasibility(LinearConstraintSystem(2, rows, BOX_2D))
-        extended = decide_feasibility(
-            LinearConstraintSystem(2, rows + [nonstrict_leq([1.0, 0.0], 4.2)], BOX_2D)
-        )
+        base = decide_feasibility(LinearConstraintSystem([[1.0, 0.0]], [4.0], [True], BOX_2D))
+        extended = decide_feasibility(LinearConstraintSystem(
+            [[1.0, 0.0], [1.0, 0.0]], [4.0, 4.2], [True, False], BOX_2D))
         if not base.feasible:
             assert not extended.feasible
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
     def test_row_scaling_invariance(self, scale):
-        rows = [strict_greater([1.0, -1.0], 0.5), nonstrict_leq([0.3, 0.7], 1.0)]
-        scaled = [
-            strict_greater([scale, -scale], scale * 0.5),
-            nonstrict_leq([0.3 * scale, 0.7 * scale], scale),
-        ]
-        a = decide_feasibility(LinearConstraintSystem(2, rows, BOX_2D))
-        b = decide_feasibility(LinearConstraintSystem(2, scaled, BOX_2D))
-        assert a.feasible == b.feasible
+        A = np.array([[1.0, -1.0], [0.3, 0.7]])
+        rhs = np.array([0.5, 1.0])
+        strict = [True, False]
+        plain = decide_feasibility(LinearConstraintSystem(A, rhs, strict, BOX_2D))
+        scaled = decide_feasibility(
+            LinearConstraintSystem(scale * A, scale * rhs, strict, BOX_2D))
+        assert plain.feasible == scaled.feasible
+
+    def test_dim_from_box(self):
+        sys = LinearConstraintSystem(np.zeros((0, 2)), [], [], BOX_2D)
+        assert sys.dim == 2 and sys.A.shape == (0, 2)
 
     def test_malformed_row_rejected(self):
+        # One column for a two-input box.
         with pytest.raises(ValueError):
-            LinearConstraintSystem(2, [strict_greater([1.0], 0.0)], BOX_2D)
+            LinearConstraintSystem([[1.0]], [0.0], [True], BOX_2D)
+
+    def test_one_dimensional_rows_not_reshaped(self):
+        with pytest.raises(ValueError):
+            LinearConstraintSystem([1.0, 0.0], [0.0], [True], BOX_2D)
+
+    def test_mismatched_rhs_rejected(self):
+        with pytest.raises(ValueError):
+            LinearConstraintSystem([[1.0, 0.0]], [0.0, 1.0], [True], BOX_2D)
+
+    def test_mismatched_strict_mask_rejected(self):
+        with pytest.raises(ValueError):
+            LinearConstraintSystem([[1.0, 0.0]], [0.0], [True, False], BOX_2D)
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
-            LinearConstraintSystem(1, [], np.array([[1.0, -1.0]]))
+            LinearConstraintSystem(np.zeros((0, 1)), [], [], np.array([[1.0, -1.0]]))
 
 
 BOX_SMALL = np.array([[-1.0, 1.0], [-1.0, 1.0]])
@@ -135,28 +140,34 @@ def random_system(rng):
     # A small box keeps the step-1e-3 brute-force grid at 2001^2 points.
     m = 2
     n_rows = rng.integers(1, 13)
-    rows = []
+    A, b, strict = [], [], []
     for _ in range(n_rows):
-        coeffs = rng.uniform(-1, 1, size=m)
-        rhs = rng.uniform(-1.5, 1.5)
-        if rng.random() < 0.5:
-            rows.append(strict_greater(coeffs, rhs))
-        else:
-            rows.append(nonstrict_leq(coeffs, rhs))
-    return LinearConstraintSystem(m, rows, BOX_SMALL)
+        A.append(rng.uniform(-1, 1, size=m))
+        b.append(rng.uniform(-1.5, 1.5))
+        strict.append(rng.random() < 0.5)
+    return LinearConstraintSystem(A, b, strict, BOX_SMALL)
 
 
-def grid_feasible(sys, step, slack):
-    grid = np.arange(sys.box[0, 0], sys.box[0, 1] + step / 2, step)
+def grid_points(box, step):
+    """The grid of step `step` over box[0] in both coordinates, as two flat
+    coordinate arrays."""
+    grid = np.arange(box[0, 0], box[0, 1] + step / 2, step)
     U1, U2 = np.meshgrid(grid, grid, indexing="ij")
-    ok = np.ones_like(U1, dtype=bool)
-    for r in sys.rows:
-        val = r.coeffs[0] * U1 + r.coeffs[1] * U2
-        if r.relation is Relation.STRICT_GREATER:
-            ok &= val > r.rhs + slack
-        else:
-            ok &= val <= r.rhs
-    return bool(ok.any())
+    return U1.ravel(), U2.ravel()
+
+
+def grid_feasible(sys, points, slack):
+    """True iff some grid point satisfies every row, strict rows by more than
+    `slack`. Each row is evaluated only on the points that passed the rows
+    before it."""
+    u1, u2 = points
+    for a, rhs, strict in zip(sys.A, sys.b, sys.strict):
+        val = a[0] * u1 + a[1] * u2
+        keep = val > rhs + slack if strict else val <= rhs
+        u1, u2 = u1[keep], u2[keep]
+        if not len(u1):
+            return False
+    return True
 
 
 class TestBruteForceAgreement:
@@ -164,13 +175,14 @@ class TestBruteForceAgreement:
         # Directional oracle: a grid witness implies solver feasibility; solver
         # infeasibility implies no grid point clears twice the strict slack.
         rng = np.random.default_rng(20250823)
+        points = grid_points(BOX_SMALL, step=1e-3)
         for _ in range(200):
             sys = random_system(rng)
             res = decide_feasibility(sys)
-            if grid_feasible(sys, step=1e-3, slack=TOL_STRICT):
+            if grid_feasible(sys, points, slack=TOL_STRICT):
                 assert res.feasible
             if not res.feasible:
-                assert not grid_feasible(sys, step=1e-3, slack=2 * TOL_STRICT)
+                assert not grid_feasible(sys, points, slack=2 * TOL_STRICT)
             if res.feasible:
                 assert substitute(sys, res.witness)
 
@@ -178,11 +190,16 @@ class TestBruteForceAgreement:
 class TestScreen:
     def test_screen_agrees_with_lp_on_random_systems(self):
         rng = np.random.default_rng(42)
-        for _ in range(300):
-            sys = random_system(rng)
+        # Degenerate systems bring the constant and single-variable rows
+        # that the screen folds into the box.
+        systems = [random_system(rng) for _ in range(300)]
+        systems += [degenerate_system(rng, m) for m in (1, 2, 3) for _ in range(200)]
+        for sys in systems:
             screened = screen_feasibility(sys)
             if screened is not None:
                 assert screened.feasible == decide_feasibility(sys).feasible
+                if screened.feasible:
+                    assert substitute(sys, screened.witness)
 
     def test_decide_with_screen_matches_decide(self):
         rng = np.random.default_rng(43)
@@ -194,11 +211,8 @@ class TestScreen:
 class TestBalanceWitness:
     def test_margin_on_every_row(self):
         sys = LinearConstraintSystem(
-            2,
-            [strict_greater([1.0, 0.0], 0.0), nonstrict_leq([0.0, 1.0], 2.0)],
-            BOX_2D,
-        )
-        res = balance_witness(sys)
+            [[1.0, 0.0], [0.0, 1.0]], [0.0, 2.0], [True, False], BOX_2D)
+        res = solve_balanced(sys)
         assert res.feasible
         u = res.witness
         assert float(np.dot([1.0, 0.0], u)) >= res.margin - 1e-9
@@ -208,8 +222,8 @@ class TestBalanceWitness:
         rng = np.random.default_rng(5)
         for _ in range(100):
             sys = random_system(rng)
-            res = balance_witness(sys)
-            if res.feasible:
+            res = solve_balanced(sys)
+            if res is not None and res.feasible:
                 assert substitute(sys, res.witness)
 
     def test_never_upgrades_infeasible(self):
@@ -217,7 +231,8 @@ class TestBalanceWitness:
         for _ in range(100):
             sys = random_system(rng)
             if not decide_feasibility(sys).feasible:
-                assert not balance_witness(sys).feasible
+                res = solve_balanced(sys)
+                assert res is None or not res.feasible
 
 
 # Reference slack LP: the same program handed to HiGHS as one linprog call.
@@ -229,13 +244,13 @@ def highs_max_slack(sys, balanced):
     """Optimal slack d* of the strict-slack (balanced=False) or balanced LP
     by HiGHS, or None when its feasible set is empty."""
     a_ub, b_ub = [], []
-    for r in sys.rows:
-        if r.relation is Relation.STRICT_GREATER:
-            a_ub.append([-c for c in r.coeffs] + [1.0])
-            b_ub.append(-r.rhs)
+    for a, rhs, strict in zip(sys.A.tolist(), sys.b.tolist(), sys.strict.tolist()):
+        if strict:
+            a_ub.append([-c for c in a] + [1.0])
+            b_ub.append(-rhs)
         else:
-            a_ub.append(list(r.coeffs) + [1.0 if balanced else 0.0])
-            b_ub.append(r.rhs)
+            a_ub.append(a + [1.0 if balanced else 0.0])
+            b_ub.append(rhs)
     c = np.zeros(sys.dim + 1)
     c[-1] = -1.0
     bounds = [tuple(lim) for lim in sys.box] + [(0.0, DELTA_CAP)]
@@ -247,13 +262,10 @@ def highs_max_slack(sys, balanced):
 
 def reference_verdict(sys, balanced):
     """(feasible, empty) as the slack-LP semantics define them via HiGHS."""
-    if balanced and not sys.rows:
-        balanced = False  # balance_witness falls back to the plain check
     d = highs_max_slack(sys, balanced)
     if d is None:
         return False, True
-    carries_slack = any(balanced or r.relation is Relation.STRICT_GREATER
-                        for r in sys.rows)
+    carries_slack = len(sys.b) > 0 and (balanced or sys.strict.any())
     return (d > TOL_STRICT) or not carries_slack, False
 
 
@@ -266,7 +278,7 @@ def degenerate_system(rng, m):
     if rng.random() < 0.2:
         box[rng.integers(m)] = rng.uniform(-0.5, 0.5)
     point = rng.uniform(box[:, 0], box[:, 1])
-    rows = []
+    A, b, stricts = [], [], []
     for _ in range(int(rng.integers(0, 9))):
         strict = rng.random() < 0.5
         coeffs = rng.uniform(-1, 1, size=m)
@@ -275,17 +287,19 @@ def degenerate_system(rng, m):
             coeffs[:] = 0.0
         elif kind < 0.3:
             coeffs[rng.integers(m)] = 0.0
-        if kind >= 0.7 and rows:
+        if kind >= 0.7 and A:
             scale = rng.choice([-1.0, 0.5, 2.0])  # exact in binary
-            coeffs = scale * np.asarray(rows[-1].coeffs)
-            rhs = scale * rows[-1].rhs
+            coeffs = scale * A[-1]
+            rhs = scale * b[-1]
         elif rng.random() < 0.7:
             gap = abs(rng.normal(scale=0.3))
             rhs = coeffs @ point + (-gap if strict else gap)
         else:
             rhs = rng.uniform(-1.5, 1.5)
-        rows.append(strict_greater(coeffs, rhs) if strict else nonstrict_leq(coeffs, rhs))
-    return LinearConstraintSystem(m, rows, box)
+        A.append(coeffs)
+        b.append(rhs)
+        stricts.append(strict)
+    return LinearConstraintSystem(np.reshape(A, (-1, m)), b, stricts, box)
 
 
 class TestHighsOracle:
@@ -295,20 +309,22 @@ class TestHighsOracle:
     def test_verdicts_match_highs(self, m):
         rng = np.random.default_rng(700 + m)
         systems = [degenerate_system(rng, m) for _ in range(150)]
-        systems += [LinearConstraintSystem(m, [], np.tile([-1.0, 1.0], (m, 1)))]
+        systems += [LinearConstraintSystem(np.zeros((0, m)), [], [],
+                                           np.tile([-1.0, 1.0], (m, 1)))]
         if m == 2:
             systems += [random_system(rng) for _ in range(100)]
         disagreements = 0
         for sys in systems:
-            for balanced, solve in ((False, decide_feasibility),
-                                    (True, balance_witness)):
-                res = solve(sys)
-                feasible, empty = reference_verdict(sys, balanced)
-                disagreements += res.feasible != feasible
-                if balanced and sys.rows:
-                    disagreements += (res.margin == -1.0) != empty
-                if res.feasible:
-                    assert substitute(sys, res.witness)
+            res = decide_feasibility(sys)
+            disagreements += res.feasible != reference_verdict(sys, False)[0]
+            if res.feasible:
+                assert substitute(sys, res.witness)
+            res = solve_balanced(sys)
+            feasible, empty = reference_verdict(sys, True)
+            disagreements += (res is None) != empty
+            disagreements += (res is not None and res.feasible) != feasible
+            if res is not None and res.feasible:
+                assert substitute(sys, res.witness)
         assert disagreements == 0
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -323,16 +339,14 @@ class TestHighsOracle:
                 continue
             assert batch is not None
             for sys, res, (feasible, _) in zip(systems, batch, verdicts):
-                assert res.feasible == (feasible or not sys.rows)
+                assert res.feasible == feasible
                 if res.feasible:
                     assert substitute(sys, res.witness)
 
     def test_empty_enumeration_certifies_emptiness(self):
         # u >= 0.7 and u <= 0.2 meet nowhere, even with every row relaxed.
-        sys = LinearConstraintSystem(
-            1, [strict_greater([1.0], 0.7), nonstrict_leq([1.0], 0.2)], BOX_1D)
+        sys = LinearConstraintSystem([[1.0], [1.0]], [0.7, 0.2], [True, False], BOX_1D)
         assert decide_feasibility(sys).margin == 0.0
-        assert balance_witness(sys).margin == -1.0
         assert balance_witnesses_batch([sys]) is None
 
 
@@ -357,25 +371,26 @@ class TestHighsPath:
         rng = np.random.default_rng(740)
         for _ in range(30):
             sys = degenerate_system(rng, 4)
-            for balanced, solve in ((False, decide_feasibility),
-                                    (True, balance_witness)):
-                res = solve(sys)
-                assert res.feasible == reference_verdict(sys, balanced)[0]
-                if res.feasible:
-                    assert substitute(sys, res.witness)
+            res = decide_feasibility(sys)
+            assert res.feasible == reference_verdict(sys, False)[0]
+            if res.feasible:
+                assert substitute(sys, res.witness)
+            res = solve_balanced(sys)
+            assert (res is not None and res.feasible) == reference_verdict(sys, True)[0]
+            if res is not None and res.feasible:
+                assert substitute(sys, res.witness)
         assert len(lp_calls) == 60
 
     def test_m4_known_systems(self, lp_calls):
-        rows = [strict_greater([1.0, 1.0, 0.0, 0.0], 1.0),
-                nonstrict_leq([0.0, 0.0, 1.0, 1.0], -1.5)]
-        sys = LinearConstraintSystem(4, rows, BOX_4D)
+        sys = LinearConstraintSystem([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+                                     [1.0, -1.5], [True, False], BOX_4D)
         plain = decide_feasibility(sys)
         assert plain.feasible and plain.margin == pytest.approx(1.0)
-        balanced = balance_witness(sys)
-        assert balanced.feasible and balanced.margin == pytest.approx(0.5)
-        empty = LinearConstraintSystem(4, [nonstrict_leq([1.0, 0, 0, 0], -2.0)], BOX_4D)
+        res = solve_balanced(sys)
+        assert res.feasible and res.margin == pytest.approx(0.5)
+        empty = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [-2.0], [False], BOX_4D)
         assert decide_feasibility(empty).margin == 0.0
-        assert balance_witness(empty).margin == -1.0
+        assert solve_balanced(empty) is None
         assert len(lp_calls) == 4
 
     def test_mixed_batch_matches_single_solves(self, lp_calls):
@@ -385,13 +400,35 @@ class TestHighsPath:
         batch = balance_witnesses_batch(systems)
         assert batch is not None and len(lp_calls) == 1
         for sys, res in zip(systems, batch):
-            assert res.feasible == balance_witness(sys).feasible
+            assert res.feasible == solve_balanced(sys).feasible
 
     def test_small_systems_skip_highs(self, lp_calls):
         rng = np.random.default_rng(760)
         for m in (1, 2, 3):
             sys = degenerate_system(rng, m)
             decide_feasibility(sys)
-            balance_witness(sys)
             balance_witnesses_batch([sys, sys])
         assert lp_calls == []
+
+
+class TestSolverFailure:
+    """A HiGHS failure other than infeasibility must never certify an empty
+    system, since that would report a reach edge Absent."""
+
+    @pytest.fixture(autouse=True)
+    def failing_highs(self, monkeypatch):
+        def numerical_difficulties(*args, **kwargs):
+            return OptimizeResult(status=4, success=False, x=None,
+                                  message="numerical difficulties")
+
+        monkeypatch.setattr(feasibility, "linprog", numerical_difficulties)
+
+    def test_decide_feasibility_raises(self):
+        sys = LinearConstraintSystem([[1.0, 1.0, 0.0, 0.0]], [1.0], [True], BOX_4D)
+        with pytest.raises(RuntimeError, match="status 4"):
+            decide_feasibility(sys)
+
+    def test_balance_batch_raises(self):
+        sys = LinearConstraintSystem([[1.0, 1.0, 0.0, 0.0]], [1.0], [True], BOX_4D)
+        with pytest.raises(RuntimeError, match="status 4"):
+            balance_witnesses_batch([sys])

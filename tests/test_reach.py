@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwa_nav.dynamics import AffineField, AffineModel, linearize_at, terrain_model
-from pwa_nav.feasibility import TOL_STRICT, Relation, decide_feasibility
+from pwa_nav.feasibility import TOL_STRICT, decide_feasibility
 from pwa_nav.geometry import Polytope, build_grid_partition, triangulate
 from pwa_nav.reach import (
     ModelDeviationBounds,
@@ -44,12 +44,12 @@ SOLVER_TOL = 1e-9  # LP primal feasibility slack
 
 
 def rows_satisfied(sys, u):
-    for r in sys.rows:
-        val = float(np.dot(r.coeffs, u))
-        if r.relation is Relation.STRICT_GREATER:
-            if val - r.rhs <= TOL_STRICT - SOLVER_TOL:
+    for a, rhs, strict in zip(sys.A, sys.b, sys.strict):
+        val = float(np.dot(a, u))
+        if strict:
+            if val - rhs <= TOL_STRICT - SOLVER_TOL:
                 return False
-        elif val > r.rhs + SOLVER_TOL:
+        elif val > rhs + SOLVER_TOL:
             return False
     return True
 
@@ -103,7 +103,7 @@ class TestVertexConstraintSystem:
     def test_non_exit_vertex_keeps_all_incident_rows(self):
         # Vertex (0,0): rows {u1 > 0, -u1 <= 0, -u2 <= 0}.
         sys = vertex_constraint_system(UNIT_SQUARE, EXIT_RIGHT, 0, single_integrator(), BOX)
-        assert len(sys.rows) == 3
+        assert sys.A.shape == (3, 2)
         assert rows_satisfied(sys, np.array([1.0, 0.0]))
         assert not rows_satisfied(sys, np.array([1.0, -1.0]))
 
@@ -158,17 +158,84 @@ class TestDecideExitFacet:
                 sampled_ok = True
                 for j in range(cell.n_vertices):
                     sys = vertex_constraint_system(cell, facet, j, model, BOX)
-                    vals = {r: U @ np.asarray(r.coeffs) for r in sys.rows}
                     ok = np.ones(len(U), dtype=bool)
-                    for r, v in vals.items():
-                        if r.relation is Relation.STRICT_GREATER:
-                            ok &= v > r.rhs + TOL_STRICT
+                    for a, rhs, strict in zip(sys.A, sys.b, sys.strict):
+                        v = U @ a
+                        if strict:
+                            ok &= v > rhs + TOL_STRICT
                         else:
-                            ok &= v <= r.rhs
+                            ok &= v <= rhs
                     if not ok.any():
                         sampled_ok = False
                         break
                 assert (dec.status is ReachStatus.EXISTS) == sampled_ok
+
+
+def reference_rows(cell, facet, j, model, bounds=None, pattern=None, tighten=True):
+    """Row-by-row construction of a vertex system as (coeffs, rhs, strict)
+    triples: the nominal system when bounds is None, else the robust
+    (tighten=True) or expanded (tighten=False) system of one sign pattern."""
+    v = cell.vertices[j]
+    drift = model.A @ v + model.c
+    facets = [facet] + [i for i in cell.vertex_facet_index[j] if i != facet]
+    if bounds is None:
+        return [(cell.normals[i] @ model.B, -float(cell.normals[i] @ drift), i == facet)
+                for i in facets]
+    shift = bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c
+    s = np.asarray(pattern, dtype=float)
+    rows = []
+    for i in facets:
+        n = cell.normals[i]
+        b_minus = n @ model.B - s * bounds.eps_B
+        b_plus = n @ model.B + s * bounds.eps_B
+        if i == facet:
+            rows.append((b_minus, -float(n @ drift) + shift, True) if tighten
+                        else (b_plus, -float(n @ drift) - shift, True))
+        else:
+            rows.append((b_plus, -float(n @ drift) - shift, False) if tighten
+                        else (b_minus, -float(n @ drift) + shift, False))
+    m = model.B.shape[1]
+    for k in range(m):
+        e = np.zeros(m)
+        e[k] = 1.0
+        rows.append((e, 0.0, pattern[k] > 0))
+    return rows
+
+
+class TestRowBuildersMatchReference:
+    """The array builders do the reference's arithmetic row for row, so the
+    systems must agree exactly."""
+
+    CELLS = [UNIT_SQUARE, Polytope.box([2.0, -1.0], [5.0, 0.5]),
+             Polytope.box([-1.0, 0.0, 0.5], [0.0, 2.0, 0.75])]
+
+    @staticmethod
+    def assert_same(sys, rows):
+        assert np.array_equal(sys.A, np.array([a for a, _, _ in rows]))
+        assert np.array_equal(sys.b, np.array([b for _, b, _ in rows]))
+        assert np.array_equal(sys.strict, np.array([st for _, _, st in rows]))
+
+    def test_random_models_bounds_patterns(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            cell = self.CELLS[rng.integers(len(self.CELLS))]
+            n = cell.dim
+            m = int(rng.integers(1, 4))
+            model = AffineModel(rng.normal(size=(n, n)), rng.normal(size=(n, m)),
+                                rng.normal(size=n), np.zeros(n))
+            bounds = ModelDeviationBounds(*rng.uniform(0, 0.5, size=3))
+            facet = int(rng.integers(cell.n_facets))
+            j = int(rng.integers(cell.n_vertices))
+            pattern = sign_patterns(m)[rng.integers(2**m)]
+            box = np.tile([-5.0, 5.0], (m, 1))
+            self.assert_same(vertex_constraint_system(cell, facet, j, model, box),
+                             reference_rows(cell, facet, j, model))
+            self.assert_same(
+                robust_vertex_system(cell, facet, j, model, bounds, pattern, box),
+                reference_rows(cell, facet, j, model, bounds, pattern, tighten=True))
+            self.assert_same(
+                expanded_vertex_system(cell, facet, j, model, bounds, pattern, box),
+                reference_rows(cell, facet, j, model, bounds, pattern, tighten=False))
 
 
 class TestPerturbedSystems:
@@ -185,11 +252,11 @@ class TestPerturbedSystems:
                 UNIT_SQUARE, EXIT_RIGHT, 3, model, zero, pat, BOX
             )
             # The leading rows coincide with the nominal ones.
-            for r_nom, r_rob in zip(nominal.rows, robust.rows):
-                assert np.allclose(r_nom.coeffs, r_rob.coeffs)
-                assert r_nom.rhs == pytest.approx(r_rob.rhs)
-                assert r_nom.relation == r_rob.relation
-            assert len(robust.rows) == len(nominal.rows) + 2  # sign rows
+            r = len(nominal.b)
+            assert np.allclose(robust.A[:r], nominal.A)
+            assert np.allclose(robust.b[:r], nominal.b)
+            assert np.array_equal(robust.strict[:r], nominal.strict)
+            assert len(robust.b) == r + 2  # sign rows
 
     def test_robust_contained_in_nominal_contained_in_expanded(self):
         rng = np.random.default_rng(3)
