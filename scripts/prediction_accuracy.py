@@ -15,12 +15,8 @@ import collections
 from pathlib import Path
 
 from pwa_nav.dynamics import linearize_at
-from pwa_nav.reach import (
-    ReachStatus,
-    decide_exit_facet,
-    deviation_bounds,
-    predict_exit_facet,
-)
+from pwa_nav.graph import WeightMode, build_reach_graph, update_graph
+from pwa_nav.reach import ReachStatus, deviation_bounds, predict_exit_facet
 from pwa_nav.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,12 +35,12 @@ def main() -> int:
     partition = scenario.partition
     box = scenario.control_box
 
-    truth = {}
-    for cid in range(partition.n_cells):
-        model = linearize_at(scenario.field, partition.center(cid))
-        for nbr, facet in partition.neighbors(cid):
-            truth[(cid, nbr)] = decide_exit_facet(
-                partition.cell(cid), facet, model, box).status
+    # Ground truth as in `pwa-nav truth-graph`: every cell explored with its
+    # exact linearization, so every edge is decided definitively.
+    graph = build_reach_graph(partition, scenario.gamma, WeightMode.CONSTANT)
+    models = {cid: linearize_at(scenario.field, partition.center(cid))
+              for cid in range(partition.n_cells)}
+    update_graph(graph, partition, models, scenario.L_df, scenario.L_g, box)
 
     for hops in args.hops:
         counts = collections.Counter()
@@ -67,7 +63,8 @@ def main() -> int:
                 pred = predict_exit_facet(partition.cell(cid), facet,
                                           ref_model, bounds, box).status
                 counts[pred.value] += 1
-                if pred is not ReachStatus.UNCERTAIN and pred is not truth[(cid, nbr)]:
+                truth = graph.edges[(cid, nbr)].status
+                if pred is not ReachStatus.UNCERTAIN and pred is not truth:
                     unsound += 1
         total = sum(counts.values())
         decided = total - counts["uncertain"]

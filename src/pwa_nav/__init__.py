@@ -9,24 +9,16 @@ from .dynamics import (
     ControlAffineField,
     ExitOutcome,
     ExitRecord,
+    TerrainField,
     linearize_at,
     simulate_closed_loop,
-    terrain_model,
 )
 from .feasibility import (
     FeasibilityResult,
     LinearConstraintSystem,
     decide_feasibility,
 )
-from .geometry import (
-    GridPartition,
-    Polytope,
-    Simplex,
-    build_grid_partition,
-    common_facet,
-    locate,
-    triangulate,
-)
+from .geometry import GridPartition, Polytope, Simplex, triangulate
 from .graph import (
     EdgeRecord,
     ReachGraph,
@@ -38,8 +30,8 @@ from .graph import (
 )
 from .planner import MissionConfig, MissionLog, MissionStatus, run_mission
 from .reach import (
-    ControllerLaw,
     ModelDeviationBounds,
+    PiecewiseInterpolationLaw,
     ReachDecision,
     ReachStatus,
     decide_exit_facet,
@@ -47,7 +39,6 @@ from .reach import (
     expanded_vertex_system,
     predict_exit_facet,
     robust_vertex_system,
-    synthesize_controller,
     t0_upper_bound,
     vertex_constraint_system,
 )

@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 
 from .geometry import GridPartition
-from .graph import EdgeRecord, ReachGraph, ReachStatus, WeightMode
+from .graph import ReachGraph
 from .planner import MissionLog
 
 
@@ -58,19 +58,6 @@ def graph_to_dict(graph: ReachGraph, partition: GridPartition) -> dict:
 
 def write_graph_json(path, graph: ReachGraph, partition: GridPartition) -> None:
     atomic_write_text(path, json.dumps(graph_to_dict(graph, partition), indent=1) + "\n")
-
-
-def load_graph_json(path, gamma: float = 1.0,
-                    weight_mode: WeightMode = WeightMode.CONSTANT) -> ReachGraph:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    nodes = [nd["id"] for nd in data["nodes"]]
-    edges = {
-        (e["src"], e["dst"]): EdgeRecord(ReachStatus(e["status"]), e["weight"],
-                                         definitive=e["definitive"])
-        for e in data["edges"]
-    }
-    return ReachGraph(nodes, edges, gamma, weight_mode)
 
 
 def mission_to_dict(log: MissionLog) -> dict:

@@ -17,9 +17,10 @@ from .artifacts import (
     write_trajectory_csv,
 )
 from .dynamics import linearize_at
-from .graph import ReachStatus, build_reach_graph
-from .planner import MissionConfig, MissionStatus, run_mission
-from .reach import decide_exit_facet
+from .graph import ReachStatus, WeightMode, build_reach_graph, update_graph
+from .planner import MissionConfig, MissionConfigError, MissionStatus, run_mission
+# Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
+from .reach import decide_exit_facet  # noqa: F401
 from .render import render_graph_svg, render_trajectory_svg
 from .scenario import ScenarioError, load_scenario
 from .sysid import IdentificationConfig, IdentificationError, identify
@@ -47,8 +48,13 @@ def cmd_plan(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
+    try:
+        cfg = MissionConfig(scenario, max_iterations=args.max_iters, seed=args.seed)
+    except MissionConfigError:
+        print(f"option error: --max-iters must be positive, got {args.max_iters}",
+              file=sys.stderr)
+        return EXIT_BAD_SCENARIO
     os.makedirs(args.out, exist_ok=True)
-    cfg = MissionConfig(scenario, max_iterations=args.max_iters, seed=args.seed)
     try:
         mission = run_mission(cfg)
     except IdentificationError as exc:
@@ -84,17 +90,12 @@ def cmd_truth_graph(args) -> int:
         return EXIT_BAD_SCENARIO
     os.makedirs(args.out, exist_ok=True)
     partition = scenario.partition
-    graph = build_reach_graph(partition, scenario.gamma, scenario.weight_mode)
-    for cid in range(partition.n_cells):
-        model = linearize_at(scenario.field, partition.center(cid))
-        cell = partition.cell(cid)
-        for nbr, facet in partition.neighbors(cid):
-            decision = decide_exit_facet(cell, facet, model, scenario.control_box)
-            edge = graph.edges[(cid, nbr)]
-            edge.status = decision.status
-            edge.witnesses = decision.witnesses
-            edge.definitive = True
-            edge.weight = 1.0
+    # Every cell explored: one definitive decision per edge, unit weights.
+    graph = build_reach_graph(partition, scenario.gamma, WeightMode.CONSTANT)
+    models = {cid: linearize_at(scenario.field, partition.center(cid))
+              for cid in range(partition.n_cells)}
+    update_graph(graph, partition, models, scenario.L_df, scenario.L_g,
+                 scenario.control_box)
     write_graph_json(os.path.join(args.out, "graph_truth.json"), graph, partition)
     render_graph_svg(os.path.join(args.out, "truth.svg"), partition, graph)
     n_exists = sum(e.status is ReachStatus.EXISTS for e in graph.edges.values())

@@ -105,10 +105,6 @@ class AffineField(ControlAffineField):
         self.L_df = max(L_df, 1e-12)
         self.L_g = max(L_g, 1e-12)
 
-    @classmethod
-    def from_model(cls, model: AffineModel) -> "AffineField":
-        return cls(model.A, model.B, model.c)
-
     def drift(self, x):
         return self.A @ np.asarray(x, dtype=float) + self.c
 
@@ -117,10 +113,6 @@ class AffineField(ControlAffineField):
 
     def jacobian_drift(self, x):
         return self.A
-
-
-def terrain_model() -> TerrainField:
-    return TerrainField()
 
 
 def linearize_at(field: ControlAffineField, x_e) -> AffineModel:
@@ -143,7 +135,6 @@ def linearize_at(field: ControlAffineField, x_e) -> AffineModel:
 class ExitOutcome(Enum):
     EXITED_FACET = "exited_facet"
     TIMEOUT = "timeout"
-    LEFT_DOMAIN = "left_domain"
 
 
 @dataclass
@@ -221,13 +212,3 @@ def simulate_closed_loop(
         x = x_new
         samples.append((t, x.copy(), saturate(law.input(x), control_box)))
     return ExitRecord(x, t, None, ExitOutcome.TIMEOUT, samples)
-
-
-@dataclass
-class ConstantLaw:
-    """Fixed input, mostly for tests and excitation."""
-
-    u: np.ndarray
-
-    def input(self, x):
-        return self.u

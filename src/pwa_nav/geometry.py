@@ -76,9 +76,6 @@ class Polytope:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def center(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def violation(self, x) -> float:
         """Maximal signed halfspace violation; <= 0 means inside."""
         return float(np.max(self.normals @ np.asarray(x, dtype=float) - self.offsets))
@@ -179,10 +176,6 @@ class GridPartition:
             self._cells[cid] = Polytope.box(low, high)
         return self._cells[cid]
 
-    @property
-    def cells(self) -> list[Polytope]:
-        return [self.cell(cid) for cid in range(self.n_cells)]
-
     def center(self, cid: int) -> np.ndarray:
         return self._centers[cid]
 
@@ -228,18 +221,6 @@ class GridPartition:
         return out
 
 
-def build_grid_partition(bounds, resolution) -> GridPartition:
-    return GridPartition(bounds, resolution)
-
-
-def common_facet(partition: GridPartition, cell_a: int, cell_b: int) -> int | None:
-    return partition.common_facet(cell_a, cell_b)
-
-
-def locate(partition: GridPartition, x) -> int:
-    return partition.locate(x)
-
-
 def triangulate(cell: Polytope) -> list[Simplex]:
     """Kuhn triangulation of an axis-aligned box into n! simplices.
 
@@ -264,13 +245,6 @@ def triangulate(cell: Polytope) -> list[Simplex]:
             idxs.append(corner_index[tuple(bits)])
         simplices.append(Simplex(tuple(idxs)))
     return simplices
-
-
-def simplex_measure(cell: Polytope, simplex: Simplex) -> float:
-    verts = cell.vertices[list(simplex.vertex_indices)]
-    mat = verts[1:] - verts[0]
-    n = cell.dim
-    return abs(float(np.linalg.det(mat))) / float(np.prod(range(1, n + 1)))
 
 
 def barycentric(cell: Polytope, simplex: Simplex, x) -> np.ndarray:

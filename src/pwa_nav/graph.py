@@ -9,7 +9,7 @@ edges are weighted by proximity to the explored region, scaled by gamma.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .dynamics import AffineModel
 from .geometry import GridPartition
 from .reach import (
-    ModelDeviationBounds,
     ReachStatus,
     decide_exit_facet,
     deviation_bounds,

@@ -2,13 +2,15 @@
 search, synthesize a transit controller, execute, repeat.
 
 Unintended cell entries are accepted (the state is re-located and the loop
-continues); transits that repeatedly time out or exit the wrong facet get
-their edge overridden to Absent as an empirical, uncertified exclusion.
+continues); a transit that times out or exits the wrong facet
+STUCK_RETRY_LIMIT times gets its edge overridden to Absent as an empirical,
+uncertified exclusion. A transit times out after TRANSIT_TIMEOUT_FACTOR
+times its closed-form transit-time bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,11 +24,14 @@ from .graph import (
     shortest_path,
     update_graph,
 )
-from .reach import PiecewiseInterpolationLaw, decide_exit_facet, t0_upper_bound
+# Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
+from .reach import decide_exit_facet  # noqa: F401
+from .reach import PiecewiseInterpolationLaw, t0_upper_bound
 from .sysid import IdentificationConfig, identify
 
 SIM_STEP = 1e-3
-DEFAULT_T_MAX = 10.0
+STUCK_RETRY_LIMIT = 3
+TRANSIT_TIMEOUT_FACTOR = 3.0
 
 
 class MissionStatus(Enum):
@@ -43,15 +48,11 @@ class MissionConfigError(ValueError):
 class MissionConfig:
     scenario: "object"  # pwa_nav.scenario.Scenario
     max_iterations: int = 400
-    stuck_retry_limit: int = 3
-    transit_timeout_factor: float = 3.0
     seed: int | None = None
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.stuck_retry_limit <= 0:
-            raise MissionConfigError("iteration caps must be positive")
-        if self.transit_timeout_factor <= 0:
-            raise MissionConfigError("transit_timeout_factor must be positive")
+        if self.max_iterations <= 0:
+            raise MissionConfigError("max_iterations must be positive")
 
 
 @dataclass
@@ -157,12 +158,6 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
         nxt = path[1]
         facet = partition.common_facet(current, nxt)
         edge = graph.edges[(current, nxt)]
-        if not edge.definitive:
-            # Source is explored by now, so the definitive test is available.
-            decision = decide_exit_facet(partition.cell(current), facet, models[current], box)
-            edge.status = decision.status
-            edge.witnesses = decision.witnesses
-            edge.definitive = True
         if edge.status is not ReachStatus.EXISTS:
             records.append(IterationRecord(
                 iteration, current, identified_now, path, (current, nxt),
@@ -172,7 +167,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
         cell = partition.cell(current)
         law = PiecewiseInterpolationLaw(cell, edge.witnesses)
         bound = t0_upper_bound(cell, facet, models[current], edge.witnesses, x0=x)
-        t_max = cfg.transit_timeout_factor * max(bound, SIM_STEP)
+        t_max = TRANSIT_TIMEOUT_FACTOR * max(bound, SIM_STEP)
         rec = simulate_closed_loop(env, law, cell, x, step=SIM_STEP,
                                    t_max=t_max, control_box=box)
         for ts, xs, us in rec.samples[1:]:
@@ -198,7 +193,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
         if wrong:
             key = (current, facet)
             fail_counts[key] = fail_counts.get(key, 0) + 1
-            if fail_counts[key] >= cfg.stuck_retry_limit:
+            if fail_counts[key] >= STUCK_RETRY_LIMIT:
                 override_absent(graph, current, nxt)
                 outcome += "_overridden"
 

@@ -27,13 +27,7 @@ from .feasibility import (
     decide_feasibility,
     decide_with_screen,
 )
-from .geometry import (
-    Polytope,
-    Simplex,
-    barycentric,
-    find_containing_simplex,
-    triangulate,
-)
+from .geometry import Polytope, Simplex, find_containing_simplex, triangulate
 
 
 class SynthesisError(RuntimeError):
@@ -68,20 +62,6 @@ class ReachStatus(Enum):
 class ReachDecision:
     status: ReachStatus
     witnesses: list[np.ndarray] | None = None  # per-vertex inputs, iff EXISTS
-
-
-@dataclass
-class ControllerLaw:
-    """Affine feedback u = F x + g interpolating per-vertex inputs over one
-    simplex of the cell."""
-
-    F: np.ndarray
-    g: np.ndarray
-    simplex: Simplex
-    vertex_inputs: list[np.ndarray]
-
-    def input(self, x):
-        return self.F @ np.asarray(x, dtype=float) + self.g
 
 
 def deviation_bounds(
@@ -275,15 +255,9 @@ def predict_exit_facet(
     return ReachDecision(ReachStatus.UNCERTAIN)
 
 
-def synthesize_controller(cell: Polytope, witnesses, x0) -> ControllerLaw:
-    """Interpolate the per-vertex witness inputs over the simplex of the
-    cell's triangulation containing x0 (ties: lowest simplex index)."""
-    simplices = triangulate(cell)
-    k = find_containing_simplex(cell, simplices, x0)
-    return _interpolate_on_simplex(cell, simplices[k], witnesses)
-
-
-def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses) -> ControllerLaw:
+def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):
+    """(F, g) of the affine law u = F x + g that takes the witness input at
+    every vertex of the simplex."""
     idxs = list(simplex.vertex_indices)
     V = cell.vertices[idxs]            # (n+1, n)
     U = np.array([witnesses[j] for j in idxs])  # (n+1, m)
@@ -293,9 +267,7 @@ def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses) -> Cont
         fg = np.linalg.solve(mat.T, U)  # (n+1, m): rows = [F | g]^T
     except np.linalg.LinAlgError as exc:
         raise SynthesisError("degenerate interpolation simplex") from exc
-    F = fg[:n].T
-    g = fg[n]
-    return ControllerLaw(F, g, simplex, [witnesses[j] for j in idxs])
+    return fg[:n].T, fg[n]
 
 
 class PiecewiseInterpolationLaw:
@@ -311,16 +283,17 @@ class PiecewiseInterpolationLaw:
         self.cell = cell
         self.witnesses = [np.asarray(w, dtype=float) for w in witnesses]
         self.simplices = triangulate(cell)
-        self._laws: dict[int, ControllerLaw] = {}
+        self._laws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _law(self, k: int) -> ControllerLaw:
+    def _law(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k not in self._laws:
             self._laws[k] = _interpolate_on_simplex(self.cell, self.simplices[k], self.witnesses)
         return self._laws[k]
 
     def input(self, x):
         k = find_containing_simplex(self.cell, self.simplices, x)
-        return self._law(k).input(x)
+        F, g = self._law(k)
+        return F @ np.asarray(x, dtype=float) + g
 
 
 def t0_upper_bound(

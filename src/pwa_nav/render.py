@@ -26,14 +26,26 @@ STATUS_COLOR = {
 
 
 class _Canvas:
+    """State-to-pixel map. A 1-D partition is drawn as one row of cells: the
+    second axis is one cell wide and holds no state coordinate."""
+
     def __init__(self, partition: GridPartition):
         self.bounds = partition.bounds
+        if partition.dim == 1:
+            width = (self.bounds[0, 1] - self.bounds[0, 0]) / partition.resolution[0]
+            self.bounds = np.vstack([self.bounds, [0.0, width]])
         span = self.bounds[:, 1] - self.bounds[:, 0]
         self.scale = (CANVAS - 2 * MARGIN) / float(span.max())
 
-    def to_px(self, x):
+    def to_px(self, x, row: float = 0.5):
+        """Pixel of state x; a 1-D state sits at height fraction `row` of the
+        row of cells."""
+        if len(x) > 1:
+            y = x[1]
+        else:
+            y = self.bounds[1, 0] + row * (self.bounds[1, 1] - self.bounds[1, 0])
         px = MARGIN + (x[0] - self.bounds[0, 0]) * self.scale
-        py = CANVAS - MARGIN - (x[1] - self.bounds[1, 0]) * self.scale
+        py = CANVAS - MARGIN - (y - self.bounds[1, 0]) * self.scale
         return px, py
 
 
@@ -51,8 +63,8 @@ def _draw_cells(root, partition, canvas, explored=(), initial=None, target=None)
     for cid in range(partition.n_cells):
         cell = partition.cell(cid)
         low, high = cell.box_bounds()
-        x0, y1 = canvas.to_px(low)
-        x1, y0 = canvas.to_px(high)
+        x0, y1 = canvas.to_px(low, row=0.0)
+        x1, y0 = canvas.to_px(high, row=1.0)
         fill = "#ffffff"
         if cid in explored:
             fill = "#fdf3c0"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AffineField, ControlAffineField, TerrainField
-from .geometry import GridPartition, OutOfDomainError, build_grid_partition
+from .geometry import GridPartition, OutOfDomainError
 from .graph import WeightMode
 from .sysid import VelocityMode
 
@@ -92,7 +92,7 @@ def parse_scenario(data: dict) -> Scenario:
     _require(isinstance(grid, list) and len(grid) == len(bounds)
              and all(isinstance(g, int) and g >= 1 for g in grid),
              "grid", "must be positive integer cell counts per dimension")
-    partition = build_grid_partition(bounds, grid)
+    partition = GridPartition(bounds, grid)
 
     control_box = np.asarray(data["control_box"], dtype=float)
     _require(control_box.ndim == 2 and control_box.shape[1] == 2, "control_box",

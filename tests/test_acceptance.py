@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from pwa_nav.cli import main
-from pwa_nav.dynamics import AffineField, AffineModel, linearize_at, terrain_model
+from pwa_nav.dynamics import AffineField, AffineModel, TerrainField, linearize_at
 from pwa_nav.feasibility import TOL_STRICT, LinearConstraintSystem, decide_feasibility
-from pwa_nav.geometry import Polytope, build_grid_partition
+from pwa_nav.geometry import GridPartition, Polytope
 from pwa_nav.graph import EdgeRecord, ReachGraph, ReachStatus, shortest_path
 from pwa_nav.reach import (
     ModelDeviationBounds,
@@ -75,7 +75,7 @@ def test_01_sysid_exactness():
 def test_02_deviation_bound_validity():
     # 200 random terrain center pairs in [-10,10]^2: linearization differences
     # within (eps_A, eps_B, eps_c) with <= 1e-9 slack; 0 failures; < 1 s.
-    env = terrain_model()
+    env = TerrainField()
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
     failures = 0
@@ -219,7 +219,7 @@ def test_06_controller_transit_guarantee():
             continue
         cases += 1
         law = PiecewiseInterpolationLaw(UNIT_SQUARE, dec.witnesses)
-        field = AffineField.from_model(model)
+        field = AffineField(model.A, model.B, model.c)
         rec = simulate_closed_loop(field, law, UNIT_SQUARE, x0,
                                    t_max=bound + 1e-2, control_box=BOX)
         n = UNIT_SQUARE.normals[facet] if rec.exit_facet is None \
@@ -308,7 +308,7 @@ def test_08_end_to_end_terrain_mission(terrain_runs):
     # The final sample lies on the entry facet of the target cell, so test
     # membership in the closed cell rather than the tie-breaking cell lookup.
     scenario = json.load(open(SCENARIO))
-    partition = build_grid_partition(scenario["state_bounds"], scenario["grid"])
+    partition = GridPartition(scenario["state_bounds"], scenario["grid"])
     in_target = partition.cell(mission["target_cell"]).contains(final_state, tol=1e-9)
     ok = (
         rc1 == 0

@@ -1,39 +1,50 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from pwa_nav.dynamics import (
     AffineField,
-    ConstantLaw,
     ExitOutcome,
+    TerrainField,
     linearize_at,
     rk4_step,
     simulate_closed_loop,
-    terrain_model,
 )
 from pwa_nav.geometry import Polytope
 
 
+@dataclass
+class ConstantLaw:
+    """Fixed input u, whatever the state."""
+
+    u: np.ndarray
+
+    def input(self, x):
+        return self.u
+
+
 class TestTerrainModel:
     def test_drift_at_origin(self):
-        env = terrain_model()
+        env = TerrainField()
         assert np.allclose(env.drift((0.0, 0.0)), [-4.5, -4.5])
 
     def test_control_matrix_at_origin(self):
-        env = terrain_model()
+        env = TerrainField()
         assert np.allclose(env.control_matrix((0.0, 0.0)), np.eye(2))
 
     def test_control_matrix_at_10_10(self):
-        env = terrain_model()
+        env = TerrainField()
         assert np.allclose(
             env.control_matrix((10.0, 10.0)), [[1.2, 0.2], [-0.2, 0.8]]
         )
 
     def test_declared_lipschitz_constants(self):
-        env = terrain_model()
+        env = TerrainField()
         assert env.L_df == 0.03 and env.L_g == 0.03
 
     def test_lipschitz_constants_hold_empirically(self):
-        env = terrain_model()
+        env = TerrainField()
         rng = np.random.default_rng(0)
         pts = rng.uniform(-10, 10, size=(500, 2, 2))
         for x1, x2 in pts:
@@ -48,7 +59,7 @@ class TestTerrainModel:
 
 class TestLinearizeAt:
     def test_terrain_at_origin(self):
-        model = linearize_at(terrain_model(), (0.0, 0.0))
+        model = linearize_at(TerrainField(), (0.0, 0.0))
         assert np.allclose(model.A, [[-0.05, 0.10], [-0.06, 0.02]])
         assert np.allclose(model.B, np.eye(2))
         assert np.allclose(model.c, [-4.5, -4.5])
@@ -61,7 +72,7 @@ class TestLinearizeAt:
         assert np.allclose(model.c, [1.0, -1.0])
 
     def test_finite_difference_matches_analytic(self):
-        env = terrain_model()
+        env = TerrainField()
 
         class NumericTerrain(type(env)):
             def jacobian_drift(self, x):
@@ -138,7 +149,7 @@ class TestSimulateClosedLoop:
         assert rec.exit_time == pytest.approx(0.25)
 
     def test_terrain_drift_exit(self):
-        env = terrain_model()
+        env = TerrainField()
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         rec = simulate_closed_loop(env, ConstantLaw(np.zeros(2)), cell, (0.5, 0.5))
         assert rec.outcome is ExitOutcome.EXITED_FACET
@@ -148,7 +159,7 @@ class TestSimulateClosedLoop:
         assert rec.exit_time == pytest.approx(0.5 / 4.5, rel=0.05)
 
     def test_exit_state_on_facet_with_outward_velocity(self):
-        env = terrain_model()
+        env = TerrainField()
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         law = ConstantLaw(np.array([0.3, -0.2]))
         rec = simulate_closed_loop(env, law, cell, (0.5, 0.5))

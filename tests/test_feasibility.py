@@ -207,6 +207,20 @@ class TestScreen:
             sys = random_system(rng)
             assert decide_with_screen(sys).feasible == decide_feasibility(sys).feasible
 
+    @pytest.mark.parametrize("rhs, feasible", [
+        (-5e-8, False), (0.0, False), (-0.999 * TOL_STRICT, False), (-2e-7, True)])
+    @pytest.mark.parametrize("box", [BOX_1D, BOX_2D])
+    def test_constant_strict_row_threshold(self, rhs, feasible, box):
+        # 0 . u > rhs holds with slack -rhs, which must exceed TOL_STRICT; a
+        # right-hand side in (-TOL_STRICT, 0] is a conclusive infeasibility.
+        m = len(box)
+        sys = LinearConstraintSystem(np.zeros((1, m)), [rhs], [True], box)
+        screened = screen_feasibility(sys)
+        assert screened is not None
+        assert screened.feasible is feasible
+        assert decide_feasibility(sys).feasible is feasible
+        assert decide_with_screen(sys).feasible is feasible
+
 
 class TestBalanceWitness:
     def test_margin_on_every_row(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from pwa_nav.geometry import (
     OutOfDomainError,
     Polytope,
     barycentric,
-    build_grid_partition,
-    common_facet,
     find_containing_simplex,
-    locate,
-    simplex_measure,
     triangulate,
 )
+
+
+def simplex_volume(cell: Polytope, simplex) -> float:
+    """|det(v_1 - v_0, ..., v_n - v_0)| / n! over the simplex's vertices."""
+    verts = cell.vertices[list(simplex.vertex_indices)]
+    return abs(float(np.linalg.det(verts[1:] - verts[0]))) / math.factorial(cell.dim)
 
 
 def facet_measure(cell: Polytope, facet: int) -> float:
@@ -73,19 +76,19 @@ class TestPolytope:
 
 class TestBuildGridPartition:
     def test_20x20_unit_squares(self):
-        part = build_grid_partition([[-10, 10], [-10, 10]], (20, 20))
+        part = GridPartition([[-10, 10], [-10, 10]], (20, 20))
         assert part.n_cells == 400
         low, high = part.cell(0).box_bounds()
         assert np.allclose(high - low, 1.0)
 
     def test_single_cell(self):
-        part = build_grid_partition([[0, 1], [0, 1]], (1, 1))
+        part = GridPartition([[0, 1], [0, 1]], (1, 1))
         assert part.n_cells == 1
         cell = part.cell(0)
         assert cell.n_facets == 4 and cell.n_vertices == 4
 
     def test_shared_facet_opposing_normals(self):
-        part = build_grid_partition([[0, 2], [0, 1]], (2, 1))
+        part = GridPartition([[0, 2], [0, 1]], (2, 1))
         f01 = part.common_facet(0, 1)
         f10 = part.common_facet(1, 0)
         n01 = part.cell(0).normals[f01]
@@ -94,40 +97,40 @@ class TestBuildGridPartition:
         assert np.allclose(n01, -n10)
 
     def test_cell_coverage_layout(self):
-        part = build_grid_partition([[0, 4], [0, 6]], (2, 3))
+        part = GridPartition([[0, 4], [0, 6]], (2, 3))
         low, high = part.cell(part.flat_index((1, 2))).box_bounds()
         assert np.allclose(low, [2.0, 4.0])
         assert np.allclose(high, [4.0, 6.0])
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(GeometryError):
-            build_grid_partition([[1, 1], [0, 1]], (2, 2))
+            GridPartition([[1, 1], [0, 1]], (2, 2))
         with pytest.raises(GeometryError):
-            build_grid_partition([[0, 1], [0, 1]], (0, 2))
+            GridPartition([[0, 1], [0, 1]], (0, 2))
 
 
 class TestCommonFacet:
     @pytest.fixture
     def part(self):
-        return build_grid_partition([[0, 3], [0, 3]], (3, 3))
+        return GridPartition([[0, 3], [0, 3]], (3, 3))
 
     def test_horizontal_neighbors(self, part):
         left = part.flat_index((0, 0))
         right = part.flat_index((1, 0))
-        facet = common_facet(part, left, right)
+        facet = part.common_facet(left, right)
         assert np.allclose(part.cell(left).normals[facet], [1.0, 0.0])
 
     def test_diagonal_not_adjacent(self, part):
-        assert common_facet(part, part.flat_index((0, 0)), part.flat_index((1, 1))) is None
+        assert part.common_facet(part.flat_index((0, 0)), part.flat_index((1, 1))) is None
 
     def test_no_self_edge(self, part):
-        assert common_facet(part, 4, 4) is None
+        assert part.common_facet(4, 4) is None
 
     def test_adjacency_symmetry_and_antiparallel(self, part):
         for a in range(part.n_cells):
             for b in range(part.n_cells):
-                fa = common_facet(part, a, b)
-                fb = common_facet(part, b, a)
+                fa = part.common_facet(a, b)
+                fb = part.common_facet(b, a)
                 assert (fa is None) == (fb is None)
                 if fa is not None:
                     assert np.allclose(
@@ -137,21 +140,21 @@ class TestCommonFacet:
 
 class TestLocate:
     def test_interior_point(self):
-        part = build_grid_partition([[0, 1], [0, 1]], (1, 1))
-        assert locate(part, (0.5, 0.5)) == 0
+        part = GridPartition([[0, 1], [0, 1]], (1, 1))
+        assert part.locate((0.5, 0.5)) == 0
 
     def test_boundary_tie_break_larger_index(self):
-        part = build_grid_partition([[0, 2], [0, 1]], (2, 1))
-        assert locate(part, (1.0, 0.5)) == 1
+        part = GridPartition([[0, 2], [0, 1]], (2, 1))
+        assert part.locate((1.0, 0.5)) == 1
 
     def test_out_of_domain(self):
-        part = build_grid_partition([[-10, 10], [-10, 10]], (20, 20))
+        part = GridPartition([[-10, 10], [-10, 10]], (20, 20))
         with pytest.raises(OutOfDomainError):
-            locate(part, (11.0, 0.0))
+            part.locate((11.0, 0.0))
 
     def test_domain_boundary_clamps_inward(self):
-        part = build_grid_partition([[0, 2], [0, 2]], (2, 2))
-        cid = locate(part, (2.0, 2.0))
+        part = GridPartition([[0, 2], [0, 2]], (2, 2))
+        cid = part.locate((2.0, 2.0))
         assert cid == part.flat_index((1, 1))
 
     @given(
@@ -160,9 +163,9 @@ class TestLocate:
     )
     @settings(max_examples=30, deadline=None)
     def test_center_roundtrip(self, rx, ry):
-        part = build_grid_partition([[-3, 5], [2, 4]], (rx, ry))
+        part = GridPartition([[-3, 5], [2, 4]], (rx, ry))
         for cid in range(part.n_cells):
-            assert locate(part, part.center(cid)) == cid
+            assert part.locate(part.center(cid)) == cid
 
 
 class TestTriangulate:
@@ -171,7 +174,7 @@ class TestTriangulate:
         simplices = triangulate(cell)
         assert len(simplices) == 2
         for s in simplices:
-            assert simplex_measure(cell, s) == pytest.approx(0.5)
+            assert simplex_volume(cell, s) == pytest.approx(0.5)
 
     def test_diagonal_from_lexicographically_smallest_vertex(self):
         cell = Polytope.box([1.0, 2.0], [3.0, 5.0])
@@ -187,11 +190,11 @@ class TestTriangulate:
         simplices = triangulate(cell)
         assert len(simplices) == 6
         for s in simplices:
-            assert simplex_measure(cell, s) == pytest.approx(1 / 6)
+            assert simplex_volume(cell, s) == pytest.approx(1 / 6)
 
     def test_measures_sum_to_cell_volume(self):
         cell = Polytope.box([-1.0, 0.0, 2.0], [2.0, 0.5, 9.0])
-        total = sum(simplex_measure(cell, s) for s in triangulate(cell))
+        total = sum(simplex_volume(cell, s) for s in triangulate(cell))
         low, high = cell.box_bounds()
         assert total == pytest.approx(float(np.prod(high - low)), rel=1e-9)
 

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from pwa_nav.dynamics import AffineModel, linearize_at, terrain_model
-from pwa_nav.geometry import build_grid_partition
+from pwa_nav.dynamics import AffineModel, TerrainField, linearize_at
+from pwa_nav.geometry import GridPartition
 from pwa_nav.graph import (
     EdgeRecord,
     ReachGraph,
@@ -27,7 +27,7 @@ def single_integrator(center=(0.0, 0.0)):
 
 class TestBuildReachGraph:
     def test_all_edges_start_uncertain(self):
-        part = build_grid_partition([[0, 3], [0, 3]], (3, 3))
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
         graph = build_reach_graph(part, gamma=100.0)
         # 3x3 grid: 2*3*2 interior facet pairs, directed both ways = 24 edges.
         assert len(graph.edges) == 24
@@ -36,7 +36,7 @@ class TestBuildReachGraph:
             assert not edge.definitive
 
     def test_edges_only_between_facet_neighbors(self):
-        part = build_grid_partition([[0, 3], [0, 3]], (3, 3))
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
         graph = build_reach_graph(part, gamma=1.0)
         for src, dst in graph.edges:
             assert part.common_facet(src, dst) is not None
@@ -44,38 +44,38 @@ class TestBuildReachGraph:
 
 class TestUncertainWeight:
     def test_single_explored_at_distance_two(self):
-        part = build_grid_partition([[0, 4], [0, 1]], (4, 1))
+        part = GridPartition([[0, 4], [0, 1]], (4, 1))
         w = uncertain_weight(2, [0], mean_known_weight=1.0, gamma=100.0, partition=part)
         assert w == pytest.approx(100.0 * 1.0 * (1.0 / 2.0) / 1)
 
     def test_two_explored_at_unit_distance(self):
-        part = build_grid_partition([[0, 4], [0, 1]], (4, 1))
+        part = GridPartition([[0, 4], [0, 1]], (4, 1))
         w = uncertain_weight(1, [0, 2], mean_known_weight=1.0, gamma=100.0, partition=part)
         assert w == pytest.approx(100.0 * (1.0 + 1.0) / 2)
 
     def test_doubling_distances_halves_weight(self):
-        part1 = build_grid_partition([[0, 4], [0, 0.1]], (4, 1))
-        part2 = build_grid_partition([[0, 8], [0, 0.1]], (4, 1))
+        part1 = GridPartition([[0, 4], [0, 0.1]], (4, 1))
+        part2 = GridPartition([[0, 8], [0, 0.1]], (4, 1))
         w1 = uncertain_weight(3, [0], 1.0, 100.0, part1)
         w2 = uncertain_weight(3, [0], 1.0, 100.0, part2)
         assert w1 == pytest.approx(2 * w2)
 
     def test_distance_floor_guards_small_separations(self):
         # Adjacent centers 1 apart but the cell diameter is ~2.24.
-        part = build_grid_partition([[0, 4], [0, 2]], (4, 1))
+        part = GridPartition([[0, 4], [0, 2]], (4, 1))
         w = uncertain_weight(1, [0], 1.0, 1.0, part)
         d_floor = 0.5 * np.hypot(1.0, 2.0)
         assert w == pytest.approx(1.0 / d_floor)
 
     def test_empty_explored_rejected(self):
-        part = build_grid_partition([[0, 2], [0, 1]], (2, 1))
+        part = GridPartition([[0, 2], [0, 1]], (2, 1))
         with pytest.raises(ValueError):
             uncertain_weight(1, [], 1.0, 1.0, part)
 
 
 class TestUpdateGraph:
     def test_definitive_and_predictive_edges(self):
-        part = build_grid_partition([[0, 2], [0, 1]], (2, 1))
+        part = GridPartition([[0, 2], [0, 1]], (2, 1))
         graph = build_reach_graph(part, gamma=100.0)
         model = single_integrator(part.center(0))
         update_graph(graph, part, {0: model}, 0.03, 0.03, BOX)
@@ -92,13 +92,13 @@ class TestUpdateGraph:
         assert back_edge.status is standalone.status
 
     def test_requires_an_explored_model(self):
-        part = build_grid_partition([[0, 2], [0, 1]], (2, 1))
+        part = GridPartition([[0, 2], [0, 1]], (2, 1))
         graph = build_reach_graph(part, gamma=1.0)
         with pytest.raises(ValueError):
             update_graph(graph, part, {}, 0.03, 0.03, BOX)
 
     def test_idempotence(self):
-        part = build_grid_partition([[0, 3], [0, 3]], (3, 3))
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
         graph = build_reach_graph(part, gamma=100.0)
         models = {4: single_integrator(part.center(4))}
         update_graph(graph, part, models, 0.03, 0.03, BOX)
@@ -111,7 +111,7 @@ class TestUpdateGraph:
         }
 
     def test_definitive_freeze(self):
-        part = build_grid_partition([[0, 3], [0, 3]], (3, 3))
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
         graph = build_reach_graph(part, gamma=100.0)
         models = {4: single_integrator(part.center(4))}
         update_graph(graph, part, models, 0.03, 0.03, BOX)
@@ -125,7 +125,7 @@ class TestUpdateGraph:
             assert graph.edges[k].weight == weight
 
     def test_explored_sources_have_no_uncertain_out_edges(self):
-        part = build_grid_partition([[0, 3], [0, 3]], (3, 3))
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
         graph = build_reach_graph(part, gamma=100.0)
         models = {0: single_integrator(part.center(0)),
                   8: single_integrator(part.center(8))}
@@ -136,7 +136,7 @@ class TestUpdateGraph:
                 assert edge.status is not ReachStatus.UNCERTAIN
 
     def test_t0_weight_mode(self):
-        part = build_grid_partition([[0, 2], [0, 1]], (2, 1))
+        part = GridPartition([[0, 2], [0, 1]], (2, 1))
         graph = build_reach_graph(part, gamma=100.0, weight_mode=WeightMode.T0_BOUND)
         model = single_integrator(part.center(0))
         update_graph(graph, part, {0: model}, 0.03, 0.03, BOX)
@@ -148,8 +148,8 @@ class TestUpdateGraph:
     def test_predictive_soundness_with_exact_linearizations(self):
         # Predictions anchored at an exact linearization must agree with the
         # definitive decision once the destination source is explored.
-        env = terrain_model()
-        part = build_grid_partition([[-10, -6], [-10, -6]], (4, 4))
+        env = TerrainField()
+        part = GridPartition([[-10, -6], [-10, -6]], (4, 4))
         graph = build_reach_graph(part, gamma=100.0)
         models = {5: linearize_at(env, part.center(5))}
         update_graph(graph, part, models, env.L_df, env.L_g, BOX)
@@ -168,7 +168,7 @@ class TestUpdateGraph:
 
 class TestOverrideAbsent:
     def test_override_freezes_edge(self):
-        part = build_grid_partition([[0, 2], [0, 1]], (2, 1))
+        part = GridPartition([[0, 2], [0, 1]], (2, 1))
         graph = build_reach_graph(part, gamma=1.0)
         override_absent(graph, 0, 1)
         edge = graph.edges[(0, 1)]
@@ -269,7 +269,7 @@ class TestShortestPath:
             assert got == best_path
 
     def test_constant_mode_cost_decomposition(self):
-        part = build_grid_partition([[0, 3], [0, 3]], (3, 3))
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
         graph = build_reach_graph(part, gamma=7.0)
         update_graph(graph, part, {0: single_integrator(part.center(0))},
                      0.03, 0.03, BOX)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pwa_nav.dynamics import AffineField, TerrainField
-from pwa_nav.geometry import build_grid_partition
+from pwa_nav.geometry import GridPartition
 from pwa_nav.graph import WeightMode
 from pwa_nav.planner import (
     MissionConfig,
@@ -17,7 +17,7 @@ BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 
 
 def make_scenario(field, bounds, grid, initial, target_cell, seed=11, gamma=10.0):
-    partition = build_grid_partition(bounds, grid)
+    partition = GridPartition(bounds, grid)
     return Scenario(
         field=field,
         partition=partition,
@@ -133,10 +133,6 @@ class TestConfigValidation:
         sc = integrator_scenario()
         with pytest.raises(MissionConfigError):
             MissionConfig(sc, max_iterations=0)
-        with pytest.raises(MissionConfigError):
-            MissionConfig(sc, stuck_retry_limit=0)
-        with pytest.raises(MissionConfigError):
-            MissionConfig(sc, transit_timeout_factor=0.0)
 
     def test_initial_state_outside_domain_rejected(self):
         sc = integrator_scenario()

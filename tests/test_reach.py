@@ -3,9 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from pwa_nav.dynamics import AffineField, AffineModel, linearize_at, terrain_model
+from pwa_nav.dynamics import AffineModel, TerrainField, linearize_at
 from pwa_nav.feasibility import TOL_STRICT, decide_feasibility
-from pwa_nav.geometry import Polytope, build_grid_partition, triangulate
+from pwa_nav.geometry import (
+    GridPartition,
+    Polytope,
+    barycentric,
+    find_containing_simplex,
+)
 from pwa_nav.reach import (
     ModelDeviationBounds,
     PiecewiseInterpolationLaw,
@@ -17,7 +22,6 @@ from pwa_nav.reach import (
     predict_exit_facet,
     robust_vertex_system,
     sign_patterns,
-    synthesize_controller,
     t0_upper_bound,
     vertex_constraint_system,
 )
@@ -74,7 +78,7 @@ class TestDeviationBounds:
         assert b.eps_c == pytest.approx(0.715)
 
     def test_bounds_hold_on_terrain_linearizations(self):
-        env = terrain_model()
+        env = TerrainField()
         rng = np.random.default_rng(0)
         for _ in range(100):
             x1 = rng.uniform(-10, 10, size=2)
@@ -145,8 +149,8 @@ class TestDecideExitFacet:
                     checked += 1
 
     def test_matches_input_sampling_oracle_on_terrain_cells(self):
-        env = terrain_model()
-        part = build_grid_partition([[-10, 10], [-10, 10]], (20, 20))
+        env = TerrainField()
+        part = GridPartition([[-10, 10], [-10, 10]], (20, 20))
         rng = np.random.default_rng(2)
         grid = np.arange(-5.0, 5.0 + 1e-12, 0.05)
         U = np.array(list(itertools.product(grid, grid)))
@@ -358,29 +362,35 @@ class TestPredictExitFacet:
 class TestControllerSynthesis:
     def test_constant_witnesses_give_constant_law(self):
         u_star = np.array([0.7, -0.3])
-        witnesses = [u_star] * 4
-        law = synthesize_controller(UNIT_SQUARE, witnesses, (0.4, 0.6))
-        assert np.allclose(law.F, 0.0, atol=1e-12)
-        assert np.allclose(law.g, u_star)
+        law = PiecewiseInterpolationLaw(UNIT_SQUARE, [u_star] * 4)
+        rng = np.random.default_rng(5)
+        for x in rng.uniform(0.0, 1.0, size=(50, 2)):
+            assert np.allclose(law.input(x), u_star, atol=1e-12)
 
     def test_identity_interpolation(self):
         # Witnesses equal to vertex coordinates interpolate u = x.
         witnesses = [v.copy() for v in UNIT_SQUARE.vertices]
-        law = synthesize_controller(UNIT_SQUARE, witnesses, (0.3, 0.3))
-        assert np.allclose(law.F, np.eye(2), atol=1e-12)
-        assert np.allclose(law.g, 0.0, atol=1e-12)
+        law = PiecewiseInterpolationLaw(UNIT_SQUARE, witnesses)
+        rng = np.random.default_rng(6)
+        for x in rng.uniform(0.0, 1.0, size=(50, 2)):
+            assert np.allclose(law.input(x), x, atol=1e-12)
 
     def test_vertex_reproduction(self):
+        # On random boxes the law takes each witness at its vertex and the
+        # barycentric blend of the containing simplex's witnesses inside.
         rng = np.random.default_rng(7)
-        cell = Polytope.box([2.0, -1.0], [5.0, 0.5])
         for _ in range(20):
+            low = rng.uniform(-5.0, 5.0, size=2)
+            cell = Polytope.box(low, low + rng.uniform(0.1, 3.0, size=2))
             witnesses = [rng.normal(size=2) for _ in range(4)]
-            x0 = rng.uniform((2, -1), (5, 0.5))
-            law = synthesize_controller(cell, witnesses, x0)
-            for local_idx, j in enumerate(law.simplex.vertex_indices):
-                assert np.allclose(
-                    law.input(cell.vertices[j]), witnesses[j], atol=1e-9
-                )
+            law = PiecewiseInterpolationLaw(cell, witnesses)
+            for j, v in enumerate(cell.vertices):
+                assert np.allclose(law.input(v), witnesses[j], atol=1e-9)
+            x = rng.uniform(*cell.box_bounds())
+            simplex = law.simplices[find_containing_simplex(cell, law.simplices, x)]
+            lam = barycentric(cell, simplex, x)
+            expected = sum(l * witnesses[j] for l, j in zip(lam, simplex.vertex_indices))
+            assert np.allclose(law.input(x), expected, atol=1e-9)
 
     def test_piecewise_law_continuous_across_diagonal(self):
         rng = np.random.default_rng(8)

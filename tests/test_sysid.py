@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwa_nav.dynamics import AffineField, linearize_at, terrain_model
+from pwa_nav.dynamics import AffineField, TerrainField, linearize_at
 from pwa_nav.sysid import (
     IdentificationConfig,
     IdentificationError,
@@ -49,7 +49,7 @@ class TestExactRecovery:
 
 class TestTerrainRecovery:
     def test_center_cell_within_curvature_tolerance(self):
-        env = terrain_model()
+        env = TerrainField()
         center = np.array([0.5, 0.5])
         ref = linearize_at(env, center)
         cfg = IdentificationConfig(samples=100, time_step=1e-3, input_scale=0.1,
@@ -59,7 +59,7 @@ class TestTerrainRecovery:
 
     def test_velocity_prediction_error_inside_cell(self):
         # What the planner actually consumes: velocity predictions on the cell.
-        env = terrain_model()
+        env = TerrainField()
         center = np.array([0.5, 0.5])
         cfg = IdentificationConfig(samples=100, time_step=2e-4, input_scale=0.1,
                                    velocity_mode=VelocityMode.ORACLE, seed=0)
@@ -95,7 +95,7 @@ class TestVelocityModes:
 
 class TestMechanics:
     def test_determinism(self):
-        env = terrain_model()
+        env = TerrainField()
         cfg = IdentificationConfig(samples=50, seed=77)
         m1, x1, r1 = identify(env, np.array([1.0, 1.0]), cfg, control_box=BOX)
         m2, x2, r2 = identify(env, np.array([1.0, 1.0]), cfg, control_box=BOX)
@@ -104,7 +104,7 @@ class TestMechanics:
         assert r1 == r2
 
     def test_state_advances_without_reset(self):
-        env = terrain_model()
+        env = TerrainField()
         cfg = IdentificationConfig(samples=100, time_step=1e-3, seed=5)
         x0 = np.array([0.0, 0.0])
         _, x_final, _ = identify(env, x0, cfg, control_box=BOX)
@@ -114,7 +114,7 @@ class TestMechanics:
         assert moved <= 100 * 1e-3 * 8.0
 
     def test_history_records_all_samples(self):
-        env = terrain_model()
+        env = TerrainField()
         cfg = IdentificationConfig(samples=20, seed=5)
         history = []
         identify(env, np.array([0.0, 0.0]), cfg, control_box=BOX, history=history)
@@ -123,7 +123,7 @@ class TestMechanics:
             assert np.all(np.abs(u) <= 0.1 + 1e-12)
 
     def test_inputs_clamped_into_control_box(self):
-        env = terrain_model()
+        env = TerrainField()
         tight = np.array([[-0.02, 0.02], [-0.02, 0.02]])
         cfg = IdentificationConfig(samples=30, input_scale=0.1, seed=6)
         history = []
@@ -132,13 +132,13 @@ class TestMechanics:
             assert np.all(u >= -0.02 - 1e-15) and np.all(u <= 0.02 + 1e-15)
 
     def test_too_few_samples_rejected(self):
-        env = terrain_model()
+        env = TerrainField()
         cfg = IdentificationConfig(samples=4)
         with pytest.raises(IdentificationError):
             identify(env, np.zeros(2), cfg, control_box=BOX)
 
     def test_center_is_mean_of_visited_states(self):
-        env = terrain_model()
+        env = TerrainField()
         cfg = IdentificationConfig(samples=25, seed=8)
         history = []
         model, _, _ = identify(env, np.array([0.5, 0.5]), cfg,
