@@ -3,11 +3,13 @@ box-constrained control variable.
 
 A system is one array form, LinearConstraintSystem(A, b, strict, box): row
 i reads A[i] . u > b[i] where strict[i] and A[i] . u <= b[i] elsewhere, with
-u in the control box. Two exact entry points share one slack-LP core:
-decide_feasibility solves the strict-slack LP of one system, and
-balance_witnesses_batch the balanced LP of several systems at once.
-screen_feasibility and decide_with_screen put a cheap interval screen in
-front of the exact decision.
+u in the control box. A SystemStack holds N systems of one shape as (N, r, m)
+/ (N, r) / (N, r) / (N, m, 2) arrays, and decide_stacks is the one core that
+decides them: one NumPy pass of the interval screen over a whole stack when
+asked, then the exact slack LP of every system the screen left open.
+decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
+(balanced LP of several) and screen_feasibility (the screen of one system)
+are views of that core.
 
 Strict inequalities are certified by slack maximization: the system is
 feasible iff the maximal common slack of the strict rows exceeds TOL_STRICT,
@@ -17,11 +19,12 @@ The slack LP lives in z = (u, d) with the control box bounding u and
 0 <= d <= DELTA_CAP bounding d, so its feasible set is a polytope. A
 nonempty polytope has a vertex, each vertex solves some m + 1 of the
 constraints as equalities, and the maximum of d is attained at a vertex. For
-m <= 3 inputs every such subset is solved in one batched NumPy call: the
-feasible candidate with the largest d is the exact optimum, and an empty
-candidate set proves the polytope empty rather than reporting a solver
-status. Larger m goes to HiGHS, whose infeasibility status alone certifies
-emptiness; any other failure raises RuntimeError.
+m <= 3 inputs every such subset is solved in batched NumPy calls, a chunk of
+stacked systems at a time: the feasible candidate with the largest d is the
+exact optimum, and an empty candidate set proves the polytope empty rather
+than reporting a solver status. Larger m goes to HiGHS, whose infeasibility
+status alone certifies emptiness; any other failure raises RuntimeError.
+SciPy is imported only when HiGHS runs.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import linprog
 
 TOL_STRICT = 1e-7
 DELTA_CAP = 1e6
@@ -50,6 +52,19 @@ _ENUM_MAX_DIM = 3
 # roundoff of a 4x4 solve, well below TOL_STRICT).
 _SINGULAR_DET = 1e-12
 _FEAS_TOL = 1e-9
+# Vertex enumeration holds C(r + 2k, k) k x k subsets per system, so a stack
+# is enumerated this many systems at a time; that bounds the working set to
+# about a megabyte whatever the stack size.
+_CHUNK_BLOCKS = 64
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: only slack LPs with
+    more than _ENUM_MAX_DIM inputs reach HiGHS, and importing SciPy costs
+    about half a second and 50 MB per process."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass
@@ -88,6 +103,26 @@ class FeasibilityResult:
     margin: float
 
 
+class SystemStack(NamedTuple):
+    """N systems of one shape: row i of system s reads A[s, i] . u > b[s, i]
+    where strict[s, i], else A[s, i] . u <= b[s, i], over the control box
+    u in [box[s, :, 0], box[s, :, 1]]."""
+
+    A: np.ndarray       # (N, rows, dim)
+    b: np.ndarray       # (N, rows)
+    strict: np.ndarray  # (N, rows) bool
+    box: np.ndarray     # (N, dim, 2)
+
+    @classmethod
+    def of(cls, systems: list[LinearConstraintSystem]) -> "SystemStack":
+        """The stack of same-shape systems, in order."""
+        return cls(np.stack([s.A for s in systems]), np.stack([s.b for s in systems]),
+                   np.stack([s.strict for s in systems]), np.stack([s.box for s in systems]))
+
+    def take(self, idx) -> "SystemStack":
+        return SystemStack(self.A[idx], self.b[idx], self.strict[idx], self.box[idx])
+
+
 def decide_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult:
     """Maximize the common slack d of the strict rows:
 
@@ -98,8 +133,8 @@ def decide_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult:
     Feasible iff d* > TOL_STRICT. Without strict rows this degenerates to a
     plain feasibility check with margin DELTA_CAP.
     """
-    G, h = _slack_rows(sys, balanced=False)
-    return _result(sys, G, _max_slack([(sys, G, h)])[0])
+    res = decide_stacks([SystemStack.of([sys])])[0][0]
+    return FeasibilityResult(False, None, 0.0) if res is None else res
 
 
 def balance_witnesses_batch(
@@ -124,62 +159,158 @@ def balance_witnesses_batch(
     is infeasible outright is empty too. Then None is returned, which spares
     callers the fallback solve.
     """
-    blocks = [(sys, *_slack_rows(sys, balanced=True)) for sys in systems]
-    optima = _max_slack(blocks)
-    if any(z is None for z in optima):
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, sys in enumerate(systems):
+        groups.setdefault(sys.A.shape, []).append(i)
+    stacks = [SystemStack.of([systems[i] for i in members]) for members in groups.values()]
+    out: list[FeasibilityResult | None] = [None] * len(systems)
+    for members, results in zip(groups.values(), decide_stacks(stacks, balanced=True)):
+        for i, res in zip(members, results):
+            out[i] = res
+    if any(res is None for res in out):
         return None
-    return [_result(sys, G, z) for (sys, G, _), z in zip(blocks, optima)]
+    return out
 
 
-def _slack_rows(sys: LinearConstraintSystem, balanced: bool):
-    """Rows (G, h) of the slack LP in z = (u, d), as G z <= h.
+def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
+    """The interval screen of one system (see _screen); None when it is
+    inconclusive."""
+    return _screen_result(*_screen(SystemStack.of([sys])), 0)
+
+
+def decide_stacks(
+    stacks: list[SystemStack], balanced: bool = False, screened: bool = False
+) -> list[list[FeasibilityResult | None]]:
+    """Slack-LP results of every system of every stack, one list per stack
+    in system order. None marks a system whose slack LP is empty: even with
+    d = 0, which relaxes every strict row to non-strict, no input fits.
+
+    balanced selects the balanced LP of balance_witnesses_batch over the
+    strict-slack LP of decide_feasibility. screened (strict-slack LP only)
+    first runs the interval screen over each whole stack; a system it
+    settles takes the screen's result, FeasibilityResult(False, None, 0.0)
+    when infeasible, and only the others are solved.
+
+    Stacks with at most _ENUM_MAX_DIM inputs are enumerated _CHUNK_BLOCKS
+    systems at a time; the systems of all larger stacks share one HiGHS
+    call."""
+    out = []
+    large = []  # (results, index, carries slack, (G, h, box)) per system for HiGHS
+    for stack in stacks:
+        n_sys, _, dim = stack.A.shape
+        results: list[FeasibilityResult | None] = [None] * n_sys
+        todo = np.arange(n_sys)
+        if screened:
+            screen = _screen(stack)
+            for i in np.flatnonzero(screen[0]):
+                results[i] = _screen_result(*screen, i)
+            todo = np.flatnonzero(screen[0] == 0)
+        out.append(results)
+        if not len(todo):
+            continue
+        rest = stack.take(todo)
+        G, h = _slack_rows(rest.A, rest.b, rest.strict, balanced)
+        carries_slack = G[..., -1].any(axis=1).tolist()
+        if dim > _ENUM_MAX_DIM:
+            large += [(results, i, carries_slack[t], (G[t], h[t], rest.box[t]))
+                      for t, i in enumerate(todo)]
+            continue
+        for start in range(0, len(todo), _CHUNK_BLOCKS):
+            chunk = slice(start, start + _CHUNK_BLOCKS)
+            optima = _enumerate_vertices(G[chunk], h[chunk], rest.box[chunk])
+            for t, z in enumerate(optima, start):
+                results[todo[t]] = _result(rest.box[t], carries_slack[t], z)
+    if large:
+        for (results, i, carries, block), z in zip(large, _highs([blk for *_, blk in large])):
+            results[i] = _result(block[2], carries, z)
+    return out
+
+
+def _screen(stack: SystemStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cheap interval screen of every system in a stack, exact-consistent
+    with the LP verdict threshold: verdict (N,) is -1 (infeasible), +1
+    (feasible, with the witness center (N, m) and the margin (N,)) or 0
+    (inconclusive).
+
+    Single-variable rows are folded into the box first; then either some row
+    is unsatisfiable over the folded box (infeasible) or the folded-box
+    center satisfies every row with slack above TOL_STRICT (feasible).
+    Folds and sums run row by row and term by term, in the order of the
+    scalar reference walk, so the two agree to the bit."""
+    A, b, strict, box = stack
+    nonzero = A != 0.0
+    count = nonzero.sum(axis=2)
+    constant = count == 0
+    # A constant row is satisfiable iff 0 > rhs (strict) / 0 <= rhs.
+    infeasible = np.any(constant & np.where(strict, 0.0 <= b + TOL_STRICT, b < 0.0), axis=1)
+    # a_k u_k > rhs (strict) bounds u_k from below when a_k > 0; a
+    # non-strict row does when a_k < 0.
+    fold = (count == 1)[..., None] & nonzero
+    lower = fold & (strict[..., None] == (A > 0.0))
+    upper = fold & ~lower
+    lo, hi = box[..., 0], box[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = b[..., None] / A
+    for i in range(A.shape[1]):
+        lo = np.where(lower[:, i], np.maximum(lo, bound[:, i]), lo)
+        hi = np.where(upper[:, i], np.minimum(hi, bound[:, i]), hi)
+    infeasible |= np.any(lo > hi, axis=1)
+
+    # Row-wise interval bounds over the folded box.
+    at_lo, at_hi = A * lo[:, None, :], A * hi[:, None, :]
+    reach_hi = _ordered_sum(np.maximum(at_lo, at_hi))
+    reach_lo = _ordered_sum(np.minimum(at_lo, at_hi))
+    infeasible |= np.any(~constant & np.where(strict, reach_hi <= b + TOL_STRICT, reach_lo > b),
+                         axis=1)
+
+    center = 0.5 * (lo + hi)
+    val = _ordered_sum(A * center[:, None, :])
+    slack = val - b
+    feasible = np.all(np.where(strict, slack > TOL_STRICT, val <= b), axis=1)
+    margin = np.minimum(DELTA_CAP, np.where(strict, slack, np.inf).min(axis=1, initial=np.inf))
+    verdict = np.where(infeasible, -1, np.where(feasible, 1, 0))
+    return verdict, center, margin
+
+
+def _screen_result(verdict, center, margin, i: int) -> FeasibilityResult | None:
+    """System i's result from a _screen pass; None when it is inconclusive."""
+    if verdict[i] < 0:
+        return FeasibilityResult(False, None, 0.0)
+    if verdict[i] > 0:
+        return FeasibilityResult(True, center[i].copy(), float(margin[i]))
+    return None
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from the left, as Python's sum() adds."""
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total = total + terms[..., k]
+    return total
+
+
+def _slack_rows(A, b, strict, balanced: bool):
+    """Rows (G, h) of the slack LPs in z = (u, d), as G z <= h, for stacked
+    rows A (..., r, m), b and strict (..., r).
 
     Strict rows are negated into <= form and always carry +d; non-strict
     rows carry it only in the balanced form."""
-    sign = np.where(sys.strict, -1.0, 1.0)
-    slack = (sys.strict | balanced).astype(float)
-    return np.column_stack([sign[:, None] * sys.A, slack]), sign * sys.b
+    sign = np.where(strict, -1.0, 1.0)
+    slack = (strict | balanced).astype(float)
+    return np.concatenate([sign[..., None] * A, slack[..., None]], axis=-1), sign * b
 
 
-def _result(sys, G, z) -> FeasibilityResult:
+def _result(box, carries_slack: bool, z) -> FeasibilityResult | None:
     if z is None:
-        return FeasibilityResult(False, None, 0.0)
-    u = np.clip(z[:sys.dim], sys.box[:, 0], sys.box[:, 1])
-    if not G[:, -1].any():
+        return None
+    u = np.clip(z[:-1], box[:, 0], box[:, 1])
+    if not carries_slack:
         # No row carries the slack: a plain feasibility check.
         return FeasibilityResult(True, u, DELTA_CAP)
     delta = float(z[-1])
     if delta <= TOL_STRICT:
         return FeasibilityResult(False, None, delta)
     return FeasibilityResult(True, u, delta)
-
-
-def _max_slack(blocks) -> list[np.ndarray | None]:
-    """Maximize d over {z = (u, d) : G z <= h, u in box, 0 <= d <= DELTA_CAP}
-    for each (system, G, h) block; None marks an empty block.
-
-    Blocks with at most _ENUM_MAX_DIM inputs are solved by vertex
-    enumeration, grouped by shape; the rest share one HiGHS call."""
-    if len(blocks) == 1 and blocks[0][0].dim <= _ENUM_MAX_DIM:
-        sys, G, h = blocks[0]
-        return _enumerate_vertices(G[None], h[None], sys.box[None])
-    out: list[np.ndarray | None] = [None] * len(blocks)
-    groups: dict[tuple[int, int], list[int]] = {}
-    large = []
-    for i, (sys, G, _) in enumerate(blocks):
-        if sys.dim <= _ENUM_MAX_DIM:
-            groups.setdefault(G.shape, []).append(i)
-        else:
-            large.append(i)
-    for members in groups.values():
-        zs = _enumerate_vertices(*(np.stack(parts) for parts in zip(
-            *((blocks[i][1], blocks[i][2], blocks[i][0].box) for i in members))))
-        for i, z in zip(members, zs):
-            out[i] = z
-    if large:
-        for i, z in zip(large, _highs([blocks[i] for i in large])):
-            out[i] = z
-    return out
 
 
 def _slack_bounds(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +343,8 @@ def _enumerate_vertices(G, h, box) -> list[np.ndarray | None]:
 
     Each k-subset of the constraints is solved as equalities; the feasible
     solutions are the vertices of the bounded feasible set, and the one with
-    the largest d (the first in subset order on ties) is optimal."""
+    the largest d (the first in subset order on ties) is optimal. Optima are
+    copied out, so that no result pins the stack's arrays."""
     n_blocks, r, k = G.shape
     bounds, idx = _subsets(r, k)
     # Unit max-norm rows make the tolerances scale-free.
@@ -230,89 +362,30 @@ def _enumerate_vertices(G, h, box) -> list[np.ndarray | None]:
     feasible = regular & np.all(
         z @ M.transpose(0, 2, 1) <= q[:, None, :] + _FEAS_TOL, axis=2)
     best = np.where(feasible, z[..., -1], -np.inf).argmax(axis=1)
-    return [z[b, best[b]] if feasible[b, best[b]] else None for b in range(n_blocks)]
+    return [z[b, best[b]].copy() if feasible[b, best[b]] else None for b in range(n_blocks)]
 
 
 def _highs(blocks) -> list[np.ndarray | None]:
-    """All blocks in one block-diagonal HiGHS LP maximizing the sum of the
-    per-block slacks; the blocks share no variables, so each is optimized
-    individually. Only a certificate of infeasibility (HiGHS status 2) marks
-    the blocks empty; any other failure raises, since reporting it as empty
-    would certify a reach edge Absent on a solver hiccup."""
-    offsets = np.cumsum([0] + [G.shape[1] for _, G, _ in blocks])
-    c = np.zeros(offsets[-1])
-    c[offsets[1:] - 1] = -1.0
-    b_ub = np.concatenate([h for _, _, h in blocks])
-    a_ub = block_diag(*(G for _, G, _ in blocks)) if len(b_ub) else None
-    lo, hi = (np.concatenate(lims) for lims in
-              zip(*(_slack_bounds(sys.box) for sys, _, _ in blocks)))
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub if len(b_ub) else None,
+    """All (G, h, box) blocks in one block-diagonal HiGHS LP maximizing the
+    sum of the per-block slacks; the blocks share no variables, so each is
+    optimized individually. Only a certificate of infeasibility (HiGHS
+    status 2) marks a block empty; any other failure raises, since
+    reporting it as empty would certify a reach edge Absent on a solver
+    hiccup. An infeasible LP of several blocks only says that some block is
+    empty, so each block is then solved alone."""
+    cols = np.cumsum([0] + [G.shape[1] for G, _, _ in blocks])
+    rows = np.cumsum([0] + [len(h) for _, h, _ in blocks])
+    c = np.zeros(cols[-1])
+    c[cols[1:] - 1] = -1.0
+    a_ub = np.zeros((rows[-1], cols[-1]))
+    for (G, _, _), r0, r1, c0, c1 in zip(blocks, rows, rows[1:], cols, cols[1:]):
+        a_ub[r0:r1, c0:c1] = G
+    b_ub = np.concatenate([h for _, h, _ in blocks])
+    lo, hi = (np.concatenate(lims) for lims in zip(*(_slack_bounds(box) for _, _, box in blocks)))
+    res = linprog(c, A_ub=a_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
                   bounds=np.column_stack([lo, hi]), method="highs", options=_LP_OPTIONS)
     if res.status == 2:
-        return [None] * len(blocks)
+        return [None] if len(blocks) == 1 else [z for blk in blocks for z in _highs([blk])]
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed with status {res.status}: {res.message}")
-    return [res.x[offsets[i]:offsets[i + 1]] for i in range(len(blocks))]
-
-
-def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
-    """Cheap interval-arithmetic screen, exact-consistent with the LP verdict
-    threshold. Returns None when inconclusive.
-
-    Single-variable rows are folded into the box first; then either some row
-    is unsatisfiable over the folded box (infeasible) or the folded-box
-    center satisfies every row with slack above TOL_STRICT (feasible).
-    The rows are walked as Python floats so that the screen stops at the
-    first conclusive row; on systems of a few rows that beats whole-array
-    NumPy passes.
-    """
-    lo = sys.box[:, 0].tolist()
-    hi = sys.box[:, 1].tolist()
-    rows = list(zip(sys.A.tolist(), sys.b.tolist(), sys.strict.tolist()))
-    general = []
-    for a, rhs, strict in rows:
-        nz = [k for k, c in enumerate(a) if c != 0.0]
-        if not nz:
-            # constant row: satisfiable iff 0 > rhs (strict) / 0 <= rhs
-            if (0.0 <= rhs + TOL_STRICT) if strict else (rhs < 0.0):
-                return FeasibilityResult(False, None, 0.0)
-            continue
-        if len(nz) == 1:
-            k = nz[0]
-            bound = rhs / a[k]
-            if strict == (a[k] > 0):
-                lo[k] = max(lo[k], bound)
-            else:
-                hi[k] = min(hi[k], bound)
-        general.append((a, rhs, strict))
-    if any(l > h for l, h in zip(lo, hi)):
-        return FeasibilityResult(False, None, 0.0)
-
-    # Row-wise interval bounds over the folded box.
-    for a, rhs, strict in general:
-        if strict:
-            if sum(max(c * l, c * h) for c, l, h in zip(a, lo, hi)) <= rhs + TOL_STRICT:
-                return FeasibilityResult(False, None, 0.0)
-        elif sum(min(c * l, c * h) for c, l, h in zip(a, lo, hi)) > rhs:
-            return FeasibilityResult(False, None, 0.0)
-
-    center = [0.5 * (l + h) for l, h in zip(lo, hi)]
-    margin = DELTA_CAP
-    for a, rhs, strict in rows:
-        val = sum(c * x for c, x in zip(a, center))
-        if strict:
-            slack = val - rhs
-            if slack <= TOL_STRICT:
-                return None
-            margin = min(margin, slack)
-        elif val > rhs:
-            return None
-    return FeasibilityResult(True, np.array(center), margin)
-
-
-def decide_with_screen(sys: LinearConstraintSystem) -> FeasibilityResult:
-    """Screen first, exact LP on the ambiguous remainder."""
-    out = screen_feasibility(sys)
-    if out is not None:
-        return out
-    return decide_feasibility(sys)
+    return [res.x[cols[i]:cols[i + 1]] for i in range(len(blocks))]

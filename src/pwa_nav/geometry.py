@@ -26,9 +26,12 @@ class OutOfDomainError(GeometryError):
 
 @dataclass(frozen=True)
 class Simplex:
-    """n+1 affinely independent vertex indices into a parent polytope."""
+    """n+1 affinely independent vertex indices into a parent box, as
+    triangulate makes them: the path from the all-low corner that steps
+    along the box axes in the order `axes`."""
 
     vertex_indices: tuple[int, ...]
+    axes: tuple[int, ...]
 
 
 class Polytope:
@@ -243,7 +246,7 @@ def triangulate(cell: Polytope) -> list[Simplex]:
         for d in perm:
             bits[d] = 1
             idxs.append(corner_index[tuple(bits)])
-        simplices.append(Simplex(tuple(idxs)))
+        simplices.append(Simplex(tuple(idxs), perm))
     return simplices
 
 
@@ -258,12 +261,21 @@ def barycentric(cell: Polytope, simplex: Simplex, x) -> np.ndarray:
 def find_containing_simplex(
     cell: Polytope, simplices: list[Simplex], x, tol: float = 1e-9
 ) -> int:
-    """Index of the first simplex containing x (ties: lowest index). Falls
-    back to the simplex with the least-negative barycentric minimum."""
+    """Index of the first simplex of triangulate(cell) containing x (ties:
+    lowest index). Falls back to the simplex with the least-negative
+    barycentric minimum.
+
+    The barycentric coordinates come in closed form: with y the coordinates
+    of x normalized to [0, 1] over the box, the simplex stepping along axes
+    p_0, ..., p_(n-1) has coordinates 1 - y[p_0], y[p_(i-1)] - y[p_i] and
+    y[p_(n-1)]."""
+    path = simplices[0].vertex_indices
+    low, high = cell.vertices[path[0]], cell.vertices[path[-1]]
+    y = ((np.asarray(x, dtype=float) - low) / (high - low)).tolist()
     best_idx, best_min = 0, -np.inf
     for k, s in enumerate(simplices):
-        lam = barycentric(cell, s, x)
-        m = float(lam.min())
+        steps = [y[d] for d in s.axes]
+        m = min(1.0 - steps[0], steps[-1], *(a - b for a, b in zip(steps, steps[1:])))
         if m >= -tol:
             return k
         if m > best_min:

@@ -2,8 +2,10 @@
 
 Edges between adjacent cells carry Exists/Absent/Uncertain status. Source
 cells with identified dynamics get definitive, frozen decisions; unexplored
-sources get predictions anchored at the nearest explored cell. Uncertain
-edges are weighted by proximity to the explored region, scaled by gamma.
+sources get predictions anchored at the nearest explored cell. Each refresh
+collects every edge it must (re)decide and decides them as two batches, one
+definitive and one predictive. Uncertain edges are weighted by proximity to
+the explored region, scaled by gamma, once per destination cell.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from .dynamics import AffineModel
 from .geometry import GridPartition
 from .reach import (
     ReachStatus,
-    decide_exit_facet,
+    decide_exit_facets,
     deviation_bounds,
-    predict_exit_facet,
+    predict_exit_facets,
     t0_upper_bound,
 )
+# Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
+from .reach import decide_exit_facet, predict_exit_facet  # noqa: F401
 
 
 class WeightMode(Enum):
@@ -96,6 +100,10 @@ def update_graph(
     """Refresh edge statuses: definitive decisions for explored sources
     (computed once, then frozen), predictions anchored at the nearest
     explored cell for the rest, then reweight the Uncertain edges.
+
+    The not-yet-definitive out-edges of explored sources are decided in one
+    decide_exit_facets batch, and the edges of unexplored sources whose
+    anchor changed in one predict_exit_facets batch.
     """
     if not explored_models:
         raise ValueError("at least one explored model is required")
@@ -103,21 +111,17 @@ def update_graph(
     centers = np.array([partition.center(e) for e in explored])
     summary = {"definitive": 0, "predicted": 0, "reweighted": 0}
 
+    to_decide, decide_items = [], []
+    to_predict, predict_items = [], []
     for cid in graph.nodes:
         if cid in explored_models:
             model = explored_models[cid]
             cell = partition.cell(cid)
             for nbr, facet in partition.neighbors(cid):
                 edge = graph.edges[(cid, nbr)]
-                if edge.definitive:
-                    continue
-                decision = decide_exit_facet(cell, facet, model, control_box)
-                edge.status = decision.status
-                edge.witnesses = decision.witnesses
-                edge.weight = _definitive_weight(graph, partition, cid, facet, model, decision)
-                edge.definitive = True
-                edge.ref_cell = None
-                summary["definitive"] += 1
+                if not edge.definitive:
+                    to_decide.append((edge, cid, facet, model))
+                    decide_items.append((cell, facet, model))
         else:
             dists = np.linalg.norm(centers - partition.center(cid), axis=1)
             ref = explored[int(np.argmin(dists))]  # ties: lowest cell id
@@ -132,26 +136,39 @@ def update_graph(
                     L_df,
                     L_g,
                 )
-                decision = predict_exit_facet(
-                    partition.cell(cid), facet, explored_models[ref], bounds, control_box
-                )
-                edge.status = decision.status
-                edge.witnesses = decision.witnesses
-                edge.ref_cell = ref
-                if decision.status is ReachStatus.EXISTS:
-                    edge.weight = 1.0
-                summary["predicted"] += 1
+                to_predict.append((edge, ref))
+                predict_items.append((partition.cell(cid), facet, explored_models[ref], bounds))
+
+    for (edge, cid, facet, model), decision in zip(
+            to_decide, decide_exit_facets(decide_items, control_box)):
+        edge.status = decision.status
+        edge.witnesses = decision.witnesses
+        edge.weight = _definitive_weight(graph, partition, cid, facet, model, decision)
+        edge.definitive = True
+        edge.ref_cell = None
+        summary["definitive"] += 1
+    for (edge, ref), decision in zip(to_predict, predict_exit_facets(predict_items, control_box)):
+        edge.status = decision.status
+        edge.witnesses = decision.witnesses
+        edge.ref_cell = ref
+        if decision.status is ReachStatus.EXISTS:
+            edge.weight = 1.0
+        summary["predicted"] += 1
 
     exists_weights = [
         e.weight for e in graph.edges.values()
         if e.definitive and e.status is ReachStatus.EXISTS
     ]
     w_bar = float(np.mean(exists_weights)) if exists_weights else 1.0
+    # The Uncertain weight depends on the destination alone.
+    dst_weights: dict[int, float] = {}
     for (src, dst), edge in graph.edges.items():
         assert not (src in explored_models and not edge.definitive), \
             "explored sources must have definitive out-edges"
         if edge.status is ReachStatus.UNCERTAIN:
-            edge.weight = uncertain_weight(dst, explored, w_bar, graph.gamma, partition)
+            if dst not in dst_weights:
+                dst_weights[dst] = uncertain_weight(dst, explored, w_bar, graph.gamma, partition)
+            edge.weight = dst_weights[dst]
             summary["reweighted"] += 1
     summary["mean_known_weight"] = w_bar
     return summary

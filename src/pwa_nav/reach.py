@@ -4,11 +4,18 @@ Definitive decisions check, per cell vertex, feasibility of the exit-flow and
 invariance inequalities in that vertex's control input. Predictive decisions
 for cells with unidentified dynamics tighten (robust) or loosen (expanded)
 those rows by deviation radii derived from the Lipschitz constants, branching
-over the 2^m sign patterns of the control components.
+over the 2^m sign patterns of the control components. These are the vertex
+conditions of Habets & van Schuppen (2004).
 
-Each vertex system is one array-form LinearConstraintSystem: the strict
-exit-flow row first, then the non-strict invariance rows, then, in
-prediction, one sign row per control input.
+Each vertex system is one array-form system: the strict exit-flow row first,
+then the non-strict invariance rows, then, in prediction, one sign row per
+control input. decide_exit_facets and predict_exit_facets decide a whole
+list of edges at once: the nominal rows of every (edge, vertex) pair, and in
+prediction every sign pattern of them, are stacked by shape into a few
+SystemStacks and decided by one decide_stacks call per pass. The per-edge
+rules then run in Python over the precomputed results, in the order a
+one-edge-at-a-time walk takes, so no witness depends on what else is in the
+batch.
 """
 
 from __future__ import annotations
@@ -20,13 +27,9 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import AffineModel
-from .feasibility import (
-    TOL_STRICT,
-    LinearConstraintSystem,
-    balance_witnesses_batch,
-    decide_feasibility,
-    decide_with_screen,
-)
+from .feasibility import TOL_STRICT, LinearConstraintSystem, SystemStack, decide_stacks
+# Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
+from .feasibility import balance_witnesses_batch, decide_feasibility  # noqa: F401
 from .geometry import Polytope, Simplex, find_containing_simplex, triangulate
 
 
@@ -110,9 +113,37 @@ def vertex_constraint_system(
     """Nominal rows in the unknown input u_j: strict positive flow through
     the exit facet, non-strict inflow on the other facets containing v_j."""
     A, b = _nominal_rows(cell, exit_facet, vertex_j, model)
-    strict = np.zeros(len(b), dtype=bool)
+    return LinearConstraintSystem(A, b, _exit_row_mask(len(b)), control_box)
+
+
+def _exit_row_mask(rows: int) -> np.ndarray:
+    """Strict mask of the nominal rows: the exit-flow row alone."""
+    strict = np.zeros(rows, dtype=bool)
     strict[0] = True
-    return LinearConstraintSystem(A, b, strict, control_box)
+    return strict
+
+
+def _stack_by_shape(per_item):
+    """Per-vertex fields of every item, stacked by the shape of their first
+    field, the nominal rows A.
+
+    per_item holds, for each item, one tuple of fields per vertex. Returns,
+    for each item, the (shape, position) slot of each of its vertices, and,
+    for each shape, every field of its vertices stacked along a new first
+    axis."""
+    slots, members = [], {}
+    for vertices in per_item:
+        item_slots = []
+        for fields in vertices:
+            group = members.setdefault(fields[0].shape, [])
+            item_slots.append((fields[0].shape, len(group)))
+            group.append(fields)
+        slots.append(item_slots)
+    return slots, {shape: [np.stack(f) for f in zip(*group)] for shape, group in members.items()}
+
+
+def _feasible(res) -> bool:
+    return res is not None and res.feasible
 
 
 def decide_exit_facet(
@@ -121,66 +152,102 @@ def decide_exit_facet(
     model: AffineModel,
     control_box,
 ) -> ReachDecision:
-    """Definitive decision: EXISTS with per-vertex witnesses iff every vertex
-    system is feasible, else ABSENT. Never UNCERTAIN.
+    """Definitive decision of one exit facet (see decide_exit_facets)."""
+    return decide_exit_facets([(cell, exit_facet, model)], control_box)[0]
+
+
+def decide_exit_facets(items, control_box) -> list[ReachDecision]:
+    """Definitive decisions of (cell, exit_facet, model) items, one per item
+    in order: EXISTS with per-vertex witnesses iff every vertex system is
+    feasible, else ABSENT. Never UNCERTAIN.
 
     Witnesses are balanced (uniform slack over all rows) when possible, so
-    the synthesized law tolerates model error on the invariance rows too."""
-    systems = [
-        vertex_constraint_system(cell, exit_facet, j, model, control_box)
-        for j in range(cell.n_vertices)
-    ]
-    balanced = balance_witnesses_batch(systems)
-    if balanced is None:
-        # Some vertex system is empty even with every row relaxed.
-        return ReachDecision(ReachStatus.ABSENT)
-    witnesses = []
-    for system, bal in zip(systems, balanced):
-        if bal.feasible:
-            # A positive uniform slack certifies the system outright.
-            witnesses.append(bal.witness)
+    the synthesized law tolerates model error on the invariance rows too.
+    The balanced LPs of every vertex of every item are solved in one pass;
+    the strict-slack LP runs, in a second pass, only where the balanced
+    slack is not positive."""
+    box = np.asarray(control_box, dtype=float)
+    slots, fields = _stack_by_shape(
+        [[_nominal_rows(cell, facet, j, model) for j in range(cell.n_vertices)]
+         for cell, facet, model in items])
+    stacks = {shape: SystemStack(A, b, np.broadcast_to(_exit_row_mask(shape[0]), b.shape),
+                                 np.broadcast_to(box, (len(b),) + box.shape))
+              for shape, (A, b) in fields.items()}
+    balanced = dict(zip(stacks, decide_stacks(list(stacks.values()), balanced=True)))
+    # A vertex system that is empty even with every row relaxed makes its
+    # item ABSENT outright.
+    empty = [any(balanced[shape][k] is None for shape, k in item_slots) for item_slots in slots]
+    retry: dict[tuple[int, int], list[int]] = {}
+    for item_slots, is_empty in zip(slots, empty):
+        for shape, k in item_slots:
+            if not is_empty and not balanced[shape][k].feasible:
+                retry.setdefault(shape, []).append(k)
+    strict = {}
+    for (shape, ks), results in zip(
+            retry.items(), decide_stacks([stacks[shape].take(ks) for shape, ks in retry.items()])):
+        strict.update(((shape, k), res) for k, res in zip(ks, results))
+
+    decisions = []
+    for item_slots, is_empty in zip(slots, empty):
+        if is_empty:
+            decisions.append(ReachDecision(ReachStatus.ABSENT))
             continue
-        res = decide_feasibility(system)
-        if not res.feasible:
-            return ReachDecision(ReachStatus.ABSENT)
-        witnesses.append(res.witness)
-    return ReachDecision(ReachStatus.EXISTS, witnesses)
+        witnesses = []
+        for shape, k in item_slots:
+            # A positive uniform slack certifies the system outright.
+            res = balanced[shape][k]
+            if not res.feasible:
+                res = strict[shape, k]
+            if not _feasible(res):
+                decisions.append(ReachDecision(ReachStatus.ABSENT))
+                break
+            witnesses.append(res.witness)
+        else:
+            decisions.append(ReachDecision(ReachStatus.EXISTS, witnesses))
+    return decisions
 
 
 def sign_patterns(m: int) -> list[tuple[int, ...]]:
     return list(itertools.product((1, -1), repeat=m))
 
 
-def _perturbed_rows(
-    cell: Polytope,
-    exit_facet: int,
-    vertex_j: int,
-    ref_model: AffineModel,
-    bounds: ModelDeviationBounds,
-    pattern,
-    tighten: bool,
-):
+def _vertex_shift(cell: Polytope, vertex_j: int, bounds: ModelDeviationBounds) -> float:
+    """eps_A ||v_j|| + eps_c: how far the deviation radii move the
+    right-hand side of every row at v_j. Unit normals make the ||n||
+    factors one."""
+    return bounds.eps_A * float(np.linalg.norm(cell.vertices[vertex_j])) + bounds.eps_c
+
+
+def _perturbed_rows(A0, b0, shift, eps_B, patterns, tighten: bool):
     """Rows (A, b, strict) of the robust (tighten=True) or expanded
-    (tighten=False) system for one sign pattern s: the nominal rows moved by
-    the deviation radii, then the sign rows u_k > 0 (s_k > 0) or u_k <= 0
-    (s_k < 0). Unit normals make the ||n|| factors one."""
-    A, b = _nominal_rows(cell, exit_facet, vertex_j, ref_model)
-    v = cell.vertices[vertex_j]
-    shift = bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c
-    s = np.asarray(pattern, dtype=float)
-    m = len(s)
+    (tighten=False) systems of K vertices under P sign patterns s, shaped
+    (K, P, r + m, m), (K, P, r + m) and (K, P, r + m): the nominal rows
+    A0 (K, r, m), b0 (K, r) moved by the radii eps_B (K,) and the vertex
+    shifts (K,), then the sign rows u_k > 0 (s_k > 0) or u_k <= 0
+    (s_k < 0) for the patterns (P, m)."""
+    (K, r, m), P = A0.shape, len(patterns)
     # Tightening adds -s*eps_B and +shift to the exit row and +s*eps_B and
     # -shift to the invariance rows; expanding flips every sign.
-    side = np.ones(len(b))
+    side = np.ones(r)
     side[0] = -1.0
     if not tighten:
         side = -side
-    strict = np.zeros(len(b) + m, dtype=bool)
-    strict[0] = True
-    strict[len(b):] = s > 0
-    return (np.concatenate([A + side[:, None] * (s * bounds.eps_B), np.eye(m)]),
-            np.concatenate([b - side * shift, np.zeros(m)]),
-            strict)
+    moved = A0[:, None] + side[:, None] * (patterns[:, None, :] * eps_B[:, None, None, None])
+    A = np.concatenate([moved, np.broadcast_to(np.eye(m), (K, P, m, m))], axis=2)
+    rhs = np.broadcast_to((b0 - side * shift[:, None])[:, None], (K, P, r))
+    b = np.concatenate([rhs, np.zeros((K, P, m))], axis=2)
+    strict = np.concatenate([np.broadcast_to(_exit_row_mask(r), (K, P, r)),
+                             np.broadcast_to(patterns > 0, (K, P, m))], axis=2)
+    return A, b, strict
+
+
+def _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern, control_box,
+                      tighten: bool) -> LinearConstraintSystem:
+    A0, b0 = _nominal_rows(cell, exit_facet, vertex_j, ref_model)
+    A, b, strict = _perturbed_rows(
+        A0[None], b0[None], np.array([_vertex_shift(cell, vertex_j, bounds)]),
+        np.array([bounds.eps_B]), np.array([pattern], dtype=float), tighten)
+    return LinearConstraintSystem(A[0, 0], b[0, 0], strict[0, 0], control_box)
 
 
 def robust_vertex_system(
@@ -188,9 +255,8 @@ def robust_vertex_system(
 ) -> LinearConstraintSystem:
     """Maximally tightened rows: feasibility certifies reachability for any
     dynamics within the deviation radii of the reference model."""
-    return LinearConstraintSystem(
-        *_perturbed_rows(cell, exit_facet, vertex_j, ref_model, bounds, pattern, True),
-        control_box)
+    return _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern,
+                             control_box, True)
 
 
 def expanded_vertex_system(
@@ -198,9 +264,27 @@ def expanded_vertex_system(
 ) -> LinearConstraintSystem:
     """Maximally loosened rows: joint infeasibility over all patterns
     certifies unreachability for any dynamics within the radii."""
-    return LinearConstraintSystem(
-        *_perturbed_rows(cell, exit_facet, vertex_j, ref_model, bounds, pattern, False),
-        control_box)
+    return _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern,
+                             control_box, False)
+
+
+def _decide_patterns(fields, box: np.ndarray, tighten: bool):
+    """Screened strict-slack results of the robust or expanded systems of
+    every stacked vertex under every sign pattern: per shape, one list of
+    2^m results, in sign_patterns order, per vertex."""
+    stacks = []
+    for (_, m), (A0, b0, shift, eps_B) in fields.items():
+        A, b, strict = _perturbed_rows(A0, b0, shift, eps_B,
+                                       np.array(sign_patterns(m), dtype=float), tighten)
+        n_sys, r = b.shape[0] * b.shape[1], b.shape[2]
+        stacks.append(SystemStack(A.reshape(n_sys, r, m), b.reshape(n_sys, r),
+                                  strict.reshape(n_sys, r),
+                                  np.broadcast_to(box, (n_sys,) + box.shape)))
+    out = {}
+    for shape, results in zip(fields, decide_stacks(stacks, screened=True)):
+        P = 2 ** shape[1]
+        out[shape] = [results[i:i + P] for i in range(0, len(results), P)]
+    return out
 
 
 def predict_exit_facet(
@@ -210,49 +294,69 @@ def predict_exit_facet(
     bounds: ModelDeviationBounds,
     control_box,
 ) -> ReachDecision:
-    """Predictive tri-state decision for a cell with unidentified dynamics.
+    """Predictive decision of one exit facet (see predict_exit_facets)."""
+    return predict_exit_facets([(cell, exit_facet, ref_model, bounds)], control_box)[0]
+
+
+def predict_exit_facets(items, control_box) -> list[ReachDecision]:
+    """Predictive tri-state decisions of (cell, exit_facet, ref_model,
+    bounds) items, for cells with unidentified dynamics, one per item in
+    order.
 
     EXISTS iff every vertex has a feasible robust pattern system; ABSENT iff
     some vertex has all expanded pattern systems infeasible; UNCERTAIN
-    otherwise.
+    otherwise. The robust systems of every vertex and pattern of every item
+    are screened and solved in one pass; the expanded ones, in a second
+    pass, only at the vertices where every robust pattern failed.
     """
-    m = ref_model.B.shape[1]
-    patterns = sign_patterns(m)
-    witnesses: list[np.ndarray] = []
-    robust_failed: list[int] = []
-    for j in range(cell.n_vertices):
-        wit = None
-        for idx, pat in enumerate(patterns):
-            res = decide_with_screen(
-                robust_vertex_system(cell, exit_facet, j, ref_model, bounds, pat, control_box)
-            )
-            if res.feasible:
-                wit = res.witness
-                # A pattern feasible at one vertex tends to work at the
-                # neighbours; trying it first saves solver calls.
-                patterns.insert(0, patterns.pop(idx))
-                break
-        if wit is None:
-            robust_failed.append(j)
+    box = np.asarray(control_box, dtype=float)
+    slots, fields = _stack_by_shape(
+        [[(*_nominal_rows(cell, facet, j, model), _vertex_shift(cell, j, bounds), bounds.eps_B)
+          for j in range(cell.n_vertices)]
+         for cell, facet, model, bounds in items])
+    robust = _decide_patterns(fields, box, tighten=True)
+
+    decisions: list[ReachDecision | None] = []
+    pending: dict[int, list[tuple]] = {}
+    for e, ((_, _, model, bounds), item_slots) in enumerate(zip(items, slots)):
+        order = list(range(2 ** model.B.shape[1]))
+        witnesses, robust_failed = [], []
+        for shape, k in item_slots:
+            for pos, p in enumerate(order):
+                res = robust[shape][k][p]
+                if _feasible(res):
+                    witnesses.append(res.witness)
+                    # A pattern feasible at one vertex tends to work at the
+                    # neighbours, so it goes first there: the witness is
+                    # the first feasible pattern in this order.
+                    order.insert(0, order.pop(pos))
+                    break
+            else:
+                robust_failed.append((shape, k))
+        if not robust_failed:
+            decisions.append(ReachDecision(ReachStatus.EXISTS, witnesses))
+        elif bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0:
+            # Robust and expanded systems coincide at zero radius, so a robust
+            # failure is already an expanded failure.
+            decisions.append(ReachDecision(ReachStatus.ABSENT))
         else:
-            witnesses.append(wit)
-    if not robust_failed:
-        return ReachDecision(ReachStatus.EXISTS, witnesses)
-    if bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0:
-        # Robust and expanded systems coincide at zero radius, so a robust
-        # failure is already an expanded failure.
-        return ReachDecision(ReachStatus.ABSENT)
+            decisions.append(None)
+            pending[e] = robust_failed
+
     # Robust-feasible vertices are expanded-feasible a fortiori; only the
     # failed ones can certify absence.
-    for j in robust_failed:
-        if not any(
-            decide_with_screen(
-                expanded_vertex_system(cell, exit_facet, j, ref_model, bounds, pat, control_box)
-            ).feasible
-            for pat in patterns
-        ):
-            return ReachDecision(ReachStatus.ABSENT)
-    return ReachDecision(ReachStatus.UNCERTAIN)
+    retry: dict[tuple[int, int], list[int]] = {}
+    for robust_failed in pending.values():
+        for shape, k in robust_failed:
+            retry.setdefault(shape, []).append(k)
+    expanded = _decide_patterns(
+        {shape: [f[ks] for f in fields[shape]] for shape, ks in retry.items()}, box, tighten=False)
+    position = {(shape, k): i for shape, ks in retry.items() for i, k in enumerate(ks)}
+    for e, robust_failed in pending.items():
+        absent = any(not any(_feasible(res) for res in expanded[shape][position[shape, k]])
+                     for shape, k in robust_failed)
+        decisions[e] = ReachDecision(ReachStatus.ABSENT if absent else ReachStatus.UNCERTAIN)
+    return decisions
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):

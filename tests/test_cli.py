@@ -286,3 +286,18 @@ class TestCmdSysidCheck:
         rc = main(["sysid-check", "--scenario", scenario, "--out", str(tmp_path),
                    "--cell", "99"])
         assert rc == 1
+
+
+def test_setup_imports_no_scipy(tmp_path):
+    # SciPy serves only HiGHS, for slack LPs with four or more inputs; the
+    # program's import and scenario load must not pay for it.
+    path = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
+    code = ("import sys, pwa_nav.cli\n"
+            "from pwa_nav.scenario import load_scenario\n"
+            f"load_scenario({path!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,11 +7,13 @@ from scipy.optimize import OptimizeResult, linprog
 from pwa_nav import feasibility
 from pwa_nav.feasibility import (
     DELTA_CAP,
+    FeasibilityResult,
     TOL_STRICT,
     LinearConstraintSystem,
+    SystemStack,
     balance_witnesses_batch,
     decide_feasibility,
-    decide_with_screen,
+    decide_stacks,
     screen_feasibility,
 )
 
@@ -187,25 +189,122 @@ class TestBruteForceAgreement:
                 assert substitute(sys, res.witness)
 
 
+def reference_screen(sys):
+    """The interval screen as a scalar walk over the rows, stopping at the
+    first conclusive row: single-variable rows folded into the box, then
+    interval bounds over the folded box, then the folded-box center."""
+    lo = sys.box[:, 0].tolist()
+    hi = sys.box[:, 1].tolist()
+    rows = list(zip(sys.A.tolist(), sys.b.tolist(), sys.strict.tolist()))
+    general = []
+    for a, rhs, strict in rows:
+        nz = [k for k, c in enumerate(a) if c != 0.0]
+        if not nz:
+            if (0.0 <= rhs + TOL_STRICT) if strict else (rhs < 0.0):
+                return FeasibilityResult(False, None, 0.0)
+            continue
+        if len(nz) == 1:
+            k = nz[0]
+            bound = rhs / a[k]
+            if strict == (a[k] > 0):
+                lo[k] = max(lo[k], bound)
+            else:
+                hi[k] = min(hi[k], bound)
+        general.append((a, rhs, strict))
+    if any(l > h for l, h in zip(lo, hi)):
+        return FeasibilityResult(False, None, 0.0)
+    for a, rhs, strict in general:
+        if strict:
+            if sum(max(c * l, c * h) for c, l, h in zip(a, lo, hi)) <= rhs + TOL_STRICT:
+                return FeasibilityResult(False, None, 0.0)
+        elif sum(min(c * l, c * h) for c, l, h in zip(a, lo, hi)) > rhs:
+            return FeasibilityResult(False, None, 0.0)
+    center = [0.5 * (l + h) for l, h in zip(lo, hi)]
+    margin = DELTA_CAP
+    for a, rhs, strict in rows:
+        val = sum(c * x for c, x in zip(a, center))
+        if strict:
+            slack = val - rhs
+            if slack <= TOL_STRICT:
+                return None
+            margin = min(margin, slack)
+        elif val > rhs:
+            return None
+    return FeasibilityResult(True, np.array(center), margin)
+
+
+def screened_decision(sys):
+    """Screen first, exact LP on the inconclusive remainder, one system at a
+    time."""
+    out = reference_screen(sys)
+    return decide_feasibility(sys) if out is None else out
+
+
+def assert_same_result(res, ref):
+    """Same verdict, bitwise-equal witness and equal margin; None (an empty
+    LP) matches an infeasible result of margin 0."""
+    if res is None:
+        res = FeasibilityResult(False, None, 0.0)
+    assert res.feasible == ref.feasible
+    assert res.margin == ref.margin
+    if ref.witness is None:
+        assert res.witness is None
+    else:
+        assert np.array_equal(res.witness, ref.witness)
+
+
+def screen_systems(seed):
+    """The random m = 2 systems and the degenerate m = 1, 2, 3 systems the
+    screen is checked on."""
+    rng = np.random.default_rng(seed)
+    # Degenerate systems bring the constant and single-variable rows that
+    # the screen folds into the box.
+    systems = [random_system(rng) for _ in range(300)]
+    systems += [degenerate_system(rng, m) for m in (1, 2, 3) for _ in range(200)]
+    return systems
+
+
+def by_shape(systems):
+    groups = {}
+    for sys in systems:
+        groups.setdefault(sys.A.shape, []).append(sys)
+    return list(groups.values())
+
+
 class TestScreen:
     def test_screen_agrees_with_lp_on_random_systems(self):
-        rng = np.random.default_rng(42)
-        # Degenerate systems bring the constant and single-variable rows
-        # that the screen folds into the box.
-        systems = [random_system(rng) for _ in range(300)]
-        systems += [degenerate_system(rng, m) for m in (1, 2, 3) for _ in range(200)]
-        for sys in systems:
+        for sys in screen_systems(42):
             screened = screen_feasibility(sys)
             if screened is not None:
                 assert screened.feasible == decide_feasibility(sys).feasible
                 if screened.feasible:
                     assert substitute(sys, screened.witness)
 
-    def test_decide_with_screen_matches_decide(self):
+    def test_screen_matches_row_walk(self):
+        conclusive = 0
+        for sys in screen_systems(42):
+            screened, ref = screen_feasibility(sys), reference_screen(sys)
+            assert (screened is None) == (ref is None)
+            if ref is not None:
+                assert_same_result(screened, ref)
+                conclusive += 1
+        assert conclusive > 600
+
+    def test_stacked_screen_matches_row_walk(self):
+        # Whole same-shape stacks in one pass: each system must come out as
+        # the row walk, or the LP where the walk is inconclusive, decides it.
+        for group in by_shape(screen_systems(44)):
+            results = decide_stacks([SystemStack.of(group)], screened=True)[0]
+            for sys, res in zip(group, results):
+                assert_same_result(res, screened_decision(sys))
+
+    def test_screened_stack_matches_decide(self):
         rng = np.random.default_rng(43)
-        for _ in range(200):
-            sys = random_system(rng)
-            assert decide_with_screen(sys).feasible == decide_feasibility(sys).feasible
+        systems = [random_system(rng) for _ in range(200)]
+        for group in by_shape(systems):
+            results = decide_stacks([SystemStack.of(group)], screened=True)[0]
+            for sys, res in zip(group, results):
+                assert (res is not None and res.feasible) == decide_feasibility(sys).feasible
 
     @pytest.mark.parametrize("rhs, feasible", [
         (-5e-8, False), (0.0, False), (-0.999 * TOL_STRICT, False), (-2e-7, True)])
@@ -219,7 +318,94 @@ class TestScreen:
         assert screened is not None
         assert screened.feasible is feasible
         assert decide_feasibility(sys).feasible is feasible
-        assert decide_with_screen(sys).feasible is feasible
+        res = decide_stacks([SystemStack.of([sys])], screened=True)[0][0]
+        assert res.feasible is feasible
+
+    @pytest.mark.parametrize("a, rhs, strict, settled", [
+        # 0 > rhs + TOL_STRICT fails at equality: settled infeasible.
+        ([0.0, 0.0], -TOL_STRICT, True, True),
+        # Upper reach 2 of u1 + u2 equals rhs + TOL_STRICT: settled infeasible.
+        ([1.0, 1.0], 2.0 - TOL_STRICT, True, True),
+        # Lower reach -2 equals rhs, which settles nothing.
+        ([1.0, 1.0], -2.0, False, False),
+        # The center's slack equals TOL_STRICT, which settles nothing.
+        ([1.0, 1.0], -TOL_STRICT, True, False),
+        # The center lies on a non-strict row: settled feasible.
+        ([1.0, 1.0], 0.0, False, True),
+    ])
+    def test_thresholds_match_row_walk(self, a, rhs, strict, settled):
+        box = np.tile([-1.0, 1.0], (2, 1))
+        sys = LinearConstraintSystem([a], [rhs], [strict], box)
+        ref = reference_screen(sys)
+        assert (ref is not None) is settled
+        screened = screen_feasibility(sys)
+        assert (screened is None) == (ref is None)
+        if ref is not None:
+            assert_same_result(screened, ref)
+
+
+class TestStackedCore:
+    """decide_stacks over stacks longer than one chunk against one system at
+    a time."""
+
+    @staticmethod
+    def fixed_shape_systems(rng, m, rows, count):
+        out = []
+        while len(out) < count:
+            sys = degenerate_system(rng, m)
+            if len(sys.b) >= rows:
+                out.append(LinearConstraintSystem(sys.A[:rows], sys.b[:rows],
+                                                  sys.strict[:rows], sys.box))
+        return out
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_chunked_stacks_match_single_systems(self, m):
+        rng = np.random.default_rng(770 + m)
+        stacks = [self.fixed_shape_systems(rng, m, rows, 150) for rows in (2, 4)]
+        assert len(stacks[0]) > 2 * feasibility._CHUNK_BLOCKS
+        plain = decide_stacks([SystemStack.of(s) for s in stacks])
+        balanced = decide_stacks([SystemStack.of(s) for s in stacks], balanced=True)
+        screened = decide_stacks([SystemStack.of(s) for s in stacks], screened=True)
+        for i, systems in enumerate(stacks):
+            for sys, p, b, s in zip(systems, plain[i], balanced[i], screened[i]):
+                assert_same_result(p, decide_feasibility(sys))
+                alone = balance_witnesses_batch([sys])
+                assert (b is None) == (alone is None)
+                if alone is not None:
+                    assert_same_result(b, alone[0])
+                assert_same_result(s, screened_decision(sys))
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "linprog", counting)
+        return calls
+
+    def test_large_stacks_share_one_highs_call(self, lp_calls):
+        rng = np.random.default_rng(780)
+        stacks = [[sys for sys in self.fixed_shape_systems(rng, 4, rows, 12)
+                   if not reference_verdict(sys, False)[1]] for rows in (1, 3)]
+        results = decide_stacks([SystemStack.of(s) for s in stacks])
+        assert len(lp_calls) == 1
+        for systems, stack_results in zip(stacks, results):
+            for sys, res in zip(systems, stack_results):
+                assert res.feasible == reference_verdict(sys, False)[0]
+
+    def test_empty_block_leaves_the_others_decided(self, lp_calls):
+        # One HiGHS LP over every block is infeasible as soon as one block
+        # is; each block must still get its own verdict.
+        empty = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [-2.0], [False], BOX_4D)
+        feasible = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [0.5], [True], BOX_4D)
+        for balanced in (False, True):
+            results = decide_stacks([SystemStack.of([feasible, empty, feasible])], balanced)[0]
+            assert [res is not None and res.feasible for res in results] == [True, False, True]
+            assert results[1] is None
+        assert len(lp_calls) == 8
 
 
 class TestBalanceWitness:

@@ -232,3 +232,33 @@ class TestFindContainingSimplex:
         for x in rng.uniform((0, 0), (2, 3), size=(100, 2)):
             k = find_containing_simplex(cell, simplices, x)
             assert barycentric(cell, simplices[k], x).min() >= -1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_barycentric_solve(self, n):
+        rng = np.random.default_rng(30 + n)
+        low = rng.uniform(-3.0, 3.0, size=n)
+        high = low + rng.uniform(0.5, 2.0, size=n)
+        cell = Polytope.box(low, high)
+        simplices = triangulate(cell)
+        tol = 1e-9
+        points = list(rng.uniform(low, high, size=(100, n)))  # interior
+        points += [low + t * (high - low) for t in np.linspace(0.0, 1.0, 7)]  # main diagonal
+        points += list(cell.vertices)  # corners
+        for v in cell.vertices:  # just outside, within and beyond tol
+            outward = np.where(v == low, -1.0, 1.0)
+            points += [v + 0.5 * tol * outward, v + 1e-3 * outward]
+        points += list(rng.uniform(low - 0.5, high + 0.5, size=(50, n)))  # all around
+
+        def least(k, x):
+            return float(barycentric(cell, simplices[k], x).min())
+
+        for x in points:
+            mins = [least(k, x) for k in range(len(simplices))]
+            got = find_containing_simplex(cell, simplices, x, tol)
+            inside = [k for k, m in enumerate(mins) if m >= -tol]
+            if inside:
+                assert got == inside[0]
+            else:
+                # Beyond tol, simplices often tie on the least coordinate,
+                # which the solve resolves by its rounding alone.
+                assert mins[got] == pytest.approx(max(mins), abs=1e-12)

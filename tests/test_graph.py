@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pwa_nav import graph as graph_module
 from pwa_nav.dynamics import AffineModel, TerrainField, linearize_at
 from pwa_nav.geometry import GridPartition
 from pwa_nav.graph import (
@@ -16,7 +17,12 @@ from pwa_nav.graph import (
     uncertain_weight,
     update_graph,
 )
-from pwa_nav.reach import ModelDeviationBounds, deviation_bounds, predict_exit_facet
+from pwa_nav.reach import (
+    ModelDeviationBounds,
+    decide_exit_facet,
+    deviation_bounds,
+    predict_exit_facet,
+)
 
 BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 
@@ -164,6 +170,50 @@ class TestUpdateGraph:
             k for k, status in predicted.items() if graph.edges[k].status is not status
         ]
         assert violations == []
+
+    def test_refresh_matches_single_edge_decisions(self):
+        # The refresh decides its edges as batches; each edge must come out
+        # as its own single-edge decision, witnesses included.
+        env = TerrainField()
+        part = GridPartition([[-10, -6], [-10, -6]], (4, 4))
+        graph = build_reach_graph(part, gamma=100.0)
+        models = {5: linearize_at(env, part.center(5)), 10: linearize_at(env, part.center(10))}
+        update_graph(graph, part, models, env.L_df, env.L_g, BOX)
+        for (src, dst), edge in graph.edges.items():
+            facet = part.common_facet(src, dst)
+            if src in models:
+                alone = decide_exit_facet(part.cell(src), facet, models[src], BOX)
+            else:
+                ref = models[edge.ref_cell]
+                bounds = deviation_bounds(ref, part.center(edge.ref_cell), part.center(src),
+                                          env.L_df, env.L_g)
+                alone = predict_exit_facet(part.cell(src), facet, ref, bounds, BOX)
+            assert edge.status is alone.status
+            if alone.witnesses is None:
+                assert edge.witnesses is None
+            else:
+                assert all(np.array_equal(u, v) for u, v in zip(edge.witnesses, alone.witnesses))
+
+    def test_uncertain_weight_once_per_destination(self, monkeypatch):
+        calls = []
+
+        def counting(dst, *args):
+            calls.append(dst)
+            return uncertain_weight(dst, *args)
+
+        monkeypatch.setattr(graph_module, "uncertain_weight", counting)
+        part = GridPartition([[0, 4], [0, 4]], (4, 4))
+        graph = build_reach_graph(part, gamma=100.0)
+        models = {5: single_integrator(part.center(5))}
+        # Lipschitz constants this large leave most predictions Uncertain.
+        summary = update_graph(graph, part, models, 2.0, 2.0, BOX)
+        uncertain = [(dst, e) for (_, dst), e in graph.edges.items()
+                     if e.status is ReachStatus.UNCERTAIN]
+        assert summary["reweighted"] == len(uncertain) > len(set(calls))
+        assert sorted(calls) == sorted({dst for dst, _ in uncertain})
+        for dst, edge in uncertain:
+            assert edge.weight == uncertain_weight(dst, [5], summary["mean_known_weight"],
+                                                   graph.gamma, part)
 
 
 class TestOverrideAbsent:

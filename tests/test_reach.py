@@ -3,8 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from pwa_nav import feasibility
 from pwa_nav.dynamics import AffineModel, TerrainField, linearize_at
-from pwa_nav.feasibility import TOL_STRICT, decide_feasibility
+from pwa_nav.feasibility import (
+    TOL_STRICT,
+    balance_witnesses_batch,
+    decide_feasibility,
+    screen_feasibility,
+)
 from pwa_nav.geometry import (
     GridPartition,
     Polytope,
@@ -15,11 +21,14 @@ from pwa_nav.reach import (
     ModelDeviationBounds,
     PiecewiseInterpolationLaw,
     ReachStatus,
+    ReachDecision,
     UnboundedTransitError,
     decide_exit_facet,
+    decide_exit_facets,
     deviation_bounds,
     expanded_vertex_system,
     predict_exit_facet,
+    predict_exit_facets,
     robust_vertex_system,
     sign_patterns,
     t0_upper_bound,
@@ -357,6 +366,150 @@ class TestPredictExitFacet:
                 assert p_small is ReachStatus.EXISTS
             if p_large is ReachStatus.ABSENT:
                 assert p_small is ReachStatus.ABSENT
+
+
+def reference_decide(cell, facet, model, box):
+    """The definitive decision as a walk over the vertices of one edge."""
+    systems = [vertex_constraint_system(cell, facet, j, model, box)
+               for j in range(cell.n_vertices)]
+    balanced = balance_witnesses_batch(systems)
+    if balanced is None:
+        return ReachDecision(ReachStatus.ABSENT)
+    witnesses = []
+    for system, bal in zip(systems, balanced):
+        if bal.feasible:
+            witnesses.append(bal.witness)
+            continue
+        res = decide_feasibility(system)
+        if not res.feasible:
+            return ReachDecision(ReachStatus.ABSENT)
+        witnesses.append(res.witness)
+    return ReachDecision(ReachStatus.EXISTS, witnesses)
+
+
+def screened(sys):
+    out = screen_feasibility(sys)
+    return decide_feasibility(sys) if out is None else out
+
+
+def reference_predict(cell, facet, model, bounds, box):
+    """The predictive decision as a walk over the vertices and sign patterns
+    of one edge, trying the last feasible pattern first."""
+    patterns = sign_patterns(model.B.shape[1])
+    witnesses, robust_failed = [], []
+    for j in range(cell.n_vertices):
+        for idx, pat in enumerate(patterns):
+            res = screened(robust_vertex_system(cell, facet, j, model, bounds, pat, box))
+            if res.feasible:
+                witnesses.append(res.witness)
+                patterns.insert(0, patterns.pop(idx))
+                break
+        else:
+            robust_failed.append(j)
+    if not robust_failed:
+        return ReachDecision(ReachStatus.EXISTS, witnesses)
+    if bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0:
+        return ReachDecision(ReachStatus.ABSENT)
+    for j in robust_failed:
+        if not any(screened(expanded_vertex_system(cell, facet, j, model, bounds, pat, box)).feasible
+                   for pat in patterns):
+            return ReachDecision(ReachStatus.ABSENT)
+    return ReachDecision(ReachStatus.UNCERTAIN)
+
+
+def assert_same_decision(got, want):
+    assert got.status is want.status
+    if want.witnesses is None:
+        assert got.witnesses is None
+    else:
+        assert len(got.witnesses) == len(want.witnesses)
+        for u, v in zip(got.witnesses, want.witnesses):
+            assert np.array_equal(u, v)
+
+
+class TestBatchedDecisions:
+    """A batch of edges decides each edge exactly as the edge alone and as
+    the one-edge walk do."""
+
+    CELLS = [UNIT_SQUARE, Polytope.box([2.0, -1.0], [3.0, 0.5]),
+             Polytope.box([-1.0, 0.0, 0.5], [0.0, 1.0, 1.5])]
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        sizes = []
+        enumerate_vertices = feasibility._enumerate_vertices
+
+        def recording(G, h, box):
+            sizes.append(len(G))
+            return enumerate_vertices(G, h, box)
+
+        monkeypatch.setattr(feasibility, "_enumerate_vertices", recording)
+        return sizes
+
+    def items(self, seed, count):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            cell = self.CELLS[rng.integers(len(self.CELLS))]
+            n, m = cell.dim, int(rng.integers(1, 4))
+            A, B = rng.normal(scale=0.5, size=(n, n)), rng.normal(size=(n, m))
+            c = rng.normal(scale=2.0, size=n)
+            kind = rng.random()
+            if kind < 0.1:
+                B[:] = 0.0
+            elif kind < 0.3:
+                # No flow at all along one axis: the invariance rows of its
+                # facets hold only with equality, which the balanced LP
+                # cannot certify, so the strict-slack LP decides them.
+                d = rng.integers(n)
+                A[d], B[d], c[d] = 0.0, 0.0, 0.0
+            model = AffineModel(A, B, c, np.zeros(n))
+            kind = rng.random()
+            if kind < 0.2:
+                bounds = ModelDeviationBounds(0.0, 0.0, 0.0)
+            elif kind < 0.9:
+                bounds = ModelDeviationBounds(*rng.uniform(0.0, 0.3, size=3))
+            else:
+                bounds = ModelDeviationBounds(*rng.uniform(1.0, 5.0, size=3))
+            box = np.tile([-2.0, 2.0], (m, 1))
+            out.append((cell, int(rng.integers(cell.n_facets)), model, bounds, box))
+        return out
+
+    def test_predictions_match_single_edges(self, chunk_sizes):
+        items = self.items(20, 240)
+        by_box = {}
+        for item in items:
+            by_box.setdefault(len(item[4]), []).append(item)
+        statuses = set()
+        for group in by_box.values():
+            box = group[0][4]
+            batch = predict_exit_facets([item[:4] for item in group], box)
+            assert len(batch) == len(group)
+            for (cell, facet, model, bounds, _), got in zip(group, batch):
+                assert_same_decision(got, predict_exit_facet(cell, facet, model, bounds, box))
+                assert_same_decision(got, reference_predict(cell, facet, model, bounds, box))
+                statuses.add(got.status)
+        assert statuses == set(ReachStatus)
+        assert feasibility._CHUNK_BLOCKS in chunk_sizes
+
+    def test_definitive_decisions_match_single_edges(self, chunk_sizes):
+        items = self.items(21, 240)
+        statuses = set()
+        for m in (1, 2, 3):
+            box = np.tile([-2.0, 2.0], (m, 1))
+            group = [item[:3] for item in items if len(item[4]) == m]
+            batch = decide_exit_facets(group, box)
+            assert len(batch) == len(group)
+            for (cell, facet, model), got in zip(group, batch):
+                assert_same_decision(got, decide_exit_facet(cell, facet, model, box))
+                assert_same_decision(got, reference_decide(cell, facet, model, box))
+                statuses.add(got.status)
+        assert statuses == {ReachStatus.EXISTS, ReachStatus.ABSENT}
+        assert feasibility._CHUNK_BLOCKS in chunk_sizes
+
+    def test_empty_batches(self):
+        assert decide_exit_facets([], BOX) == []
+        assert predict_exit_facets([], BOX) == []
 
 
 class TestControllerSynthesis:
