@@ -6,7 +6,9 @@ i reads A[i] . u > b[i] where strict[i] and A[i] . u <= b[i] elsewhere, with
 u in the control box. A SystemStack holds N systems of one shape as (N, r, m)
 / (N, r) / (N, r) / (N, m, 2) arrays, and decide_stacks is the one core that
 decides them: one NumPy pass of the interval screen over a whole stack when
-asked, then the exact slack LP of every system the screen left open.
+asked, then the exact slack LP of every system the screen left open. The
+reach walks call _screen once per stack they build and decide_stacks once
+per round, on the requests the screen left open.
 decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
 (balanced LP of several) and screen_feasibility (the screen of one system)
 are views of that core.
@@ -30,6 +32,7 @@ SciPy is imported only when HiGHS runs.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -52,6 +55,11 @@ _ENUM_MAX_DIM = 3
 # roundoff of a 4x4 solve, well below TOL_STRICT).
 _SINGULAR_DET = 1e-12
 _FEAS_TOL = 1e-9
+# The exact LP's slack differs from the screen's interval slack of the same
+# row by rounding: at most 0.6 ulp of the row's magnitude (the sum of its
+# largest terms over the box and |b|) on 3,000 random one-row systems. The
+# screen leaves strict rows this much closer to TOL_STRICT to the LP.
+_SCREEN_ROUNDING = 1e-12
 # Vertex enumeration holds C(r + 2k, k) k x k subsets per system, so a stack
 # is enumerated this many systems at a time; that bounds the working set to
 # about a megabyte whatever the stack size.
@@ -179,14 +187,15 @@ def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
 
 
 def decide_stacks(
-    stacks: list[SystemStack], balanced: bool = False, screened: bool = False
+    stacks: list[SystemStack], balanced: bool | Sequence[bool] = False, screened: bool = False
 ) -> list[list[FeasibilityResult | None]]:
     """Slack-LP results of every system of every stack, one list per stack
     in system order. None marks a system whose slack LP is empty: even with
     d = 0, which relaxes every strict row to non-strict, no input fits.
 
     balanced selects the balanced LP of balance_witnesses_batch over the
-    strict-slack LP of decide_feasibility. screened (strict-slack LP only)
+    strict-slack LP of decide_feasibility, for every stack or, as a
+    sequence, for each stack. screened (strict-slack LP only)
     first runs the interval screen over each whole stack; a system it
     settles takes the screen's result, FeasibilityResult(False, None, 0.0)
     when infeasible, and only the others are solved.
@@ -196,7 +205,8 @@ def decide_stacks(
     call."""
     out = []
     large = []  # (results, index, carries slack, (G, h, box)) per system for HiGHS
-    for stack in stacks:
+    forms = [balanced] * len(stacks) if isinstance(balanced, bool) else balanced
+    for stack, form in zip(stacks, forms):
         n_sys, _, dim = stack.A.shape
         results: list[FeasibilityResult | None] = [None] * n_sys
         todo = np.arange(n_sys)
@@ -209,7 +219,7 @@ def decide_stacks(
         if not len(todo):
             continue
         rest = stack.take(todo)
-        G, h = _slack_rows(rest.A, rest.b, rest.strict, balanced)
+        G, h = _slack_rows(rest.A, rest.b, rest.strict, form)
         carries_slack = G[..., -1].any(axis=1).tolist()
         if dim > _ENUM_MAX_DIM:
             large += [(results, i, carries_slack[t], (G[t], h[t], rest.box[t]))
@@ -256,12 +266,17 @@ def _screen(stack: SystemStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hi = np.where(upper[:, i], np.minimum(hi, bound[:, i]), hi)
     infeasible |= np.any(lo > hi, axis=1)
 
-    # Row-wise interval bounds over the folded box.
+    # Row-wise interval bounds over the folded box. A strict row's largest
+    # slack reach_hi - b is compared with TOL_STRICT, as the LP compares its
+    # slack; the LP reaches that slack by elimination, which rounds it
+    # differently, so a strict row settles infeasibility only when its slack
+    # stays _SCREEN_ROUNDING times the row's magnitude below the threshold.
     at_lo, at_hi = A * lo[:, None, :], A * hi[:, None, :]
     reach_hi = _ordered_sum(np.maximum(at_lo, at_hi))
     reach_lo = _ordered_sum(np.minimum(at_lo, at_hi))
-    infeasible |= np.any(~constant & np.where(strict, reach_hi <= b + TOL_STRICT, reach_lo > b),
-                         axis=1)
+    size = _ordered_sum(np.maximum(np.abs(at_lo), np.abs(at_hi))) + np.abs(b)
+    unreachable = reach_hi - b <= TOL_STRICT - _SCREEN_ROUNDING * size
+    infeasible |= np.any(~constant & np.where(strict, unreachable, reach_lo > b), axis=1)
 
     center = 0.5 * (lo + hi)
     val = _ordered_sum(A * center[:, None, :])

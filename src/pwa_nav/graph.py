@@ -4,8 +4,10 @@ Edges between adjacent cells carry Exists/Absent/Uncertain status. Source
 cells with identified dynamics get definitive, frozen decisions; unexplored
 sources get predictions anchored at the nearest explored cell. Each refresh
 collects every edge it must (re)decide and decides them as two batches, one
-definitive and one predictive. Uncertain edges are weighted by proximity to
-the explored region, scaled by gamma, once per destination cell.
+definitive and one predictive, in each of which the per-edge walks of reach
+run together in rounds of stacked LPs. Uncertain edges are weighted by
+proximity to the explored region, scaled by gamma, once per destination
+cell.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def update_graph(
 
     The not-yet-definitive out-edges of explored sources are decided in one
     decide_exit_facets batch, and the edges of unexplored sources whose
-    anchor changed in one predict_exit_facets batch.
+    anchor changed in one predict_exit_facets batch, with one set of
+    deviation radii per source cell.
     """
     if not explored_models:
         raise ValueError("at least one explored model is required")
@@ -125,17 +128,14 @@ def update_graph(
         else:
             dists = np.linalg.norm(centers - partition.center(cid), axis=1)
             ref = explored[int(np.argmin(dists))]  # ties: lowest cell id
+            bounds = None  # the same for every out-edge of cid
             for nbr, facet in partition.neighbors(cid):
                 edge = graph.edges[(cid, nbr)]
                 if edge.definitive or edge.ref_cell == ref:
                     continue
-                bounds = deviation_bounds(
-                    explored_models[ref],
-                    partition.center(ref),
-                    partition.center(cid),
-                    L_df,
-                    L_g,
-                )
+                if bounds is None:
+                    bounds = deviation_bounds(explored_models[ref], partition.center(ref),
+                                              partition.center(cid), L_df, L_g)
                 to_predict.append((edge, ref))
                 predict_items.append((partition.cell(cid), facet, explored_models[ref], bounds))
 

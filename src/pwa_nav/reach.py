@@ -9,17 +9,20 @@ conditions of Habets & van Schuppen (2004).
 
 Each vertex system is one array-form system: the strict exit-flow row first,
 then the non-strict invariance rows, then, in prediction, one sign row per
-control input. decide_exit_facets and predict_exit_facets decide a whole
-list of edges at once: the nominal rows of every (edge, vertex) pair, and in
-prediction every sign pattern of them, are stacked by shape into a few
-SystemStacks and decided by one decide_stacks call per pass. The per-edge
-rules then run in Python over the precomputed results, in the order a
-one-edge-at-a-time walk takes, so no witness depends on what else is in the
-batch.
+control input. Each edge's rule is written once, as a walk: a generator
+that yields the vertex system it needs next and receives that system's
+result, stopping as soon as its verdict is settled. decide_exit_facets and
+predict_exit_facets run the walks of a whole list of edges together, in
+rounds: the vertex systems are stacked by shape into SystemStacks, a request
+the interval screen settles is answered at once, and each round's open
+requests are solved in one decide_stacks call. With at most three control
+inputs every system is decided by itself, so no witness depends on what
+else is in the round.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +30,14 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import AffineModel
-from .feasibility import TOL_STRICT, LinearConstraintSystem, SystemStack, decide_stacks
+from .feasibility import (
+    TOL_STRICT,
+    LinearConstraintSystem,
+    SystemStack,
+    _screen,
+    _screen_result,
+    decide_stacks,
+)
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
 from .feasibility import balance_witnesses_batch, decide_feasibility  # noqa: F401
 from .geometry import Polytope, Simplex, find_containing_simplex, triangulate
@@ -146,6 +156,96 @@ def _feasible(res) -> bool:
     return res is not None and res.feasible
 
 
+class _Systems:
+    """The vertex systems of one row shape under one LP form, built on
+    demand. Each of the n stacked vertices has P systems (its sign patterns,
+    or P = 1 for the nominal rows); they are built, and screened when
+    screened is set, together with every other vertex first requested in
+    the same round. build maps an index array or a slice of vertices to the
+    SystemStack of their systems, vertex-major."""
+
+    def __init__(self, build, n: int, P: int = 1, balanced: bool = False,
+                 screened: bool = False):
+        self.build, self.P, self.balanced, self.screened = build, P, balanced, screened
+        self.base = np.full(n, -1, dtype=np.intp)  # first system of each vertex; -1: unbuilt
+        self.stack: SystemStack | None = None
+        self.screen = None  # _screen arrays of the stack, when screened
+
+    def add(self, ks) -> None:
+        new = self.build(ks)
+        screen = _screen(new) if self.screened else None
+        offset = 0 if self.stack is None else len(self.stack.b)
+        self.base[ks] = offset + self.P * np.arange(len(new.b) // self.P)
+        if self.stack is not None:
+            new = SystemStack(*map(np.concatenate, zip(self.stack, new)))
+            if screen is not None:
+                screen = tuple(map(np.concatenate, zip(self.screen, screen)))
+        self.stack, self.screen = new, screen
+
+    def settled(self, k: int, p: int):
+        """The result of vertex k's system p when the screen settles it, else
+        None: not yet built, screen-open or unscreened."""
+        i = self.base[k]
+        if i < 0 or self.screen is None:
+            return None
+        return _screen_result(*self.screen, i + p)
+
+
+def _solve_round(requests) -> list:
+    """Results of one round's (systems, vertex, pattern) requests: vertices
+    first requested now are built, the screen answers what it settles, and
+    the rest is solved in one decide_stacks call, stacked by row shape and
+    LP form. None marks an empty system."""
+    unbuilt: dict[_Systems, list[int]] = {}
+    for systems, k, _ in requests:
+        if systems.base[k] < 0:
+            unbuilt.setdefault(systems, []).append(k)
+    for systems, ks in unbuilt.items():
+        systems.add(np.array(ks, dtype=np.intp))
+    results = [systems.settled(k, p) for systems, k, p in requests]
+    groups: dict[tuple, dict[_Systems, list[tuple[int, int]]]] = {}
+    for i, ((systems, k, p), res) in enumerate(zip(requests, results)):
+        if res is None:
+            key = (systems.stack.A.shape[1:], systems.balanced)
+            groups.setdefault(key, {}).setdefault(systems, []).append((i, systems.base[k] + p))
+    members, stacks = [], []
+    for by_systems in groups.values():
+        parts = [systems.stack.take([j for _, j in reqs]) for systems, reqs in by_systems.items()]
+        stacks.append(parts[0] if len(parts) == 1 else SystemStack(*map(np.concatenate, zip(*parts))))
+        members.append([i for reqs in by_systems.values() for i, _ in reqs])
+    solved = decide_stacks(stacks, [balanced for _, balanced in groups])
+    for idx, stack_results in zip(members, solved):
+        for i, res in zip(idx, stack_results):
+            results[i] = res
+    return results
+
+
+def _run_walks(walks) -> list[ReachDecision]:
+    """Run one-edge walks to their decisions, one per walk in order. A walk
+    yields the (systems, vertex, pattern) request of the system it needs
+    next and receives that system's result. A screen-settled request is
+    answered at once; the others wait for the round, which solves the open
+    requests of every walk together. Vertex enumeration decides each system
+    by itself, so no result depends on what else is in the round; only
+    systems with more than three inputs share a HiGHS LP."""
+    decisions: list[ReachDecision | None] = [None] * len(walks)
+    answered = [(e, walk, None) for e, walk in enumerate(walks)]
+    while answered:
+        blocked = []
+        for e, walk, res in answered:
+            try:
+                request = walk.send(res)
+                while (res := request[0].settled(*request[1:])) is not None:
+                    request = walk.send(res)
+            except StopIteration as stop:
+                decisions[e] = stop.value
+            else:
+                blocked.append((e, walk, request))
+        answered = [(e, walk, res) for (e, walk, _), res
+                    in zip(blocked, _solve_round([request for *_, request in blocked]))]
+    return decisions
+
+
 def decide_exit_facet(
     cell: Polytope,
     exit_facet: int,
@@ -156,55 +256,46 @@ def decide_exit_facet(
     return decide_exit_facets([(cell, exit_facet, model)], control_box)[0]
 
 
+def _decide_walk(slots, forms):
+    """The definitive rule of one edge, as a walk over its vertices, given
+    as (shape, position) slots; forms maps a shape to its balanced and
+    strict-slack systems. The walk stops at the first vertex that is empty
+    or infeasible."""
+    witnesses = []
+    for shape, k in slots:
+        balanced, strict = forms[shape]
+        res = yield balanced, k, 0
+        # A positive uniform slack certifies the vertex outright; an empty
+        # system (None) fails it outright.
+        if res is not None and not res.feasible:
+            res = yield strict, k, 0
+        if not _feasible(res):
+            return ReachDecision(ReachStatus.ABSENT)
+        witnesses.append(res.witness)
+    return ReachDecision(ReachStatus.EXISTS, witnesses)
+
+
 def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     """Definitive decisions of (cell, exit_facet, model) items, one per item
     in order: EXISTS with per-vertex witnesses iff every vertex system is
     feasible, else ABSENT. Never UNCERTAIN.
 
     Witnesses are balanced (uniform slack over all rows) when possible, so
-    the synthesized law tolerates model error on the invariance rows too.
-    The balanced LPs of every vertex of every item are solved in one pass;
-    the strict-slack LP runs, in a second pass, only where the balanced
-    slack is not positive."""
+    the synthesized law tolerates model error on the invariance rows too;
+    the strict-slack LP decides a vertex only where the balanced slack is
+    not positive. The walks of all items run together (see _run_walks)."""
     box = np.asarray(control_box, dtype=float)
     slots, fields = _stack_by_shape(
         [[_nominal_rows(cell, facet, j, model) for j in range(cell.n_vertices)]
          for cell, facet, model in items])
-    stacks = {shape: SystemStack(A, b, np.broadcast_to(_exit_row_mask(shape[0]), b.shape),
-                                 np.broadcast_to(box, (len(b),) + box.shape))
-              for shape, (A, b) in fields.items()}
-    balanced = dict(zip(stacks, decide_stacks(list(stacks.values()), balanced=True)))
-    # A vertex system that is empty even with every row relaxed makes its
-    # item ABSENT outright.
-    empty = [any(balanced[shape][k] is None for shape, k in item_slots) for item_slots in slots]
-    retry: dict[tuple[int, int], list[int]] = {}
-    for item_slots, is_empty in zip(slots, empty):
-        for shape, k in item_slots:
-            if not is_empty and not balanced[shape][k].feasible:
-                retry.setdefault(shape, []).append(k)
-    strict = {}
-    for (shape, ks), results in zip(
-            retry.items(), decide_stacks([stacks[shape].take(ks) for shape, ks in retry.items()])):
-        strict.update(((shape, k), res) for k, res in zip(ks, results))
-
-    decisions = []
-    for item_slots, is_empty in zip(slots, empty):
-        if is_empty:
-            decisions.append(ReachDecision(ReachStatus.ABSENT))
-            continue
-        witnesses = []
-        for shape, k in item_slots:
-            # A positive uniform slack certifies the system outright.
-            res = balanced[shape][k]
-            if not res.feasible:
-                res = strict[shape, k]
-            if not _feasible(res):
-                decisions.append(ReachDecision(ReachStatus.ABSENT))
-                break
-            witnesses.append(res.witness)
-        else:
-            decisions.append(ReachDecision(ReachStatus.EXISTS, witnesses))
-    return decisions
+    forms = {}
+    for shape, (A, b) in fields.items():
+        stack = SystemStack(A, b, np.broadcast_to(_exit_row_mask(shape[0]), b.shape),
+                            np.broadcast_to(box, (len(b),) + box.shape))
+        forms[shape] = (_Systems(stack.take, len(b), balanced=True), _Systems(stack.take, len(b)))
+        for systems in forms[shape]:
+            systems.add(slice(None))  # views of the stack, no copy
+    return _run_walks([_decide_walk(item_slots, forms) for item_slots in slots])
 
 
 def sign_patterns(m: int) -> list[tuple[int, ...]]:
@@ -268,25 +359,6 @@ def expanded_vertex_system(
                              control_box, False)
 
 
-def _decide_patterns(fields, box: np.ndarray, tighten: bool):
-    """Screened strict-slack results of the robust or expanded systems of
-    every stacked vertex under every sign pattern: per shape, one list of
-    2^m results, in sign_patterns order, per vertex."""
-    stacks = []
-    for (_, m), (A0, b0, shift, eps_B) in fields.items():
-        A, b, strict = _perturbed_rows(A0, b0, shift, eps_B,
-                                       np.array(sign_patterns(m), dtype=float), tighten)
-        n_sys, r = b.shape[0] * b.shape[1], b.shape[2]
-        stacks.append(SystemStack(A.reshape(n_sys, r, m), b.reshape(n_sys, r),
-                                  strict.reshape(n_sys, r),
-                                  np.broadcast_to(box, (n_sys,) + box.shape)))
-    out = {}
-    for shape, results in zip(fields, decide_stacks(stacks, screened=True)):
-        P = 2 ** shape[1]
-        out[shape] = [results[i:i + P] for i in range(0, len(results), P)]
-    return out
-
-
 def predict_exit_facet(
     cell: Polytope,
     exit_facet: int,
@@ -298,6 +370,60 @@ def predict_exit_facet(
     return predict_exit_facets([(cell, exit_facet, ref_model, bounds)], control_box)[0]
 
 
+def _pattern_stack(fields, box: np.ndarray, tighten: bool, ks) -> SystemStack:
+    """The robust (tighten=True) or expanded systems of the stacked vertices
+    ks under every sign pattern, vertex-major, patterns in sign_patterns
+    order."""
+    A0, b0, shift, eps_B = (f[ks] for f in fields)
+    m = A0.shape[2]
+    A, b, strict = _perturbed_rows(A0, b0, shift, eps_B,
+                                   np.array(sign_patterns(m), dtype=float), tighten)
+    n_sys, r = b.shape[0] * b.shape[1], b.shape[2]
+    return SystemStack(A.reshape(n_sys, r, m), b.reshape(n_sys, r), strict.reshape(n_sys, r),
+                       np.broadcast_to(box, (n_sys,) + box.shape))
+
+
+def _predict_walk(slots, patterns, P: int, zero_radius: bool):
+    """The predictive rule of one edge, as a walk over its vertices, given
+    as (shape, position) slots; patterns maps a shape to its robust and
+    expanded systems, and P is the number of sign patterns.
+
+    Every vertex tries its robust patterns until one is feasible, the last
+    feasible pattern first. Then every robust-failed vertex tries its
+    expanded patterns until one is feasible; the walk stops at the first
+    one where none is."""
+    order = list(range(P))
+    witnesses, robust_failed = [], []
+    for shape, k in slots:
+        robust, expanded = patterns[shape]
+        for pos, p in enumerate(order):
+            res = yield robust, k, p
+            if _feasible(res):
+                witnesses.append(res.witness)
+                # A pattern feasible at one vertex tends to work at the
+                # neighbours, so it goes first there: the witness is the
+                # first feasible pattern in this order.
+                order.insert(0, order.pop(pos))
+                break
+        else:
+            robust_failed.append((expanded, k))
+    if not robust_failed:
+        return ReachDecision(ReachStatus.EXISTS, witnesses)
+    if zero_radius:
+        # Robust and expanded systems coincide at zero radius, so a robust
+        # failure is already an expanded failure.
+        return ReachDecision(ReachStatus.ABSENT)
+    # Robust-feasible vertices are expanded-feasible a fortiori; only the
+    # failed ones can certify absence.
+    for expanded, k in robust_failed:
+        for p in order:
+            if _feasible((yield expanded, k, p)):
+                break
+        else:
+            return ReachDecision(ReachStatus.ABSENT)
+    return ReachDecision(ReachStatus.UNCERTAIN)
+
+
 def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     """Predictive tri-state decisions of (cell, exit_facet, ref_model,
     bounds) items, for cells with unidentified dynamics, one per item in
@@ -305,58 +431,27 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
 
     EXISTS iff every vertex has a feasible robust pattern system; ABSENT iff
     some vertex has all expanded pattern systems infeasible; UNCERTAIN
-    otherwise. The robust systems of every vertex and pattern of every item
-    are screened and solved in one pass; the expanded ones, in a second
-    pass, only at the vertices where every robust pattern failed.
+    otherwise. The robust systems of every vertex are built and screened up
+    front; the expanded ones only for the robust-failed vertices a walk
+    reaches. The walks of all items run together (see _run_walks).
     """
     box = np.asarray(control_box, dtype=float)
     slots, fields = _stack_by_shape(
         [[(*_nominal_rows(cell, facet, j, model), _vertex_shift(cell, j, bounds), bounds.eps_B)
           for j in range(cell.n_vertices)]
          for cell, facet, model, bounds in items])
-    robust = _decide_patterns(fields, box, tighten=True)
-
-    decisions: list[ReachDecision | None] = []
-    pending: dict[int, list[tuple]] = {}
-    for e, ((_, _, model, bounds), item_slots) in enumerate(zip(items, slots)):
-        order = list(range(2 ** model.B.shape[1]))
-        witnesses, robust_failed = [], []
-        for shape, k in item_slots:
-            for pos, p in enumerate(order):
-                res = robust[shape][k][p]
-                if _feasible(res):
-                    witnesses.append(res.witness)
-                    # A pattern feasible at one vertex tends to work at the
-                    # neighbours, so it goes first there: the witness is
-                    # the first feasible pattern in this order.
-                    order.insert(0, order.pop(pos))
-                    break
-            else:
-                robust_failed.append((shape, k))
-        if not robust_failed:
-            decisions.append(ReachDecision(ReachStatus.EXISTS, witnesses))
-        elif bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0:
-            # Robust and expanded systems coincide at zero radius, so a robust
-            # failure is already an expanded failure.
-            decisions.append(ReachDecision(ReachStatus.ABSENT))
-        else:
-            decisions.append(None)
-            pending[e] = robust_failed
-
-    # Robust-feasible vertices are expanded-feasible a fortiori; only the
-    # failed ones can certify absence.
-    retry: dict[tuple[int, int], list[int]] = {}
-    for robust_failed in pending.values():
-        for shape, k in robust_failed:
-            retry.setdefault(shape, []).append(k)
-    expanded = _decide_patterns(
-        {shape: [f[ks] for f in fields[shape]] for shape, ks in retry.items()}, box, tighten=False)
-    position = {(shape, k): i for shape, ks in retry.items() for i, k in enumerate(ks)}
-    for e, robust_failed in pending.items():
-        absent = any(not any(_feasible(res) for res in expanded[shape][position[shape, k]])
-                     for shape, k in robust_failed)
-        decisions[e] = ReachDecision(ReachStatus.ABSENT if absent else ReachStatus.UNCERTAIN)
-    return decisions
+    patterns = {}
+    for shape, shape_fields in fields.items():
+        robust, expanded = (
+            _Systems(functools.partial(_pattern_stack, shape_fields, box, tighten),
+                     len(shape_fields[0]), 2 ** shape[1], screened=True)
+            for tighten in (True, False))
+        robust.add(slice(None))
+        patterns[shape] = (robust, expanded)
+    return _run_walks([
+        _predict_walk(item_slots, patterns, 2 ** model.B.shape[1],
+                      bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0)
+        for (_, _, model, bounds), item_slots in zip(items, slots)])
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):

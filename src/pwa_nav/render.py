@@ -7,6 +7,7 @@ uncertain), the trajectory as a single polyline path.
 
 from __future__ import annotations
 
+import itertools
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -59,10 +60,13 @@ def _svg_root() -> ET.Element:
 
 
 def _draw_cells(root, partition, canvas, explored=(), initial=None, target=None):
+    """One rectangle per cell, its corners read from the partition's grid
+    coordinates, which are the floats its box cell is built from."""
     explored = set(explored)
-    for cid in range(partition.n_cells):
-        cell = partition.cell(cid)
-        low, high = cell.box_bounds()
+    # Cell ids are C-order multi-indices, as product enumerates them.
+    for cid, mi in enumerate(itertools.product(*map(range, partition.resolution))):
+        low = [partition.edges[d][i] for d, i in enumerate(mi)]
+        high = [partition.edges[d][i + 1] for d, i in enumerate(mi)]
         x0, y1 = canvas.to_px(low, row=0.0)
         x1, y0 = canvas.to_px(high, row=1.0)
         fill = "#ffffff"

@@ -215,7 +215,11 @@ def reference_screen(sys):
         return FeasibilityResult(False, None, 0.0)
     for a, rhs, strict in general:
         if strict:
-            if sum(max(c * l, c * h) for c, l, h in zip(a, lo, hi)) <= rhs + TOL_STRICT:
+            # The row's largest slack against TOL_STRICT, less the rounding
+            # margin the LP may need (feasibility._SCREEN_ROUNDING).
+            reach = sum(max(c * l, c * h) for c, l, h in zip(a, lo, hi))
+            size = sum(max(abs(c * l), abs(c * h)) for c, l, h in zip(a, lo, hi)) + abs(rhs)
+            if reach - rhs <= TOL_STRICT - feasibility._SCREEN_ROUNDING * size:
                 return FeasibilityResult(False, None, 0.0)
         elif sum(min(c * l, c * h) for c, l, h in zip(a, lo, hi)) > rhs:
             return FeasibilityResult(False, None, 0.0)
@@ -324,14 +328,17 @@ class TestScreen:
     @pytest.mark.parametrize("a, rhs, strict, settled", [
         # 0 > rhs + TOL_STRICT fails at equality: settled infeasible.
         ([0.0, 0.0], -TOL_STRICT, True, True),
-        # Upper reach 2 of u1 + u2 equals rhs + TOL_STRICT: settled infeasible.
-        ([1.0, 1.0], 2.0 - TOL_STRICT, True, True),
+        # The largest slack 2 - rhs of u1 + u2 > rhs is 1.0000000005838672e-07,
+        # above TOL_STRICT as the LP finds it: settled nothing.
+        ([1.0, 1.0], 2.0 - TOL_STRICT, True, False),
         # Lower reach -2 equals rhs, which settles nothing.
         ([1.0, 1.0], -2.0, False, False),
         # The center's slack equals TOL_STRICT, which settles nothing.
         ([1.0, 1.0], -TOL_STRICT, True, False),
         # The center lies on a non-strict row: settled feasible.
         ([1.0, 1.0], 0.0, False, True),
+        # A largest slack below TOL_STRICT: settled infeasible.
+        ([1.0, 1.0], 2.0 - 0.999 * TOL_STRICT, True, True),
     ])
     def test_thresholds_match_row_walk(self, a, rhs, strict, settled):
         box = np.tile([-1.0, 1.0], (2, 1))
@@ -342,6 +349,61 @@ class TestScreen:
         assert (screened is None) == (ref is None)
         if ref is not None:
             assert_same_result(screened, ref)
+
+
+def ulps_around(x: float, k: int) -> list[float]:
+    """x and the k floats on either side of it."""
+    out = [x]
+    up = down = x
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+class TestScreenThreshold:
+    """Strict rows whose largest slack over the box lies within a few ulps of
+    TOL_STRICT: the screen may settle them only as the LP decides them."""
+
+    ROWS = [
+        ([1.0, 1.0], [[-1.0, 1.0], [-1.0, 1.0]]),
+        ([0.3, 0.7], [[-1.0, 1.0], [-1.0, 1.0]]),
+        ([1.0, -2.5], [[-2.0, 3.0], [-1.0, 1.0]]),
+        ([0.1, 0.2, 0.3], [[-1.0, 1.0]] * 3),
+        ([3.7], [[-5.0, 5.0]]),
+    ]
+
+    @staticmethod
+    def random_rows(seed, count):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            m = int(rng.integers(1, 4))
+            lo = rng.uniform(-5.0, 0.0, size=m)
+            out.append((rng.normal(size=m) * 10 ** rng.uniform(-2, 2),
+                        np.column_stack([lo, lo + rng.uniform(0.1, 10.0, size=m)])))
+        return out
+
+    @pytest.mark.parametrize("loose_row", [False, True])
+    def test_screened_and_unscreened_agree(self, loose_row):
+        rows = [(np.array(a), np.array(box)) for a, box in self.ROWS] + self.random_rows(45, 200)
+        for a, box in rows:
+            reach_hi = 0.0
+            for c, (l, h) in zip(a, box):
+                reach_hi = reach_hi + max(c * l, c * h)
+            A, strict = [a], [True]
+            if loose_row:
+                # A non-strict row that holds over the whole box.
+                A, strict = [a, np.ones_like(a)], [True, False]
+            systems = []
+            for rhs in ulps_around(reach_hi - TOL_STRICT, 4):
+                b = [rhs, 100.0][:len(A)]
+                systems.append(LinearConstraintSystem(A, b, strict, box))
+            stack = SystemStack.of(systems)
+            screened = decide_stacks([stack], screened=True)[0]
+            plain = decide_stacks([stack])[0]
+            assert ([res is not None and res.feasible for res in screened]
+                    == [res is not None and res.feasible for res in plain])
 
 
 class TestStackedCore:

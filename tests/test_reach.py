@@ -427,24 +427,32 @@ def assert_same_decision(got, want):
             assert np.array_equal(u, v)
 
 
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The number of systems in each vertex enumeration, in call order."""
+    sizes = []
+    enumerate_vertices = feasibility._enumerate_vertices
+
+    def recording(G, h, box):
+        sizes.append(len(G))
+        return enumerate_vertices(G, h, box)
+
+    monkeypatch.setattr(feasibility, "_enumerate_vertices", recording)
+    return sizes
+
+
 class TestBatchedDecisions:
     """A batch of edges decides each edge exactly as the edge alone and as
-    the one-edge walk do."""
+    the one-edge walk do.
+
+    Each batch holds its edges REPEATS times, so that some round of walks
+    solves more than _CHUNK_BLOCKS systems of one shape, and every copy of
+    an edge must come out the same."""
+
+    REPEATS = 3
 
     CELLS = [UNIT_SQUARE, Polytope.box([2.0, -1.0], [3.0, 0.5]),
              Polytope.box([-1.0, 0.0, 0.5], [0.0, 1.0, 1.5])]
-
-    @pytest.fixture
-    def chunk_sizes(self, monkeypatch):
-        sizes = []
-        enumerate_vertices = feasibility._enumerate_vertices
-
-        def recording(G, h, box):
-            sizes.append(len(G))
-            return enumerate_vertices(G, h, box)
-
-        monkeypatch.setattr(feasibility, "_enumerate_vertices", recording)
-        return sizes
 
     def items(self, seed, count):
         rng = np.random.default_rng(seed)
@@ -483,9 +491,10 @@ class TestBatchedDecisions:
         statuses = set()
         for group in by_box.values():
             box = group[0][4]
-            batch = predict_exit_facets([item[:4] for item in group], box)
-            assert len(batch) == len(group)
-            for (cell, facet, model, bounds, _), got in zip(group, batch):
+            batch = predict_exit_facets([item[:4] for item in group] * self.REPEATS, box)
+            assert len(batch) == len(group) * self.REPEATS
+            for i, got in enumerate(batch):
+                cell, facet, model, bounds, _ = group[i % len(group)]
                 assert_same_decision(got, predict_exit_facet(cell, facet, model, bounds, box))
                 assert_same_decision(got, reference_predict(cell, facet, model, bounds, box))
                 statuses.add(got.status)
@@ -498,9 +507,10 @@ class TestBatchedDecisions:
         for m in (1, 2, 3):
             box = np.tile([-2.0, 2.0], (m, 1))
             group = [item[:3] for item in items if len(item[4]) == m]
-            batch = decide_exit_facets(group, box)
-            assert len(batch) == len(group)
-            for (cell, facet, model), got in zip(group, batch):
+            batch = decide_exit_facets(group * self.REPEATS, box)
+            assert len(batch) == len(group) * self.REPEATS
+            for i, got in enumerate(batch):
+                cell, facet, model = group[i % len(group)]
                 assert_same_decision(got, decide_exit_facet(cell, facet, model, box))
                 assert_same_decision(got, reference_decide(cell, facet, model, box))
                 statuses.add(got.status)
@@ -510,6 +520,40 @@ class TestBatchedDecisions:
     def test_empty_batches(self):
         assert decide_exit_facets([], BOX) == []
         assert predict_exit_facets([], BOX) == []
+
+
+class TestSolvedSystems:
+    """The walks solve only the systems their rules read."""
+
+    def test_empty_first_vertex_ends_the_definitive_walk(self, chunk_sizes):
+        # No input at all, and a drift of -1 along the exit normal at the
+        # vertices with x1 = 0: the exit row 0 > 1 of vertex 0 is empty
+        # even relaxed, while vertices 2 and 3 drift outward.
+        model = AffineModel(np.diag([2.0, 0.0]), np.zeros((2, 2)), [-1.0, 0.0], np.zeros(2))
+        decision = decide_exit_facets([(UNIT_SQUARE, EXIT_RIGHT, model)], BOX)[0]
+        assert decision.status is ReachStatus.ABSENT
+        assert sum(chunk_sizes) == 1
+
+    def test_prediction_solves_what_the_reference_walk_reads(self, chunk_sizes):
+        # reference_predict solves, one at a time, exactly the screen-open
+        # systems it reads.
+        items = TestBatchedDecisions().items(22, 120)
+        by_box = {}
+        for item in items:
+            by_box.setdefault(len(item[4]), []).append(item)
+        total = 0
+        for group in by_box.values():
+            box = group[0][4]
+            predict_exit_facets([item[:4] for item in group], box)
+            batched = sum(chunk_sizes)
+            chunk_sizes.clear()
+            for cell, facet, model, bounds, _ in group:
+                reference_predict(cell, facet, model, bounds, box)
+            assert chunk_sizes == [1] * len(chunk_sizes)
+            assert batched == len(chunk_sizes)
+            total += batched
+            chunk_sizes.clear()
+        assert total > 0
 
 
 class TestControllerSynthesis:
