@@ -39,8 +39,6 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario = load_scenario(args.scenario)
-    if not scenario.analytic:
-        parser.error("scenario dynamics provide no analytic linearization")
     cell = args.cell if args.cell is not None else \
         scenario.partition.locate(scenario.initial_state)
     center = scenario.partition.center(cell)

@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .planner import MissionConfig, MissionConfigError, MissionStatus, run_missi
 from .reach import decide_exit_facet  # noqa: F401
 from .render import render_graph_svg, render_trajectory_svg
 from .scenario import ScenarioError, load_scenario
-from .sysid import IdentificationConfig, IdentificationError, identify
+from .sysid import IdentificationError, identify
 
 log = logging.getLogger("pwa_nav")
 
@@ -116,13 +117,8 @@ def cmd_sysid_check(args) -> int:
         print(f"scenario error: cell id {args.cell} out of range", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     center = partition.center(args.cell)
-    cfg = IdentificationConfig(
-        samples=args.samples if args.samples is not None else scenario.sysid.samples,
-        time_step=scenario.sysid.time_step,
-        input_scale=scenario.sysid.input_scale,
-        velocity_mode=scenario.sysid.velocity_mode,
-        seed=args.seed if args.seed is not None else scenario.sysid.seed,
-    )
+    overrides = {"samples": args.samples, "seed": args.seed}
+    cfg = replace(scenario.sysid, **{k: v for k, v in overrides.items() if v is not None})
     try:
         model, _final, residual = identify(scenario.field, center, cfg,
                                            control_box=scenario.control_box)
@@ -130,20 +126,19 @@ def cmd_sysid_check(args) -> int:
         print(f"identification failed: {exc}", file=sys.stderr)
         return EXIT_SYSID_FAILED
 
+    ref = linearize_at(scenario.field, center)
+    err_A = np.abs(model.A - ref.A)
+    err_B = np.abs(model.B - ref.B)
+    err_c = np.abs(model.c - ref.c)
     report = {
         "cell": args.cell,
         "center": center.tolist(),
         "recovered": {"A": model.A.tolist(), "B": model.B.tolist(), "c": model.c.tolist()},
         "residual_rms": residual,
+        "analytic": {"A": ref.A.tolist(), "B": ref.B.tolist(), "c": ref.c.tolist()},
+        "error": {"A": err_A.tolist(), "B": err_B.tolist(), "c": err_c.tolist()},
+        "max_entry_error": float(max(err_A.max(), err_B.max(), err_c.max())),
     }
-    if scenario.analytic:
-        ref = linearize_at(scenario.field, center)
-        err_A = np.abs(model.A - ref.A)
-        err_B = np.abs(model.B - ref.B)
-        err_c = np.abs(model.c - ref.c)
-        report["analytic"] = {"A": ref.A.tolist(), "B": ref.B.tolist(), "c": ref.c.tolist()}
-        report["error"] = {"A": err_A.tolist(), "B": err_B.tolist(), "c": err_c.tolist()}
-        report["max_entry_error"] = float(max(err_A.max(), err_B.max(), err_c.max()))
     atomic_write_text(os.path.join(args.out, "sysid_report.json"),
                       json.dumps(report, indent=1) + "\n")
     return EXIT_OK

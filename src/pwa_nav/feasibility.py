@@ -4,14 +4,17 @@ box-constrained control variable.
 A system is one array form, LinearConstraintSystem(A, b, strict, box): row
 i reads A[i] . u > b[i] where strict[i] and A[i] . u <= b[i] elsewhere, with
 u in the control box. A SystemStack holds N systems of one shape as (N, r, m)
-/ (N, r) / (N, r) / (N, m, 2) arrays, and decide_stacks is the one core that
-decides them: one NumPy pass of the interval screen over a whole stack when
-asked, then the exact slack LP of every system the screen left open. The
-reach walks call _screen once per stack they build and decide_stacks once
-per round, on the requests the screen left open.
+/ (N, r) / (N, r) / (N, m, 2) arrays, and the outcomes of a stack are one
+Decisions(status, witness, margin) of arrays: status FEASIBLE, INFEASIBLE,
+EMPTY (the slack LP has no point at all) or OPEN (not decided). Two passes
+produce them: _screen, one NumPy pass of interval arithmetic over a stack
+that leaves OPEN what it cannot settle, and decide_stacks, the exact slack
+LP of every system of its stacks. The reach walks keep pools of stacks and
+their Decisions, screened once in prediction, and send the OPEN systems
+they read to decide_stacks, one call per round.
 decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
 (balanced LP of several) and screen_feasibility (the screen of one system)
-are views of that core.
+are views that read one entry of a Decisions as a FeasibilityResult.
 
 Strict inequalities are certified by slack maximization: the system is
 feasible iff the maximal common slack of the strict rows exceeds TOL_STRICT,
@@ -58,7 +61,7 @@ _FEAS_TOL = 1e-9
 # The exact LP's slack differs from the screen's interval slack of the same
 # row by rounding: at most 0.6 ulp of the row's magnitude (the sum of its
 # largest terms over the box and |b|) on 3,000 random one-row systems. The
-# screen leaves strict rows this much closer to TOL_STRICT to the LP.
+# screen leaves rows this much closer to its thresholds to the LP.
 _SCREEN_ROUNDING = 1e-12
 # Vertex enumeration holds C(r + 2k, k) k x k subsets per system, so a stack
 # is enumerated this many systems at a time; that bounds the working set to
@@ -111,6 +114,35 @@ class FeasibilityResult:
     margin: float
 
 
+# Status of one system in a Decisions.
+OPEN, FEASIBLE, INFEASIBLE, EMPTY = 0, 1, 2, 3
+
+
+class Decisions(NamedTuple):
+    """Outcomes of N systems. status (N,) is FEASIBLE, INFEASIBLE, EMPTY
+    (no input fits even with d = 0, which relaxes every strict row to
+    non-strict) or OPEN (not decided); witness (N, m) holds the input where
+    FEASIBLE and NaN elsewhere; margin (N,) is the achieved slack, 0 where
+    EMPTY, OPEN or settled infeasible by the screen."""
+
+    status: np.ndarray
+    witness: np.ndarray
+    margin: np.ndarray
+
+    @classmethod
+    def open(cls, n: int, dim: int) -> "Decisions":
+        """n OPEN systems with dim inputs."""
+        return cls(np.full(n, OPEN), np.full((n, dim), np.nan), np.zeros(n))
+
+    def result(self, i: int) -> FeasibilityResult | None:
+        """System i as a FeasibilityResult; None while it is OPEN."""
+        if self.status[i] == OPEN:
+            return None
+        if self.status[i] == FEASIBLE:
+            return FeasibilityResult(True, self.witness[i].copy(), float(self.margin[i]))
+        return FeasibilityResult(False, None, float(self.margin[i]))
+
+
 class SystemStack(NamedTuple):
     """N systems of one shape: row i of system s reads A[s, i] . u > b[s, i]
     where strict[s, i], else A[s, i] . u <= b[s, i], over the control box
@@ -141,8 +173,7 @@ def decide_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult:
     Feasible iff d* > TOL_STRICT. Without strict rows this degenerates to a
     plain feasibility check with margin DELTA_CAP.
     """
-    res = decide_stacks([SystemStack.of([sys])])[0][0]
-    return FeasibilityResult(False, None, 0.0) if res is None else res
+    return decide_stacks([SystemStack.of([sys])], [False])[0].result(0)
 
 
 def balance_witnesses_batch(
@@ -172,75 +203,53 @@ def balance_witnesses_batch(
         groups.setdefault(sys.A.shape, []).append(i)
     stacks = [SystemStack.of([systems[i] for i in members]) for members in groups.values()]
     out: list[FeasibilityResult | None] = [None] * len(systems)
-    for members, results in zip(groups.values(), decide_stacks(stacks, balanced=True)):
-        for i, res in zip(members, results):
-            out[i] = res
-    if any(res is None for res in out):
-        return None
+    for members, decided in zip(groups.values(), decide_stacks(stacks, [True] * len(stacks))):
+        if np.any(decided.status == EMPTY):
+            return None
+        for t, i in enumerate(members):
+            out[i] = decided.result(t)
     return out
 
 
 def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
     """The interval screen of one system (see _screen); None when it is
     inconclusive."""
-    return _screen_result(*_screen(SystemStack.of([sys])), 0)
+    return _screen(SystemStack.of([sys])).result(0)
 
 
-def decide_stacks(
-    stacks: list[SystemStack], balanced: bool | Sequence[bool] = False, screened: bool = False
-) -> list[list[FeasibilityResult | None]]:
-    """Slack-LP results of every system of every stack, one list per stack
-    in system order. None marks a system whose slack LP is empty: even with
-    d = 0, which relaxes every strict row to non-strict, no input fits.
-
-    balanced selects the balanced LP of balance_witnesses_batch over the
-    strict-slack LP of decide_feasibility, for every stack or, as a
-    sequence, for each stack. screened (strict-slack LP only)
-    first runs the interval screen over each whole stack; a system it
-    settles takes the screen's result, FeasibilityResult(False, None, 0.0)
-    when infeasible, and only the others are solved.
+def decide_stacks(stacks: Sequence[SystemStack], balanced: Sequence[bool]) -> list[Decisions]:
+    """The exact slack LP of every system of every stack, one Decisions per
+    stack with no system OPEN. balanced[s] selects, for stack s, the
+    balanced LP of balance_witnesses_batch over the strict-slack LP of
+    decide_feasibility.
 
     Stacks with at most _ENUM_MAX_DIM inputs are enumerated _CHUNK_BLOCKS
     systems at a time; the systems of all larger stacks share one HiGHS
     call."""
-    out = []
-    large = []  # (results, index, carries slack, (G, h, box)) per system for HiGHS
-    forms = [balanced] * len(stacks) if isinstance(balanced, bool) else balanced
-    for stack, form in zip(stacks, forms):
+    optima = []
+    large = []  # (optima, index, (G, h, box)) per system for HiGHS
+    for stack, form in zip(stacks, balanced):
         n_sys, _, dim = stack.A.shape
-        results: list[FeasibilityResult | None] = [None] * n_sys
-        todo = np.arange(n_sys)
-        if screened:
-            screen = _screen(stack)
-            for i in np.flatnonzero(screen[0]):
-                results[i] = _screen_result(*screen, i)
-            todo = np.flatnonzero(screen[0] == 0)
-        out.append(results)
-        if not len(todo):
-            continue
-        rest = stack.take(todo)
-        G, h = _slack_rows(rest.A, rest.b, rest.strict, form)
-        carries_slack = G[..., -1].any(axis=1).tolist()
+        G, h = _slack_rows(stack.A, stack.b, stack.strict, form)
+        z = np.full((n_sys, dim + 1), np.nan)
         if dim > _ENUM_MAX_DIM:
-            large += [(results, i, carries_slack[t], (G[t], h[t], rest.box[t]))
-                      for t, i in enumerate(todo)]
-            continue
-        for start in range(0, len(todo), _CHUNK_BLOCKS):
-            chunk = slice(start, start + _CHUNK_BLOCKS)
-            optima = _enumerate_vertices(G[chunk], h[chunk], rest.box[chunk])
-            for t, z in enumerate(optima, start):
-                results[todo[t]] = _result(rest.box[t], carries_slack[t], z)
+            large += [(z, t, (G[t], h[t], stack.box[t])) for t in range(n_sys)]
+        else:
+            for start in range(0, n_sys, _CHUNK_BLOCKS):
+                chunk = slice(start, start + _CHUNK_BLOCKS)
+                z[chunk] = _enumerate_vertices(G[chunk], h[chunk], stack.box[chunk])
+        optima.append((z, G[..., -1].any(axis=1)))
     if large:
-        for (results, i, carries, block), z in zip(large, _highs([blk for *_, blk in large])):
-            results[i] = _result(block[2], carries, z)
-    return out
+        for (z, t, _), z_t in zip(large, _highs([block for *_, block in large])):
+            z[t] = z_t
+    return [_decisions(z, carries_slack, stack.box)
+            for stack, (z, carries_slack) in zip(stacks, optima)]
 
 
-def _screen(stack: SystemStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cheap interval screen of every system in a stack, exact-consistent
-    with the LP verdict threshold: verdict (N,) is -1 (infeasible), +1
-    (feasible, with the witness center (N, m) and the margin (N,)) or 0
-    (inconclusive).
+def _screen(stack: SystemStack) -> Decisions:
+    """Cheap interval screen of every system in a stack, consistent with
+    the exact LP's thresholds: INFEASIBLE, FEASIBLE (the witness is the
+    folded-box center) or OPEN where it is inconclusive.
 
     Single-variable rows are folded into the box first; then either some row
     is unsatisfiable over the folded box (infeasible) or the folded-box
@@ -251,8 +260,10 @@ def _screen(stack: SystemStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nonzero = A != 0.0
     count = nonzero.sum(axis=2)
     constant = count == 0
-    # A constant row is satisfiable iff 0 > rhs (strict) / 0 <= rhs.
-    infeasible = np.any(constant & np.where(strict, 0.0 <= b + TOL_STRICT, b < 0.0), axis=1)
+    # A constant row is satisfiable iff 0 > rhs (strict) / 0 <= rhs, and the
+    # LP accepts the latter up to _FEAS_TOL.
+    infeasible = np.any(constant & np.where(strict, 0.0 <= b + TOL_STRICT, b < -_FEAS_TOL),
+                        axis=1)
     # a_k u_k > rhs (strict) bounds u_k from below when a_k > 0; a
     # non-strict row does when a_k < 0.
     fold = (count == 1)[..., None] & nonzero
@@ -264,36 +275,37 @@ def _screen(stack: SystemStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i in range(A.shape[1]):
         lo = np.where(lower[:, i], np.maximum(lo, bound[:, i]), lo)
         hi = np.where(upper[:, i], np.minimum(hi, bound[:, i]), hi)
-    infeasible |= np.any(lo > hi, axis=1)
+    # Box sides and single-variable rows are unit rows once the LP scales
+    # them, and it lets a vertex pass each by up to _FEAS_TOL: a folded box
+    # inverted by less is left to the LP.
+    infeasible |= np.any(
+        lo - hi > _FEAS_TOL + _SCREEN_ROUNDING * (np.abs(lo) + np.abs(hi)), axis=1)
 
     # Row-wise interval bounds over the folded box. A strict row's largest
     # slack reach_hi - b is compared with TOL_STRICT, as the LP compares its
-    # slack; the LP reaches that slack by elimination, which rounds it
-    # differently, so a strict row settles infeasibility only when its slack
-    # stays _SCREEN_ROUNDING times the row's magnitude below the threshold.
+    # slack; a non-strict row's least violation reach_lo - b with the
+    # _FEAS_TOL times its largest coefficient that the LP lets a vertex
+    # violate it by. The LP reaches either by elimination, which rounds
+    # differently, so a row settles infeasibility only when it misses its
+    # threshold by _SCREEN_ROUNDING times the row's magnitude.
     at_lo, at_hi = A * lo[:, None, :], A * hi[:, None, :]
     reach_hi = _ordered_sum(np.maximum(at_lo, at_hi))
     reach_lo = _ordered_sum(np.minimum(at_lo, at_hi))
     size = _ordered_sum(np.maximum(np.abs(at_lo), np.abs(at_hi))) + np.abs(b)
     unreachable = reach_hi - b <= TOL_STRICT - _SCREEN_ROUNDING * size
-    infeasible |= np.any(~constant & np.where(strict, unreachable, reach_lo > b), axis=1)
+    violated = reach_lo - b > _FEAS_TOL * np.abs(A).max(axis=2) + _SCREEN_ROUNDING * size
+    infeasible |= np.any(~constant & np.where(strict, unreachable, violated), axis=1)
 
     center = 0.5 * (lo + hi)
     val = _ordered_sum(A * center[:, None, :])
     slack = val - b
-    feasible = np.all(np.where(strict, slack > TOL_STRICT, val <= b), axis=1)
+    feasible = (np.all(np.where(strict, slack > TOL_STRICT, val <= b), axis=1)
+                & np.all(lo <= hi, axis=1))
     margin = np.minimum(DELTA_CAP, np.where(strict, slack, np.inf).min(axis=1, initial=np.inf))
-    verdict = np.where(infeasible, -1, np.where(feasible, 1, 0))
-    return verdict, center, margin
-
-
-def _screen_result(verdict, center, margin, i: int) -> FeasibilityResult | None:
-    """System i's result from a _screen pass; None when it is inconclusive."""
-    if verdict[i] < 0:
-        return FeasibilityResult(False, None, 0.0)
-    if verdict[i] > 0:
-        return FeasibilityResult(True, center[i].copy(), float(margin[i]))
-    return None
+    status = np.where(infeasible, INFEASIBLE, np.where(feasible, FEASIBLE, OPEN))
+    settled = status == FEASIBLE
+    return Decisions(status, np.where(settled[:, None], center, np.nan),
+                     np.where(settled, margin, 0.0))
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -315,17 +327,17 @@ def _slack_rows(A, b, strict, balanced: bool):
     return np.concatenate([sign[..., None] * A, slack[..., None]], axis=-1), sign * b
 
 
-def _result(box, carries_slack: bool, z) -> FeasibilityResult | None:
-    if z is None:
-        return None
-    u = np.clip(z[:-1], box[:, 0], box[:, 1])
-    if not carries_slack:
-        # No row carries the slack: a plain feasibility check.
-        return FeasibilityResult(True, u, DELTA_CAP)
-    delta = float(z[-1])
-    if delta <= TOL_STRICT:
-        return FeasibilityResult(False, None, delta)
-    return FeasibilityResult(True, u, delta)
+def _decisions(z, carries_slack, box) -> Decisions:
+    """Decisions of stacked slack-LP optima z (N, m + 1), NaN rows where the
+    LP is empty, over boxes (N, m, 2). A system none of whose rows carries
+    the slack is a plain feasibility check, feasible with margin DELTA_CAP."""
+    delta = z[:, -1]
+    empty = np.isnan(delta)
+    feasible = ~empty & (~carries_slack | (delta > TOL_STRICT))
+    status = np.where(empty, EMPTY, np.where(feasible, FEASIBLE, INFEASIBLE))
+    witness = np.where(feasible[:, None], np.clip(z[:, :-1], box[..., 0], box[..., 1]), np.nan)
+    margin = np.where(empty, 0.0, np.where(carries_slack, delta, DELTA_CAP))
+    return Decisions(status, witness, margin)
 
 
 def _slack_bounds(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,15 +363,14 @@ def _subsets(n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return bounds, idx
 
 
-def _enumerate_vertices(G, h, box) -> list[np.ndarray | None]:
+def _enumerate_vertices(G, h, box) -> np.ndarray:
     """Exact slack LPs for a stack of same-shape blocks: rows G (B, r, k),
     h (B, r) and control boxes (B, k - 1, 2), with d the last of the k
-    variables.
+    variables. Returns the optima (B, k), NaN rows for empty blocks.
 
     Each k-subset of the constraints is solved as equalities; the feasible
     solutions are the vertices of the bounded feasible set, and the one with
-    the largest d (the first in subset order on ties) is optimal. Optima are
-    copied out, so that no result pins the stack's arrays."""
+    the largest d (the first in subset order on ties) is optimal."""
     n_blocks, r, k = G.shape
     bounds, idx = _subsets(r, k)
     # Unit max-norm rows make the tolerances scale-free.
@@ -377,17 +388,19 @@ def _enumerate_vertices(G, h, box) -> list[np.ndarray | None]:
     feasible = regular & np.all(
         z @ M.transpose(0, 2, 1) <= q[:, None, :] + _FEAS_TOL, axis=2)
     best = np.where(feasible, z[..., -1], -np.inf).argmax(axis=1)
-    return [z[b, best[b]].copy() if feasible[b, best[b]] else None for b in range(n_blocks)]
+    blocks = np.arange(n_blocks)
+    return np.where(feasible[blocks, best][:, None], z[blocks, best], np.nan)
 
 
-def _highs(blocks) -> list[np.ndarray | None]:
+def _highs(blocks) -> list[np.ndarray]:
     """All (G, h, box) blocks in one block-diagonal HiGHS LP maximizing the
     sum of the per-block slacks; the blocks share no variables, so each is
-    optimized individually. Only a certificate of infeasibility (HiGHS
-    status 2) marks a block empty; any other failure raises, since
-    reporting it as empty would certify a reach edge Absent on a solver
-    hiccup. An infeasible LP of several blocks only says that some block is
-    empty, so each block is then solved alone."""
+    optimized individually. Returns each block's optimum. Only a
+    certificate of infeasibility (HiGHS status 2) marks a block empty, with
+    an optimum of NaNs; any other failure raises, since reporting it as
+    empty would certify a reach edge Absent on a solver hiccup. An
+    infeasible LP of several blocks only says that some block is empty, so
+    each block is then solved alone."""
     cols = np.cumsum([0] + [G.shape[1] for G, _, _ in blocks])
     rows = np.cumsum([0] + [len(h) for _, h, _ in blocks])
     c = np.zeros(cols[-1])
@@ -400,7 +413,9 @@ def _highs(blocks) -> list[np.ndarray | None]:
     res = linprog(c, A_ub=a_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
                   bounds=np.column_stack([lo, hi]), method="highs", options=_LP_OPTIONS)
     if res.status == 2:
-        return [None] if len(blocks) == 1 else [z for blk in blocks for z in _highs([blk])]
+        if len(blocks) == 1:
+            return [np.full(cols[-1], np.nan)]
+        return [z for blk in blocks for z in _highs([blk])]
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed with status {res.status}: {res.message}")
     return [res.x[cols[i]:cols[i + 1]] for i in range(len(blocks))]

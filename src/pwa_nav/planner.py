@@ -10,7 +10,7 @@ times its closed-form transit-time bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -27,7 +27,7 @@ from .graph import (
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .reach import decide_exit_facet  # noqa: F401
 from .reach import PiecewiseInterpolationLaw, t0_upper_bound
-from .sysid import IdentificationConfig, identify
+from .sysid import identify
 
 SIM_STEP = 1e-3
 STUCK_RETRY_LIMIT = 3
@@ -118,13 +118,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
         identified_now = False
         residual = None
         if current not in models:
-            id_cfg = IdentificationConfig(
-                samples=sc.sysid.samples,
-                time_step=sc.sysid.time_step,
-                input_scale=sc.sysid.input_scale,
-                velocity_mode=sc.sysid.velocity_mode,
-                seed=_cell_seed(base_seed, current, len(models)),
-            )
+            id_cfg = replace(sc.sysid, seed=_cell_seed(base_seed, current, len(models)))
             history: list = []
             model, x, residual = identify(env, x, id_cfg, control_box=box, history=history)
             models[current] = model

@@ -9,20 +9,24 @@ conditions of Habets & van Schuppen (2004).
 
 Each vertex system is one array-form system: the strict exit-flow row first,
 then the non-strict invariance rows, then, in prediction, one sign row per
-control input. Each edge's rule is written once, as a walk: a generator
-that yields the vertex system it needs next and receives that system's
-result, stopping as soon as its verdict is settled. decide_exit_facets and
-predict_exit_facets run the walks of a whole list of edges together, in
-rounds: the vertex systems are stacked by shape into SystemStacks, a request
-the interval screen settles is answered at once, and each round's open
-requests are solved in one decide_stacks call. With at most three control
-inputs every system is decided by itself, so no witness depends on what
-else is in the round.
+control input. decide_exit_facets and predict_exit_facets build every
+vertex system of a whole list of edges up front, into pools of one row
+shape and one kind each (balanced and strict-slack LP in definitive
+decisions, robust and expanded rows in prediction): a SystemStack and its
+Decisions, which start as the interval screen's in prediction and all
+OPEN in definitive decisions.
+Each edge's rule is written once, as a walk: a generator that yields the
+(pool, index) of the system it needs next and receives that system's
+status, stopping as soon as its verdict is settled. The walks run
+together, in rounds: a request the pool has decided is answered at once,
+and each round's OPEN requests are solved in one decide_stacks call, whose
+decisions fill in the pools. With at most three control inputs every
+system is decided by itself, so no witness depends on what else is in the
+round.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -31,11 +35,14 @@ import numpy as np
 
 from .dynamics import AffineModel
 from .feasibility import (
+    FEASIBLE,
+    INFEASIBLE,
+    OPEN,
     TOL_STRICT,
+    Decisions,
     LinearConstraintSystem,
     SystemStack,
     _screen,
-    _screen_result,
     decide_stacks,
 )
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
@@ -152,79 +159,37 @@ def _stack_by_shape(per_item):
     return slots, {shape: [np.stack(f) for f in zip(*group)] for shape, group in members.items()}
 
 
-def _feasible(res) -> bool:
-    return res is not None and res.feasible
+class _Pool:
+    """Every vertex system of one row shape and one kind, as one
+    SystemStack decided under one LP form, and their Decisions: the
+    screen's when screened, else all OPEN. Rounds fill in the systems the
+    walks read."""
+
+    def __init__(self, stack: SystemStack, balanced: bool = False, screened: bool = False):
+        self.stack, self.balanced = stack, balanced
+        self.decisions = (_screen(stack) if screened
+                          else Decisions.open(len(stack.b), stack.A.shape[2]))
 
 
-class _Systems:
-    """The vertex systems of one row shape under one LP form, built on
-    demand. Each of the n stacked vertices has P systems (its sign patterns,
-    or P = 1 for the nominal rows); they are built, and screened when
-    screened is set, together with every other vertex first requested in
-    the same round. build maps an index array or a slice of vertices to the
-    SystemStack of their systems, vertex-major."""
-
-    def __init__(self, build, n: int, P: int = 1, balanced: bool = False,
-                 screened: bool = False):
-        self.build, self.P, self.balanced, self.screened = build, P, balanced, screened
-        self.base = np.full(n, -1, dtype=np.intp)  # first system of each vertex; -1: unbuilt
-        self.stack: SystemStack | None = None
-        self.screen = None  # _screen arrays of the stack, when screened
-
-    def add(self, ks) -> None:
-        new = self.build(ks)
-        screen = _screen(new) if self.screened else None
-        offset = 0 if self.stack is None else len(self.stack.b)
-        self.base[ks] = offset + self.P * np.arange(len(new.b) // self.P)
-        if self.stack is not None:
-            new = SystemStack(*map(np.concatenate, zip(self.stack, new)))
-            if screen is not None:
-                screen = tuple(map(np.concatenate, zip(self.screen, screen)))
-        self.stack, self.screen = new, screen
-
-    def settled(self, k: int, p: int):
-        """The result of vertex k's system p when the screen settles it, else
-        None: not yet built, screen-open or unscreened."""
-        i = self.base[k]
-        if i < 0 or self.screen is None:
-            return None
-        return _screen_result(*self.screen, i + p)
-
-
-def _solve_round(requests) -> list:
-    """Results of one round's (systems, vertex, pattern) requests: vertices
-    first requested now are built, the screen answers what it settles, and
-    the rest is solved in one decide_stacks call, stacked by row shape and
-    LP form. None marks an empty system."""
-    unbuilt: dict[_Systems, list[int]] = {}
-    for systems, k, _ in requests:
-        if systems.base[k] < 0:
-            unbuilt.setdefault(systems, []).append(k)
-    for systems, ks in unbuilt.items():
-        systems.add(np.array(ks, dtype=np.intp))
-    results = [systems.settled(k, p) for systems, k, p in requests]
-    groups: dict[tuple, dict[_Systems, list[tuple[int, int]]]] = {}
-    for i, ((systems, k, p), res) in enumerate(zip(requests, results)):
-        if res is None:
-            key = (systems.stack.A.shape[1:], systems.balanced)
-            groups.setdefault(key, {}).setdefault(systems, []).append((i, systems.base[k] + p))
-    members, stacks = [], []
-    for by_systems in groups.values():
-        parts = [systems.stack.take([j for _, j in reqs]) for systems, reqs in by_systems.items()]
-        stacks.append(parts[0] if len(parts) == 1 else SystemStack(*map(np.concatenate, zip(*parts))))
-        members.append([i for reqs in by_systems.values() for i, _ in reqs])
-    solved = decide_stacks(stacks, [balanced for _, balanced in groups])
-    for idx, stack_results in zip(members, solved):
-        for i, res in zip(idx, stack_results):
-            results[i] = res
-    return results
+def _solve_round(requests) -> None:
+    """Decide one round's OPEN (pool, index) requests in one decide_stacks
+    call, one stack per pool, and record the decisions in the pools."""
+    by_pool: dict[_Pool, list[int]] = {}
+    for pool, i in requests:
+        by_pool.setdefault(pool, []).append(i)
+    pools, idx = list(by_pool), [np.array(ids) for ids in by_pool.values()]
+    solved = decide_stacks([pool.stack.take(i) for pool, i in zip(pools, idx)],
+                           [pool.balanced for pool in pools])
+    for pool, i, decided in zip(pools, idx, solved):
+        for field, values in zip(pool.decisions, decided):
+            field[i] = values
 
 
 def _run_walks(walks) -> list[ReachDecision]:
     """Run one-edge walks to their decisions, one per walk in order. A walk
-    yields the (systems, vertex, pattern) request of the system it needs
-    next and receives that system's result. A screen-settled request is
-    answered at once; the others wait for the round, which solves the open
+    yields the (pool, index) request of the system it needs next and
+    receives that system's status. A request its pool has decided is
+    answered at once; the others wait for the round, which solves the OPEN
     requests of every walk together. Vertex enumeration decides each system
     by itself, so no result depends on what else is in the round; only
     systems with more than three inputs share a HiGHS LP."""
@@ -232,17 +197,17 @@ def _run_walks(walks) -> list[ReachDecision]:
     answered = [(e, walk, None) for e, walk in enumerate(walks)]
     while answered:
         blocked = []
-        for e, walk, res in answered:
+        for e, walk, status in answered:
             try:
-                request = walk.send(res)
-                while (res := request[0].settled(*request[1:])) is not None:
-                    request = walk.send(res)
+                pool, i = walk.send(status)
+                while (status := pool.decisions.status[i]) != OPEN:
+                    pool, i = walk.send(status)
             except StopIteration as stop:
                 decisions[e] = stop.value
             else:
-                blocked.append((e, walk, request))
-        answered = [(e, walk, res) for (e, walk, _), res
-                    in zip(blocked, _solve_round([request for *_, request in blocked]))]
+                blocked.append((e, walk, pool, i))
+        _solve_round([(pool, i) for _, _, pool, i in blocked])
+        answered = [(e, walk, pool.decisions.status[i]) for e, walk, pool, i in blocked]
     return decisions
 
 
@@ -256,22 +221,22 @@ def decide_exit_facet(
     return decide_exit_facets([(cell, exit_facet, model)], control_box)[0]
 
 
-def _decide_walk(slots, forms):
+def _decide_walk(vertices):
     """The definitive rule of one edge, as a walk over its vertices, given
-    as (shape, position) slots; forms maps a shape to its balanced and
-    strict-slack systems. The walk stops at the first vertex that is empty
-    or infeasible."""
+    as ((balanced, strict-slack) pools, index) pairs. The walk stops at the
+    first vertex that is empty or infeasible."""
     witnesses = []
-    for shape, k in slots:
-        balanced, strict = forms[shape]
-        res = yield balanced, k, 0
-        # A positive uniform slack certifies the vertex outright; an empty
-        # system (None) fails it outright.
-        if res is not None and not res.feasible:
-            res = yield strict, k, 0
-        if not _feasible(res):
+    for pools, i in vertices:
+        for pool in pools:
+            status = yield pool, i
+            # A positive uniform slack certifies the vertex outright and an
+            # empty system fails it outright; otherwise the strict-slack LP
+            # decides.
+            if status != INFEASIBLE:
+                break
+        if status != FEASIBLE:
             return ReachDecision(ReachStatus.ABSENT)
-        witnesses.append(res.witness)
+        witnesses.append(pool.decisions.witness[i].copy())
     return ReachDecision(ReachStatus.EXISTS, witnesses)
 
 
@@ -288,14 +253,13 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     slots, fields = _stack_by_shape(
         [[_nominal_rows(cell, facet, j, model) for j in range(cell.n_vertices)]
          for cell, facet, model in items])
-    forms = {}
+    pools = {}
     for shape, (A, b) in fields.items():
         stack = SystemStack(A, b, np.broadcast_to(_exit_row_mask(shape[0]), b.shape),
                             np.broadcast_to(box, (len(b),) + box.shape))
-        forms[shape] = (_Systems(stack.take, len(b), balanced=True), _Systems(stack.take, len(b)))
-        for systems in forms[shape]:
-            systems.add(slice(None))  # views of the stack, no copy
-    return _run_walks([_decide_walk(item_slots, forms) for item_slots in slots])
+        pools[shape] = (_Pool(stack, balanced=True), _Pool(stack))
+    return _run_walks([_decide_walk([(pools[shape], k) for shape, k in item_slots])
+                       for item_slots in slots])
 
 
 def sign_patterns(m: int) -> list[tuple[int, ...]]:
@@ -370,11 +334,10 @@ def predict_exit_facet(
     return predict_exit_facets([(cell, exit_facet, ref_model, bounds)], control_box)[0]
 
 
-def _pattern_stack(fields, box: np.ndarray, tighten: bool, ks) -> SystemStack:
-    """The robust (tighten=True) or expanded systems of the stacked vertices
-    ks under every sign pattern, vertex-major, patterns in sign_patterns
+def _pattern_stack(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> SystemStack:
+    """The robust (tighten=True) or expanded systems of stacked vertices
+    under every sign pattern, vertex-major, patterns in sign_patterns
     order."""
-    A0, b0, shift, eps_B = (f[ks] for f in fields)
     m = A0.shape[2]
     A, b, strict = _perturbed_rows(A0, b0, shift, eps_B,
                                    np.array(sign_patterns(m), dtype=float), tighten)
@@ -383,10 +346,11 @@ def _pattern_stack(fields, box: np.ndarray, tighten: bool, ks) -> SystemStack:
                        np.broadcast_to(box, (n_sys,) + box.shape))
 
 
-def _predict_walk(slots, patterns, P: int, zero_radius: bool):
+def _predict_walk(vertices, P: int, zero_radius: bool):
     """The predictive rule of one edge, as a walk over its vertices, given
-    as (shape, position) slots; patterns maps a shape to its robust and
-    expanded systems, and P is the number of sign patterns.
+    as (robust pool, expanded pool, index) triples: index is the vertex's
+    first system in both pools of its row shape, and pattern p follows at
+    offset p. P is the number of sign patterns.
 
     Every vertex tries its robust patterns until one is feasible, the last
     feasible pattern first. Then every robust-failed vertex tries its
@@ -394,19 +358,17 @@ def _predict_walk(slots, patterns, P: int, zero_radius: bool):
     one where none is."""
     order = list(range(P))
     witnesses, robust_failed = [], []
-    for shape, k in slots:
-        robust, expanded = patterns[shape]
+    for robust, expanded, i in vertices:
         for pos, p in enumerate(order):
-            res = yield robust, k, p
-            if _feasible(res):
-                witnesses.append(res.witness)
+            if (yield robust, i + p) == FEASIBLE:
+                witnesses.append(robust.decisions.witness[i + p].copy())
                 # A pattern feasible at one vertex tends to work at the
                 # neighbours, so it goes first there: the witness is the
                 # first feasible pattern in this order.
                 order.insert(0, order.pop(pos))
                 break
         else:
-            robust_failed.append((expanded, k))
+            robust_failed.append((expanded, i))
     if not robust_failed:
         return ReachDecision(ReachStatus.EXISTS, witnesses)
     if zero_radius:
@@ -415,9 +377,9 @@ def _predict_walk(slots, patterns, P: int, zero_radius: bool):
         return ReachDecision(ReachStatus.ABSENT)
     # Robust-feasible vertices are expanded-feasible a fortiori; only the
     # failed ones can certify absence.
-    for expanded, k in robust_failed:
+    for expanded, i in robust_failed:
         for p in order:
-            if _feasible((yield expanded, k, p)):
+            if (yield expanded, i + p) == FEASIBLE:
                 break
         else:
             return ReachDecision(ReachStatus.ABSENT)
@@ -431,27 +393,24 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
 
     EXISTS iff every vertex has a feasible robust pattern system; ABSENT iff
     some vertex has all expanded pattern systems infeasible; UNCERTAIN
-    otherwise. The robust systems of every vertex are built and screened up
-    front; the expanded ones only for the robust-failed vertices a walk
-    reaches. The walks of all items run together (see _run_walks).
+    otherwise. The robust and expanded systems of every vertex are built
+    and screened up front, one robust and one expanded pool per row shape;
+    the walks of all items run together (see _run_walks).
     """
     box = np.asarray(control_box, dtype=float)
     slots, fields = _stack_by_shape(
         [[(*_nominal_rows(cell, facet, j, model), _vertex_shift(cell, j, bounds), bounds.eps_B)
           for j in range(cell.n_vertices)]
          for cell, facet, model, bounds in items])
-    patterns = {}
-    for shape, shape_fields in fields.items():
-        robust, expanded = (
-            _Systems(functools.partial(_pattern_stack, shape_fields, box, tighten),
-                     len(shape_fields[0]), 2 ** shape[1], screened=True)
-            for tighten in (True, False))
-        robust.add(slice(None))
-        patterns[shape] = (robust, expanded)
-    return _run_walks([
-        _predict_walk(item_slots, patterns, 2 ** model.B.shape[1],
-                      bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0)
-        for (_, _, model, bounds), item_slots in zip(items, slots)])
+    pools = {shape: [_Pool(_pattern_stack(*shape_fields, box, tighten), screened=True)
+                     for tighten in (True, False)]
+             for shape, shape_fields in fields.items()}
+    walks = []
+    for (_, _, model, bounds), item_slots in zip(items, slots):
+        P = 2 ** model.B.shape[1]
+        walks.append(_predict_walk([(*pools[shape], k * P) for shape, k in item_slots], P,
+                                   bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0))
+    return _run_walks(walks)
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):

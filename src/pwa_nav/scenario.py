@@ -11,7 +11,7 @@ import numpy as np
 from .dynamics import AffineField, ControlAffineField, TerrainField
 from .geometry import GridPartition, OutOfDomainError
 from .graph import WeightMode
-from .sysid import VelocityMode
+from .sysid import IdentificationConfig, VelocityMode
 
 TOP_LEVEL_KEYS = {
     "dynamics", "state_bounds", "grid", "control_box", "lipschitz",
@@ -26,15 +26,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class SysidBlock:
-    samples: int
-    time_step: float
-    input_scale: float
-    velocity_mode: VelocityMode
-    seed: int
-
-
-@dataclass
 class Scenario:
     field: ControlAffineField
     partition: GridPartition
@@ -42,11 +33,10 @@ class Scenario:
     L_df: float
     L_g: float
     gamma: float
-    sysid: SysidBlock
+    sysid: IdentificationConfig
     initial_state: np.ndarray
     target_cell: int
     weight_mode: WeightMode
-    analytic: bool  # jacobian available in closed form
 
 
 def _require(cond: bool, field: str, msg: str) -> None:
@@ -61,22 +51,21 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
     _require(not missing, where, f"missing keys {sorted(missing)}")
 
 
-def _build_field(block, L_df: float, L_g: float) -> tuple[ControlAffineField, bool]:
+def _build_field(block, L_df: float, L_g: float) -> ControlAffineField:
     _require(isinstance(block, dict) and "type" in block, "dynamics", "must have a 'type'")
     kind = block["type"]
     if kind == "terrain":
         _require(set(block) == {"type"}, "dynamics", "terrain block takes no parameters")
-        return TerrainField(), True
+        return TerrainField()
     if kind == "affine":
         _check_keys(block, {"type", "A", "B", "c"}, "dynamics")
         try:
-            field = AffineField(np.array(block["A"], dtype=float),
-                                np.array(block["B"], dtype=float),
-                                np.array(block["c"], dtype=float),
-                                L_df, L_g)
+            return AffineField(np.array(block["A"], dtype=float),
+                               np.array(block["B"], dtype=float),
+                               np.array(block["c"], dtype=float),
+                               L_df, L_g)
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"field 'dynamics': bad affine block ({exc})") from exc
-        return field, True
     raise ScenarioError(f"field 'dynamics.type': unknown type '{kind}'")
 
 
@@ -116,13 +105,13 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(
             f"field 'sysid.velocity_mode': must be one of "
             f"{[v.value for v in VelocityMode]}") from exc
-    sysid = SysidBlock(int(sb["N"]), float(sb["T"]), float(sb["input_scale"]),
-                       vmode, int(sb["seed"]))
+    sysid = IdentificationConfig(int(sb["N"]), float(sb["T"]), float(sb["input_scale"]),
+                                 vmode, int(sb["seed"]))
     _require(sysid.samples >= 1, "sysid.N", "must be positive")
     _require(sysid.time_step > 0, "sysid.T", "must be positive")
     _require(sysid.input_scale > 0, "sysid.input_scale", "must be positive")
 
-    field, analytic = _build_field(data["dynamics"], L_df, L_g)
+    field = _build_field(data["dynamics"], L_df, L_g)
     _require(field.n == len(bounds), "state_bounds",
              f"dimension {len(bounds)} does not match dynamics state dimension {field.n}")
     _require(field.m == len(control_box), "control_box",
@@ -157,7 +146,7 @@ def parse_scenario(data: dict) -> Scenario:
             f"field 'weight_mode': must be one of {[w.value for w in WeightMode]}") from exc
 
     return Scenario(field, partition, control_box, L_df, L_g, gamma, sysid,
-                    initial_state, target_cell, weight_mode, analytic)
+                    initial_state, target_cell, weight_mode)
 
 
 def load_scenario(path) -> Scenario:

@@ -45,7 +45,6 @@ class TestScenarioParsing:
         sc = parse_scenario(copy.deepcopy(INTEGRATOR_SCENARIO))
         assert sc.partition.n_cells == 4
         assert sc.target_cell == 3
-        assert sc.analytic
 
     def test_target_as_cell_id(self):
         data = copy.deepcopy(INTEGRATOR_SCENARIO)

@@ -7,6 +7,10 @@ from scipy.optimize import OptimizeResult, linprog
 from pwa_nav import feasibility
 from pwa_nav.feasibility import (
     DELTA_CAP,
+    EMPTY,
+    FEASIBLE,
+    INFEASIBLE,
+    OPEN,
     FeasibilityResult,
     TOL_STRICT,
     LinearConstraintSystem,
@@ -200,7 +204,8 @@ def reference_screen(sys):
     for a, rhs, strict in rows:
         nz = [k for k, c in enumerate(a) if c != 0.0]
         if not nz:
-            if (0.0 <= rhs + TOL_STRICT) if strict else (rhs < 0.0):
+            # The LP accepts 0 <= rhs up to feasibility._FEAS_TOL.
+            if (0.0 <= rhs + TOL_STRICT) if strict else (rhs < -feasibility._FEAS_TOL):
                 return FeasibilityResult(False, None, 0.0)
             continue
         if len(nz) == 1:
@@ -211,18 +216,29 @@ def reference_screen(sys):
             else:
                 hi[k] = min(hi[k], bound)
         general.append((a, rhs, strict))
-    if any(l > h for l, h in zip(lo, hi)):
+    # The LP lets a vertex pass a box side or a single-variable row by up
+    # to feasibility._FEAS_TOL.
+    if any(l - h > feasibility._FEAS_TOL + feasibility._SCREEN_ROUNDING * (abs(l) + abs(h))
+           for l, h in zip(lo, hi)):
         return FeasibilityResult(False, None, 0.0)
     for a, rhs, strict in general:
+        # Each threshold is missed by more than the rounding margin the LP
+        # may need (feasibility._SCREEN_ROUNDING): a strict row's largest
+        # slack against TOL_STRICT, a non-strict row's least violation
+        # against the feasibility._FEAS_TOL times its largest coefficient
+        # that the LP tolerates.
+        size = sum(max(abs(c * l), abs(c * h)) for c, l, h in zip(a, lo, hi)) + abs(rhs)
+        rounding = feasibility._SCREEN_ROUNDING * size
         if strict:
-            # The row's largest slack against TOL_STRICT, less the rounding
-            # margin the LP may need (feasibility._SCREEN_ROUNDING).
             reach = sum(max(c * l, c * h) for c, l, h in zip(a, lo, hi))
-            size = sum(max(abs(c * l), abs(c * h)) for c, l, h in zip(a, lo, hi)) + abs(rhs)
-            if reach - rhs <= TOL_STRICT - feasibility._SCREEN_ROUNDING * size:
+            if reach - rhs <= TOL_STRICT - rounding:
                 return FeasibilityResult(False, None, 0.0)
-        elif sum(min(c * l, c * h) for c, l, h in zip(a, lo, hi)) > rhs:
-            return FeasibilityResult(False, None, 0.0)
+        else:
+            reach = sum(min(c * l, c * h) for c, l, h in zip(a, lo, hi))
+            if reach - rhs > feasibility._FEAS_TOL * max(abs(c) for c in a) + rounding:
+                return FeasibilityResult(False, None, 0.0)
+    if any(l > h for l, h in zip(lo, hi)):
+        return None  # inverted by less than the LP tolerates
     center = [0.5 * (l + h) for l, h in zip(lo, hi)]
     margin = DELTA_CAP
     for a, rhs, strict in rows:
@@ -244,11 +260,18 @@ def screened_decision(sys):
     return decide_feasibility(sys) if out is None else out
 
 
+def screened_stack(stack):
+    """The Decisions of a stack as the screen settles them, with the exact
+    LP deciding the systems it leaves OPEN."""
+    decisions = feasibility._screen(stack)
+    rest = np.flatnonzero(decisions.status == OPEN)
+    for field, values in zip(decisions, decide_stacks([stack.take(rest)], [False])[0]):
+        field[rest] = values
+    return decisions
+
+
 def assert_same_result(res, ref):
-    """Same verdict, bitwise-equal witness and equal margin; None (an empty
-    LP) matches an infeasible result of margin 0."""
-    if res is None:
-        res = FeasibilityResult(False, None, 0.0)
+    """Same verdict, bitwise-equal witness and equal margin."""
     assert res.feasible == ref.feasible
     assert res.margin == ref.margin
     if ref.witness is None:
@@ -298,17 +321,17 @@ class TestScreen:
         # Whole same-shape stacks in one pass: each system must come out as
         # the row walk, or the LP where the walk is inconclusive, decides it.
         for group in by_shape(screen_systems(44)):
-            results = decide_stacks([SystemStack.of(group)], screened=True)[0]
-            for sys, res in zip(group, results):
-                assert_same_result(res, screened_decision(sys))
+            decisions = screened_stack(SystemStack.of(group))
+            for i, sys in enumerate(group):
+                assert_same_result(decisions.result(i), screened_decision(sys))
 
     def test_screened_stack_matches_decide(self):
         rng = np.random.default_rng(43)
         systems = [random_system(rng) for _ in range(200)]
         for group in by_shape(systems):
-            results = decide_stacks([SystemStack.of(group)], screened=True)[0]
-            for sys, res in zip(group, results):
-                assert (res is not None and res.feasible) == decide_feasibility(sys).feasible
+            decisions = screened_stack(SystemStack.of(group))
+            for i, sys in enumerate(group):
+                assert (decisions.status[i] == FEASIBLE) == decide_feasibility(sys).feasible
 
     @pytest.mark.parametrize("rhs, feasible", [
         (-5e-8, False), (0.0, False), (-0.999 * TOL_STRICT, False), (-2e-7, True)])
@@ -322,7 +345,7 @@ class TestScreen:
         assert screened is not None
         assert screened.feasible is feasible
         assert decide_feasibility(sys).feasible is feasible
-        res = decide_stacks([SystemStack.of([sys])], screened=True)[0][0]
+        res = screened_stack(SystemStack.of([sys])).result(0)
         assert res.feasible is feasible
 
     @pytest.mark.parametrize("a, rhs, strict, settled", [
@@ -400,10 +423,77 @@ class TestScreenThreshold:
                 b = [rhs, 100.0][:len(A)]
                 systems.append(LinearConstraintSystem(A, b, strict, box))
             stack = SystemStack.of(systems)
-            screened = decide_stacks([stack], screened=True)[0]
-            plain = decide_stacks([stack])[0]
-            assert ([res is not None and res.feasible for res in screened]
-                    == [res is not None and res.feasible for res in plain])
+            screened = screened_stack(stack).status == FEASIBLE
+            plain = decide_stacks([stack], [False])[0].status == FEASIBLE
+            assert screened.tolist() == plain.tolist()
+
+
+class TestNonStrictThreshold:
+    """Non-strict rows whose least value over the box lies within a few
+    _FEAS_TOL of the right-hand side, two single-variable rows that leave
+    an interval about that short, and constant rows 0 <= rhs with rhs just
+    below 0: the LP accepts a vertex that violates a non-strict row or a
+    box side by up to _FEAS_TOL times the largest coefficient, so the
+    screen may settle them infeasible only where the LP does."""
+
+    ROWS = [
+        ([1.0, 1.0], [[-1.0, 1.0], [-1.0, 1.0]]),
+        ([0.3, 0.7], [[-1.0, 1.0], [-1.0, 1.0]]),
+        ([1.0, -2.5], [[-2.0, 3.0], [-1.0, 1.0]]),
+        ([-4.0, 0.5], [[-1.0, 2.0], [0.0, 1.0]]),
+        ([0.1, 0.2, 0.3], [[-1.0, 1.0]] * 3),
+        # Single-variable rows, which the screen folds into the box.
+        ([3.7], [[-5.0, 5.0]]),
+        ([0.0, -2.0], [[-1.0, 1.0], [-0.5, 2.0]]),
+    ]
+    # Violations of the least row value, in units of _FEAS_TOL * max |a_i|.
+    VIOLATIONS = [0.0, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.01, 2.0, 10.0]
+
+    @staticmethod
+    def random_rows(seed, count):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            m = int(rng.integers(2, 4))
+            lo = rng.uniform(-5.0, 0.0, size=m)
+            a = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.1, 1.0, size=m)
+            out.append((a * 10 ** rng.uniform(-2, 2),
+                        np.column_stack([lo, lo + rng.uniform(0.1, 10.0, size=m)])))
+        return out
+
+    def systems(self):
+        rows = [(np.array(a), np.array(box)) for a, box in self.ROWS] + self.random_rows(46, 20)
+        out = []
+        for a, box in rows:
+            reach_lo = 0.0
+            for c, (l, h) in zip(a, box):
+                reach_lo = reach_lo + min(c * l, c * h)
+            for v in self.VIOLATIONS:
+                rhs = reach_lo - v * feasibility._FEAS_TOL * np.abs(a).max()
+                out.append(LinearConstraintSystem([a], [rhs], [False], box))
+        for v in self.VIOLATIONS:
+            # u1 <= 0.3 and u1 >= 0.3 + v * _FEAS_TOL.
+            out.append(LinearConstraintSystem(
+                [[1.0, 0.0], [-1.0, 0.0]], [0.3, -0.3 - v * feasibility._FEAS_TOL],
+                [False, False], BOX_SMALL))
+        for rhs in np.linspace(-3 * feasibility._FEAS_TOL, 0.0, 30):
+            out.append(LinearConstraintSystem(np.zeros((1, 2)), [rhs], [False], BOX_SMALL))
+        return out
+
+    def test_screened_and_unscreened_agree(self):
+        systems = self.systems()
+        assert len(systems) == 310
+        settled_infeasible = lp_feasible = 0
+        for group in by_shape(systems):
+            stack = SystemStack.of(group)
+            screen = feasibility._screen(stack).status
+            screened = screened_stack(stack).status == FEASIBLE
+            plain = decide_stacks([stack], [False])[0].status == FEASIBLE
+            assert screened.tolist() == plain.tolist()
+            settled_infeasible += int(np.sum(screen == INFEASIBLE))
+            lp_feasible += int(plain.sum())
+        # Both sides of the threshold are exercised.
+        assert settled_infeasible > 50 and lp_feasible > 100
 
 
 class TestStackedCore:
@@ -425,17 +515,17 @@ class TestStackedCore:
         rng = np.random.default_rng(770 + m)
         stacks = [self.fixed_shape_systems(rng, m, rows, 150) for rows in (2, 4)]
         assert len(stacks[0]) > 2 * feasibility._CHUNK_BLOCKS
-        plain = decide_stacks([SystemStack.of(s) for s in stacks])
-        balanced = decide_stacks([SystemStack.of(s) for s in stacks], balanced=True)
-        screened = decide_stacks([SystemStack.of(s) for s in stacks], screened=True)
+        plain = decide_stacks([SystemStack.of(s) for s in stacks], [False, False])
+        balanced = decide_stacks([SystemStack.of(s) for s in stacks], [True, True])
+        screened = [screened_stack(SystemStack.of(s)) for s in stacks]
         for i, systems in enumerate(stacks):
-            for sys, p, b, s in zip(systems, plain[i], balanced[i], screened[i]):
-                assert_same_result(p, decide_feasibility(sys))
+            for t, sys in enumerate(systems):
+                assert_same_result(plain[i].result(t), decide_feasibility(sys))
                 alone = balance_witnesses_batch([sys])
-                assert (b is None) == (alone is None)
+                assert (balanced[i].status[t] == EMPTY) == (alone is None)
                 if alone is not None:
-                    assert_same_result(b, alone[0])
-                assert_same_result(s, screened_decision(sys))
+                    assert_same_result(balanced[i].result(t), alone[0])
+                assert_same_result(screened[i].result(t), screened_decision(sys))
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
@@ -452,11 +542,11 @@ class TestStackedCore:
         rng = np.random.default_rng(780)
         stacks = [[sys for sys in self.fixed_shape_systems(rng, 4, rows, 12)
                    if not reference_verdict(sys, False)[1]] for rows in (1, 3)]
-        results = decide_stacks([SystemStack.of(s) for s in stacks])
+        results = decide_stacks([SystemStack.of(s) for s in stacks], [False, False])
         assert len(lp_calls) == 1
-        for systems, stack_results in zip(stacks, results):
-            for sys, res in zip(systems, stack_results):
-                assert res.feasible == reference_verdict(sys, False)[0]
+        for systems, decisions in zip(stacks, results):
+            for sys, status in zip(systems, decisions.status):
+                assert (status == FEASIBLE) == reference_verdict(sys, False)[0]
 
     def test_empty_block_leaves_the_others_decided(self, lp_calls):
         # One HiGHS LP over every block is infeasible as soon as one block
@@ -464,9 +554,9 @@ class TestStackedCore:
         empty = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [-2.0], [False], BOX_4D)
         feasible = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [0.5], [True], BOX_4D)
         for balanced in (False, True):
-            results = decide_stacks([SystemStack.of([feasible, empty, feasible])], balanced)[0]
-            assert [res is not None and res.feasible for res in results] == [True, False, True]
-            assert results[1] is None
+            decisions = decide_stacks([SystemStack.of([feasible, empty, feasible])], [balanced])[0]
+            assert (decisions.status == FEASIBLE).tolist() == [True, False, True]
+            assert decisions.status[1] == EMPTY
         assert len(lp_calls) == 8
 
 

@@ -10,8 +10,8 @@ from pwa_nav.planner import (
     MissionStatus,
     run_mission,
 )
-from pwa_nav.scenario import Scenario, SysidBlock
-from pwa_nav.sysid import VelocityMode
+from pwa_nav.scenario import Scenario
+from pwa_nav.sysid import IdentificationConfig, VelocityMode
 
 BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 
@@ -25,12 +25,11 @@ def make_scenario(field, bounds, grid, initial, target_cell, seed=11, gamma=10.0
         L_df=max(field.L_df, 1e-9),
         L_g=max(field.L_g, 1e-9),
         gamma=gamma,
-        sysid=SysidBlock(samples=20, time_step=1e-3, input_scale=0.1,
-                         velocity_mode=VelocityMode.ORACLE, seed=seed),
+        sysid=IdentificationConfig(samples=20, time_step=1e-3, input_scale=0.1,
+                                   velocity_mode=VelocityMode.ORACLE, seed=seed),
         initial_state=np.asarray(initial, dtype=float),
         target_cell=target_cell,
         weight_mode=WeightMode.CONSTANT,
-        analytic=True,
     )
 
 
