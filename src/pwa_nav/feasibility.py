@@ -24,12 +24,13 @@ The slack LP lives in z = (u, d) with the control box bounding u and
 0 <= d <= DELTA_CAP bounding d, so its feasible set is a polytope. A
 nonempty polytope has a vertex, each vertex solves some m + 1 of the
 constraints as equalities, and the maximum of d is attained at a vertex. For
-m <= 3 inputs every such subset is solved in batched NumPy calls, a chunk of
-stacked systems at a time: the feasible candidate with the largest d is the
-exact optimum, and an empty candidate set proves the polytope empty rather
-than reporting a solver status. Larger m goes to HiGHS, whose infeasibility
-status alone certifies emptiness; any other failure raises RuntimeError.
-SciPy is imported only when HiGHS runs.
+m <= 3 inputs every such subset is a candidate, computed in closed form by
+Cramer's rule from one table of cofactor vectors per chunk of stacked
+systems: the feasible candidate with the largest d is the exact optimum,
+returned as the LU solution of its subset, and an empty candidate set
+proves the polytope empty rather than reporting a solver status. Larger m
+goes to HiGHS, whose infeasibility status alone certifies emptiness; any
+other failure raises RuntimeError. SciPy is imported only when HiGHS runs.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ _FEAS_TOL = 1e-9
 # largest terms over the box and |b|) on 3,000 random one-row systems. The
 # screen leaves rows this much closer to its thresholds to the LP.
 _SCREEN_ROUNDING = 1e-12
-# Vertex enumeration holds C(r + 2k, k) k x k subsets per system, so a stack
-# is enumerated this many systems at a time; that bounds the working set to
-# about a megabyte whatever the stack size.
+# Vertex enumeration holds up to C(r + 2k, k) candidate subsets of k rows per
+# system, so a stack is enumerated this many systems at a time; that bounds
+# the working set to about a megabyte whatever the stack size.
 _CHUNK_BLOCKS = 64
 
 
@@ -363,16 +364,71 @@ def _subsets(n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return bounds, idx
 
 
+@lru_cache(maxsize=64)
+def _faces(n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The faces of the k-subsets of _subsets(n_rows, k): every (k - 1)-subset
+    that remains of one when a position is dropped, (F, k - 1) in
+    lexicographic order, and, per k-subset and position i, the index of the
+    face without position i, (S, k)."""
+    idx = _subsets(n_rows, k)[1].tolist()
+    faces = sorted({tuple(s[:i] + s[i + 1:]) for s in idx for i in range(k)})
+    position = {face: f for f, face in enumerate(faces)}
+    face_of = np.array([[position[tuple(s[:i] + s[i + 1:])] for i in range(k)] for s in idx],
+                       dtype=np.intp).reshape(-1, k)
+    faces = np.array(faces, dtype=np.intp).reshape(-1, k - 1)
+    faces.setflags(write=False)
+    face_of.setflags(write=False)
+    return faces, face_of
+
+
+@lru_cache(maxsize=8)
+def _leibniz(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Leibniz expansion of a k x k determinant along its first row:
+    for each permutation p of range(k), the columns p[1:] its product takes
+    from the other rows, (k!, k - 1), and its sign placed in column p[0],
+    (k!, k)."""
+    perms = list(itertools.permutations(range(k)))
+    cols = np.array([p[1:] for p in perms], dtype=np.intp).reshape(len(perms), k - 1)
+    signs = np.zeros((len(perms), k))
+    for t, p in enumerate(perms):
+        inversions = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+        signs[t, p[0]] = (-1.0) ** inversions
+    cols.setflags(write=False)
+    signs.setflags(write=False)
+    return cols, signs
+
+
+def _cofactors(X: np.ndarray) -> np.ndarray:
+    """Cofactor vectors of stacked faces X (..., k - 1, k): c[..., j] is
+    (-1)^j times the determinant of X without column j, so that a . c is
+    the determinant of the k x k matrix with row a on top of X. k! products
+    of k - 1 entries each, so for small k."""
+    k = X.shape[-1]
+    cols, signs = _leibniz(k)
+    return X[..., np.arange(k - 1), cols].prod(axis=-1) @ signs
+
+
 def _enumerate_vertices(G, h, box) -> np.ndarray:
     """Exact slack LPs for a stack of same-shape blocks: rows G (B, r, k),
     h (B, r) and control boxes (B, k - 1, 2), with d the last of the k
     variables. Returns the optima (B, k), NaN rows for empty blocks.
 
-    Each k-subset of the constraints is solved as equalities; the feasible
-    solutions are the vertices of the bounded feasible set, and the one with
-    the largest d (the first in subset order on ties) is optimal."""
+    Each k-subset of the constraints, solved as equalities, is a candidate
+    vertex; the feasible candidates are the vertices of the bounded feasible
+    set, and the one with the largest d is optimal. The candidates come in
+    closed form from one table of cofactor vectors, one per face of the
+    subsets (see _faces): a subset's determinant is its first row times the
+    cofactors of the face of its other rows, and its vertex is Cramer's
+    rule, the faces' cofactors weighted by the signed right-hand sides over
+    that determinant. These values select the optimum: the regular subsets,
+    the feasible candidates among them and, of those, the largest d, the
+    first in subset order on ties. Cramer's rule is not backward stable, so
+    the optimum returned is the LU solution of the selected subset. Where
+    several vertices attain the largest d to within rounding, the one
+    selected may depend on that rounding; its d and the verdict do not."""
     n_blocks, r, k = G.shape
     bounds, idx = _subsets(r, k)
+    faces, face_of = _faces(r, k)
     # Unit max-norm rows make the tolerances scale-free.
     scale = np.abs(G).max(axis=2, initial=0.0)
     scale[scale == 0.0] = 1.0
@@ -380,16 +436,24 @@ def _enumerate_vertices(G, h, box) -> np.ndarray:
     M = np.concatenate(
         [G / scale[..., None], np.broadcast_to(bounds, (n_blocks, 2 * k, k))], axis=1)
     q = np.concatenate([h / scale, -lo, hi], axis=1)
-    sub = M[:, idx]
-    regular = np.abs(np.linalg.det(sub)) > _SINGULAR_DET
-    where = np.nonzero(regular)
-    z = np.zeros(regular.shape + (k,))
-    z[where] = np.linalg.solve(sub[where], q[:, idx][where][..., None])[..., 0]
+    # adjugate[:, s, i] is the cofactor vector of subset s's face without
+    # position i: row i of the subset's cofactor matrix, up to (-1)^i.
+    adjugate = _cofactors(M[:, faces])[:, face_of]
+    det = (M[:, idx[:, 0]] * adjugate[:, :, 0]).sum(axis=2)
+    signed_q = q[:, idx] * (-1.0) ** np.arange(k)
+    adjugate_q = (signed_q[..., None] * adjugate).sum(axis=2)
+    regular = np.abs(det) > _SINGULAR_DET
+    z = np.divide(adjugate_q, det[..., None], out=np.zeros_like(adjugate_q),
+                  where=regular[..., None])
     feasible = regular & np.all(
         z @ M.transpose(0, 2, 1) <= q[:, None, :] + _FEAS_TOL, axis=2)
     best = np.where(feasible, z[..., -1], -np.inf).argmax(axis=1)
-    blocks = np.arange(n_blocks)
-    return np.where(feasible[blocks, best][:, None], z[blocks, best], np.nan)
+    found = np.nonzero(feasible[np.arange(n_blocks), best])[0]
+    rows = idx[best[found]]
+    out = np.full((n_blocks, k), np.nan)
+    out[found] = np.linalg.solve(M[found[:, None], rows],
+                                 q[found[:, None], rows][..., None])[..., 0]
+    return out
 
 
 def _highs(blocks) -> list[np.ndarray]:

@@ -250,14 +250,6 @@ def triangulate(cell: Polytope) -> list[Simplex]:
     return simplices
 
 
-def barycentric(cell: Polytope, simplex: Simplex, x) -> np.ndarray:
-    verts = cell.vertices[list(simplex.vertex_indices)]
-    n = cell.dim
-    mat = np.vstack([verts.T, np.ones(n + 1)])
-    rhs = np.append(np.asarray(x, dtype=float), 1.0)
-    return np.linalg.solve(mat, rhs)
-
-
 def find_containing_simplex(
     cell: Polytope, simplices: list[Simplex], x, tol: float = 1e-9
 ) -> int:

@@ -10,8 +10,9 @@ conditions of Habets & van Schuppen (2004).
 Each vertex system is one array-form system: the strict exit-flow row first,
 then the non-strict invariance rows, then, in prediction, one sign row per
 control input. decide_exit_facets and predict_exit_facets build every
-vertex system of a whole list of edges up front, into pools of one row
-shape and one kind each (balanced and strict-slack LP in definitive
+vertex system of a whole list of edges up front, in stacked array products
+over the edges' cells (_nominal_stacks), into pools of one row shape and
+one kind each (balanced and strict-slack LP in definitive
 decisions, robust and expanded rows in prediction): a SystemStack and its
 Decisions, which start as the interval screen's in prediction and all
 OPEN in definitive decisions.
@@ -30,6 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,27 +100,94 @@ def deviation_bounds(
     return ModelDeviationBounds(L_df * d, L_g * d, eps_c)
 
 
-def _row_partition(cell: Polytope, exit_facet: int, vertex_j: int):
-    """Facet indices whose non-strict invariance rows apply at vertex_j.
+@lru_cache(maxsize=256)
+def _row_facets(incidence: tuple[tuple[int, ...], ...], exit_facet: int):
+    """Facets of the nominal rows at every vertex of a cell with
+    vertex-facet incidence `incidence`: the exit facet first, then the
+    other facets containing the vertex. Vertices on the exit facet drop it
+    from their incidence set, so their systems have one row fewer.
 
-    Vertices on the exit facet drop the exit facet from their incidence set;
-    every vertex additionally carries the strict exit-flow row."""
-    incident = cell.vertex_facet_index[vertex_j]
-    if exit_facet in incident:
-        return [i for i in incident if i != exit_facet]
-    return list(incident)
+    Returns, per vertex, its (row count, position among the vertices of
+    that row count), and, per row count r, the (r, vertices, facets) of
+    its vertices in order, facets (count, r)."""
+    slots, groups = [], {}
+    for j, incident in enumerate(incidence):
+        facets = (exit_facet, *(i for i in incident if i != exit_facet))
+        vertices, rows = groups.setdefault(len(facets), ([], []))
+        slots.append((len(facets), len(vertices)))
+        vertices.append(j)
+        rows.append(facets)
+    out = []
+    for r, (vertices, rows) in groups.items():
+        vertices = np.array(vertices, dtype=np.intp)
+        rows = np.array(rows, dtype=np.intp).reshape(-1, r)
+        vertices.setflags(write=False)
+        rows.setflags(write=False)
+        out.append((r, vertices, rows))
+    return tuple(slots), tuple(out)
 
 
-def _nominal_rows(cell: Polytope, exit_facet: int, vertex_j: int, model: AffineModel):
-    """Nominal rows (A, b) at v_j in the unknown input u_j: first the exit
-    row A[0] . u > b[0], then the invariance rows A[i] . u <= b[i] in
-    _row_partition order. With n a facet normal, the flow n . (A v + B u + c)
-    must be positive through the exit facet and non-positive through the
-    others."""
-    v = cell.vertices[vertex_j]
-    N = cell.normals[[exit_facet, *_row_partition(cell, exit_facet, vertex_j)]]
-    drift = model.A @ v + model.c
-    return N @ model.B, -(N @ drift)
+class _Rows(NamedTuple):
+    """Nominal rows of K vertex systems with r rows each."""
+
+    item: np.ndarray  # (K,) index of the system's item
+    norm: np.ndarray  # (K,) Euclidean norm of its vertex
+    A: np.ndarray     # (K, r, m)
+    b: np.ndarray     # (K, r)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of stacked vectors v (..., n) as np.linalg.norm takes
+    that of one vector: the square root of v @ v."""
+    return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+
+
+def _nominal_stacks(items):
+    """Nominal rows of every vertex of (cell, exit_facet, model, ...) items,
+    in the unknown input u_j at v_j: first the exit row A[0] . u > b[0],
+    then the invariance rows A[i] . u <= b[i], one per facet of
+    _row_facets. With n a facet normal, the flow n . (A v + B u + c) must
+    be positive through the exit facet and non-positive through the
+    others. The models share one input count.
+
+    Returns, for each item, the (r, position) slot of each of its vertices,
+    and, for each row count r, the _Rows of its vertices. Items whose cells
+    share a vertex and facet count are stacked together; every drift
+    A v + c is one matrix-vector product, as model.A @ v + model.c."""
+    kinds = {}
+    for i, (cell, *_) in enumerate(items):
+        kinds.setdefault((cell.vertices.shape, cell.normals.shape), []).append(i)
+    slots = [None] * len(items)
+    count, blocks = {}, {}
+    for kind in kinds.values():
+        V = np.stack([items[i][0].vertices for i in kind])
+        normals = np.stack([items[i][0].normals for i in kind])
+        B = np.stack([items[i][2].B for i in kind])
+        drift = (np.stack([items[i][2].A for i in kind])[:, None] @ V[..., None])[..., 0]
+        drift += np.stack([items[i][2].c for i in kind])[:, None]
+        members = {}
+        for t, i in enumerate(kind):
+            cell, facet = items[i][:2]
+            vertex_slots, groups = _row_facets(tuple(cell.vertex_facet_index), facet)
+            slots[i] = [(r, count.get(r, 0) + k) for r, k in vertex_slots]
+            for r, vertices, facets in groups:
+                members.setdefault(r, []).append((t, vertices, facets))
+                count[r] = count.get(r, 0) + len(vertices)
+        for r, group in members.items():
+            at = np.repeat([t for t, _, _ in group], [len(v) for _, v, _ in group])
+            vertex = np.concatenate([v for _, v, _ in group])
+            N = normals[at[:, None], np.concatenate([f for _, _, f in group])]
+            blocks.setdefault(r, []).append(
+                _Rows(np.asarray(kind)[at], _norm(V[at, vertex]), N @ B[at],
+                      -(N @ drift[at, vertex][..., None])[..., 0]))
+    return slots, {r: _Rows(*map(np.concatenate, zip(*parts))) for r, parts in blocks.items()}
+
+
+def _vertex_rows(cell: Polytope, exit_facet: int, vertex_j: int, model: AffineModel):
+    """The nominal rows (A, b) of one vertex (see _nominal_stacks)."""
+    slots, stacks = _nominal_stacks([(cell, exit_facet, model)])
+    r, k = slots[0][vertex_j]
+    return stacks[r].A[k], stacks[r].b[k]
 
 
 def vertex_constraint_system(
@@ -129,7 +199,7 @@ def vertex_constraint_system(
 ) -> LinearConstraintSystem:
     """Nominal rows in the unknown input u_j: strict positive flow through
     the exit facet, non-strict inflow on the other facets containing v_j."""
-    A, b = _nominal_rows(cell, exit_facet, vertex_j, model)
+    A, b = _vertex_rows(cell, exit_facet, vertex_j, model)
     return LinearConstraintSystem(A, b, _exit_row_mask(len(b)), control_box)
 
 
@@ -138,25 +208,6 @@ def _exit_row_mask(rows: int) -> np.ndarray:
     strict = np.zeros(rows, dtype=bool)
     strict[0] = True
     return strict
-
-
-def _stack_by_shape(per_item):
-    """Per-vertex fields of every item, stacked by the shape of their first
-    field, the nominal rows A.
-
-    per_item holds, for each item, one tuple of fields per vertex. Returns,
-    for each item, the (shape, position) slot of each of its vertices, and,
-    for each shape, every field of its vertices stacked along a new first
-    axis."""
-    slots, members = [], {}
-    for vertices in per_item:
-        item_slots = []
-        for fields in vertices:
-            group = members.setdefault(fields[0].shape, [])
-            item_slots.append((fields[0].shape, len(group)))
-            group.append(fields)
-        slots.append(item_slots)
-    return slots, {shape: [np.stack(f) for f in zip(*group)] for shape, group in members.items()}
 
 
 class _Pool:
@@ -250,27 +301,18 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     the strict-slack LP decides a vertex only where the balanced slack is
     not positive. The walks of all items run together (see _run_walks)."""
     box = np.asarray(control_box, dtype=float)
-    slots, fields = _stack_by_shape(
-        [[_nominal_rows(cell, facet, j, model) for j in range(cell.n_vertices)]
-         for cell, facet, model in items])
+    slots, stacks = _nominal_stacks(items)
     pools = {}
-    for shape, (A, b) in fields.items():
-        stack = SystemStack(A, b, np.broadcast_to(_exit_row_mask(shape[0]), b.shape),
-                            np.broadcast_to(box, (len(b),) + box.shape))
-        pools[shape] = (_Pool(stack, balanced=True), _Pool(stack))
-    return _run_walks([_decide_walk([(pools[shape], k) for shape, k in item_slots])
+    for r, rows in stacks.items():
+        stack = SystemStack(rows.A, rows.b, np.broadcast_to(_exit_row_mask(r), rows.b.shape),
+                            np.broadcast_to(box, (len(rows.b),) + box.shape))
+        pools[r] = (_Pool(stack, balanced=True), _Pool(stack))
+    return _run_walks([_decide_walk([(pools[r], k) for r, k in item_slots])
                        for item_slots in slots])
 
 
 def sign_patterns(m: int) -> list[tuple[int, ...]]:
     return list(itertools.product((1, -1), repeat=m))
-
-
-def _vertex_shift(cell: Polytope, vertex_j: int, bounds: ModelDeviationBounds) -> float:
-    """eps_A ||v_j|| + eps_c: how far the deviation radii move the
-    right-hand side of every row at v_j. Unit normals make the ||n||
-    factors one."""
-    return bounds.eps_A * float(np.linalg.norm(cell.vertices[vertex_j])) + bounds.eps_c
 
 
 def _perturbed_rows(A0, b0, shift, eps_B, patterns, tighten: bool):
@@ -298,10 +340,11 @@ def _perturbed_rows(A0, b0, shift, eps_B, patterns, tighten: bool):
 
 def _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern, control_box,
                       tighten: bool) -> LinearConstraintSystem:
-    A0, b0 = _nominal_rows(cell, exit_facet, vertex_j, ref_model)
+    A0, b0 = _vertex_rows(cell, exit_facet, vertex_j, ref_model)
+    shift = bounds.eps_A * _norm(cell.vertices[vertex_j]) + bounds.eps_c
     A, b, strict = _perturbed_rows(
-        A0[None], b0[None], np.array([_vertex_shift(cell, vertex_j, bounds)]),
-        np.array([bounds.eps_B]), np.array([pattern], dtype=float), tighten)
+        A0[None], b0[None], np.array([shift]), np.array([bounds.eps_B]),
+        np.array([pattern], dtype=float), tighten)
     return LinearConstraintSystem(A[0, 0], b[0, 0], strict[0, 0], control_box)
 
 
@@ -397,18 +440,24 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     and screened up front, one robust and one expanded pool per row shape;
     the walks of all items run together (see _run_walks).
     """
+    if not items:
+        return []
     box = np.asarray(control_box, dtype=float)
-    slots, fields = _stack_by_shape(
-        [[(*_nominal_rows(cell, facet, j, model), _vertex_shift(cell, j, bounds), bounds.eps_B)
-          for j in range(cell.n_vertices)]
-         for cell, facet, model, bounds in items])
-    pools = {shape: [_Pool(_pattern_stack(*shape_fields, box, tighten), screened=True)
-                     for tighten in (True, False)]
-             for shape, shape_fields in fields.items()}
+    slots, stacks = _nominal_stacks(items)
+    eps_A, eps_B, eps_c = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items]).T
+    pools = {}
+    for r, rows in stacks.items():
+        # eps_A ||v|| + eps_c: how far the deviation radii move the
+        # right-hand side of every row at v. Unit normals make the ||n||
+        # factors one.
+        shift = eps_A[rows.item] * rows.norm + eps_c[rows.item]
+        pools[r] = [_Pool(_pattern_stack(rows.A, rows.b, shift, eps_B[rows.item], box, tighten),
+                          screened=True)
+                    for tighten in (True, False)]
     walks = []
     for (_, _, model, bounds), item_slots in zip(items, slots):
         P = 2 ** model.B.shape[1]
-        walks.append(_predict_walk([(*pools[shape], k * P) for shape, k in item_slots], P,
+        walks.append(_predict_walk([(*pools[r], k * P) for r, k in item_slots], P,
                                    bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0))
     return _run_walks(walks)
 

@@ -44,6 +44,32 @@ def _require(cond: bool, field: str, msg: str) -> None:
         raise ScenarioError(f"field '{field}': {msg}")
 
 
+def _numbers(value, field: str) -> np.ndarray:
+    """A JSON number or rectangular nested list of numbers as a float array.
+    Anything else (strings, booleans, null, ragged lists) and non-finite
+    entries raise a ScenarioError naming the field."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise ScenarioError(f"field '{field}': must be a rectangular list of numbers") from exc
+    _require(arr.dtype.kind in "iuf", field, "must hold numbers only")
+    arr = arr.astype(float)
+    _require(bool(np.all(np.isfinite(arr))), field, "must be finite")
+    return arr
+
+
+def _number(value, field: str) -> float:
+    arr = _numbers(value, field)
+    _require(arr.ndim == 0, field, "must be a number")
+    return float(arr)
+
+
+def _integer(value, field: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool), field,
+             "must be an integer")
+    return value
+
+
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     _require(not unknown, where, f"unknown keys {sorted(unknown)}")
@@ -73,7 +99,7 @@ def parse_scenario(data: dict) -> Scenario:
     _require(isinstance(data, dict), "<root>", "scenario must be a JSON object")
     _check_keys(data, TOP_LEVEL_KEYS, "<root>")
 
-    bounds = np.asarray(data["state_bounds"], dtype=float)
+    bounds = _numbers(data["state_bounds"], "state_bounds")
     _require(bounds.ndim == 2 and bounds.shape[1] == 2, "state_bounds",
              "must be a list of [low, high] pairs")
     _require(bool(np.all(bounds[:, 0] < bounds[:, 1])), "state_bounds", "low must be < high")
@@ -83,7 +109,7 @@ def parse_scenario(data: dict) -> Scenario:
              "grid", "must be positive integer cell counts per dimension")
     partition = GridPartition(bounds, grid)
 
-    control_box = np.asarray(data["control_box"], dtype=float)
+    control_box = _numbers(data["control_box"], "control_box")
     _require(control_box.ndim == 2 and control_box.shape[1] == 2, "control_box",
              "must be a list of [low, high] pairs")
     _require(bool(np.all(control_box[:, 0] <= control_box[:, 1])), "control_box",
@@ -91,10 +117,10 @@ def parse_scenario(data: dict) -> Scenario:
 
     lip = data["lipschitz"]
     _check_keys(lip, LIPSCHITZ_KEYS, "lipschitz")
-    L_df, L_g = float(lip["L_df"]), float(lip["L_g"])
+    L_df, L_g = _number(lip["L_df"], "lipschitz.L_df"), _number(lip["L_g"], "lipschitz.L_g")
     _require(L_df > 0 and L_g > 0, "lipschitz", "constants must be positive")
 
-    gamma = float(data["gamma"])
+    gamma = _number(data["gamma"], "gamma")
     _require(gamma > 0, "gamma", "must be positive")
 
     sb = data["sysid"]
@@ -105,8 +131,9 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(
             f"field 'sysid.velocity_mode': must be one of "
             f"{[v.value for v in VelocityMode]}") from exc
-    sysid = IdentificationConfig(int(sb["N"]), float(sb["T"]), float(sb["input_scale"]),
-                                 vmode, int(sb["seed"]))
+    sysid = IdentificationConfig(_integer(sb["N"], "sysid.N"), _number(sb["T"], "sysid.T"),
+                                 _number(sb["input_scale"], "sysid.input_scale"), vmode,
+                                 _integer(sb["seed"], "sysid.seed"))
     _require(sysid.samples >= 1, "sysid.N", "must be positive")
     _require(sysid.time_step > 0, "sysid.T", "must be positive")
     _require(sysid.input_scale > 0, "sysid.input_scale", "must be positive")
@@ -117,7 +144,7 @@ def parse_scenario(data: dict) -> Scenario:
     _require(field.m == len(control_box), "control_box",
              f"dimension {len(control_box)} does not match dynamics input dimension {field.m}")
 
-    initial_state = np.asarray(data["initial_state"], dtype=float)
+    initial_state = _numbers(data["initial_state"], "initial_state")
     _require(initial_state.shape == (field.n,), "initial_state",
              f"must be a length-{field.n} vector")
     try:
@@ -131,7 +158,7 @@ def parse_scenario(data: dict) -> Scenario:
                  f"cell id out of range [0, {partition.n_cells})")
         target_cell = target
     else:
-        tstate = np.asarray(target, dtype=float)
+        tstate = _numbers(target, "target")
         _require(tstate.shape == (field.n,), "target",
                  "must be a cell id or a state vector")
         try:

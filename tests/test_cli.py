@@ -235,13 +235,15 @@ ONE_D_SCENARIO = {
 }
 
 
+def run_cli(*args):
+    """The CLI in a fresh process, as a user runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "pwa_nav.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestOneDimensional:
     """A 1-D scenario runs end to end: every artifact, drawn as one row."""
-
-    def run_cli(self, *args):
-        env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
-        return subprocess.run([sys.executable, "-m", "pwa_nav.cli", *args],
-                              env=env, capture_output=True, text=True, timeout=120)
 
     @pytest.mark.parametrize("command, artifacts", [
         ("plan", ("trajectory.csv", "graph_final.json", "mission.json",
@@ -251,7 +253,7 @@ class TestOneDimensional:
     def test_runs_and_writes_artifacts(self, tmp_path, command, artifacts):
         scenario = write_scenario(tmp_path, ONE_D_SCENARIO)
         out = tmp_path / "o"
-        proc = self.run_cli(command, "--scenario", scenario, "--out", str(out))
+        proc = run_cli(command, "--scenario", scenario, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         for name in artifacts:
@@ -263,6 +265,37 @@ class TestOneDimensional:
             assert len(rects) == 3
             assert len({el.get("y") for el in rects}) == 1  # one row
             assert all(float(el.get("height")) > 0 for el in rects)
+
+
+class TestMalformedNumbers:
+    """A numeric field that holds no number, a ragged list or a non-finite
+    value is a scenario error naming the field, with no traceback."""
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("state_bounds", 0, 1), "two", "state_bounds"),
+        (("control_box", 1, 0), "low", "control_box"),
+        (("initial_state", 0), "half", "initial_state"),
+        (("lipschitz", "L_df"), "small", "lipschitz.L_df"),
+        (("gamma",), "ten", "gamma"),
+        (("sysid", "N"), "twenty", "sysid.N"),
+        (("control_box", 1), [-5.0], "control_box"),
+        (("state_bounds", 1, 1), float("inf"), "state_bounds"),
+        (("initial_state", 1), float("nan"), "initial_state"),
+        (("control_box", 0, 1), float("inf"), "control_box"),
+        (("lipschitz", "L_df"), float("inf"), "lipschitz.L_df"),
+        (("gamma",), float("inf"), "gamma"),
+    ])
+    def test_plan_exits_one(self, tmp_path, path, value, field):
+        data = copy.deepcopy(INTEGRATOR_SCENARIO)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        scenario = write_scenario(tmp_path, data)
+        proc = run_cli("plan", "--scenario", scenario, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert f"scenario error: field '{field}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCmdSysidCheck:

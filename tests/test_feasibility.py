@@ -702,6 +702,92 @@ class TestHighsOracle:
         assert balance_witnesses_batch([sys]) is None
 
 
+def reference_enumerate(G, h, box):
+    """The slack-LP kernel with a determinant and an LU solve of every
+    k-subset, as _enumerate_vertices computed it before its cofactor pass.
+    Returns the optima (B, k), NaN rows for empty blocks, and, per block,
+    whether its optimum is the only feasible candidate within 1e-12
+    (relative) of the largest d."""
+    n_blocks, r, k = G.shape
+    bounds, idx = feasibility._subsets(r, k)
+    scale = np.abs(G).max(axis=2, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    lo, hi = feasibility._slack_bounds(box)
+    M = np.concatenate(
+        [G / scale[..., None], np.broadcast_to(bounds, (n_blocks, 2 * k, k))], axis=1)
+    q = np.concatenate([h / scale, -lo, hi], axis=1)
+    sub = M[:, idx]
+    regular = np.abs(np.linalg.det(sub)) > feasibility._SINGULAR_DET
+    where = np.nonzero(regular)
+    z = np.zeros(regular.shape + (k,))
+    z[where] = np.linalg.solve(sub[where], q[:, idx][where][..., None])[..., 0]
+    feasible = regular & np.all(
+        z @ M.transpose(0, 2, 1) <= q[:, None, :] + feasibility._FEAS_TOL, axis=2)
+    d = np.where(feasible, z[..., -1], -np.inf)
+    blocks = np.arange(n_blocks)
+    best = d.argmax(axis=1)
+    top = d[blocks, best]
+    found = feasible[blocks, best]
+    near = feasible & (d >= np.where(found, top - 1e-12 * np.maximum(1.0, np.abs(top)), 0.0)[:, None])
+    unique = found & (near.sum(axis=1) == 1)
+    return np.where(found[:, None], z[blocks, best], np.nan), unique
+
+
+def gaussian_system(rng, m, rows):
+    """Normal rows and right-hand sides over [-1, 1]^m, half of them strict."""
+    return LinearConstraintSystem(rng.normal(size=(rows, m)), rng.normal(size=rows),
+                                  rng.random(rows) < 0.5, np.tile([-1.0, 1.0], (m, 1)))
+
+
+def axis_system(rng, m, rows):
+    """Rows of 0 and +-1 entries with dyadic right-hand sides over [-1, 1]^m:
+    every candidate vertex is exact in either kernel, so ties in d are
+    exact too."""
+    return LinearConstraintSystem(rng.integers(-1, 2, size=(rows, m)).astype(float),
+                                  rng.integers(-6, 7, size=rows) / 4.0,
+                                  rng.random(rows) < 0.5, np.tile([-1.0, 1.0], (m, 1)))
+
+
+class TestCofactorKernel:
+    """_enumerate_vertices against reference_enumerate."""
+
+    @staticmethod
+    def stacks(m):
+        """(exact, stack) pairs: stacks of degenerate, Gaussian and
+        axis-aligned systems, of two row counts, one chunk long and longer."""
+        rng = np.random.default_rng(790 + m)
+        for count in (5, 3 * feasibility._CHUNK_BLOCKS // 2):
+            for rows in (2, 5):
+                yield False, SystemStack.of(TestStackedCore.fixed_shape_systems(rng, m, rows, count))
+                yield False, SystemStack.of([gaussian_system(rng, m, rows) for _ in range(count)])
+                yield True, SystemStack.of([axis_system(rng, m, rows) for _ in range(count)])
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_reference(self, m, balanced):
+        unique = 0
+        for exact, stack in self.stacks(m):
+            G, h = feasibility._slack_rows(stack.A, stack.b, stack.strict, balanced)
+            z = feasibility._enumerate_vertices(G, h, stack.box)
+            ref, ref_unique = reference_enumerate(G, h, stack.box)
+            empty = np.isnan(ref[:, -1])
+            assert np.array_equal(np.isnan(z), np.isnan(ref))
+            d, d_ref = z[~empty, -1], ref[~empty, -1]
+            assert np.all(np.abs(d - d_ref) <= 1e-12 * np.maximum(1.0, np.abs(d_ref)))
+            # The same LU solve of the same subset wherever the optimum is
+            # unique; exact candidates also tie exactly, and both kernels
+            # then pick the first subset in order.
+            assert np.array_equal(z[ref_unique], ref[ref_unique])
+            if exact:
+                assert np.array_equal(z, ref, equal_nan=True)
+            unique += ref_unique.sum()
+            decisions = decide_stacks([stack], [balanced])[0]
+            for t in np.flatnonzero(decisions.status == FEASIBLE):
+                sys = LinearConstraintSystem(stack.A[t], stack.b[t], stack.strict[t], stack.box[t])
+                assert substitute(sys, decisions.witness[t])
+        assert unique > 100
+
+
 BOX_4D = np.tile([-1.0, 1.0], (4, 1))
 
 

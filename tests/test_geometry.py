@@ -11,10 +11,17 @@ from pwa_nav.geometry import (
     GridPartition,
     OutOfDomainError,
     Polytope,
-    barycentric,
     find_containing_simplex,
     triangulate,
 )
+
+
+def barycentric(cell: Polytope, simplex, x) -> np.ndarray:
+    """Barycentric coordinates of x in a simplex of the cell, by one linear
+    solve: the reference for find_containing_simplex's closed form."""
+    verts = cell.vertices[list(simplex.vertex_indices)]
+    mat = np.vstack([verts.T, np.ones(cell.dim + 1)])
+    return np.linalg.solve(mat, np.append(np.asarray(x, dtype=float), 1.0))
 
 
 def simplex_volume(cell: Polytope, simplex) -> float:

@@ -14,7 +14,6 @@ from pwa_nav.feasibility import (
 from pwa_nav.geometry import (
     GridPartition,
     Polytope,
-    barycentric,
     find_containing_simplex,
 )
 from pwa_nav.reach import (
@@ -34,6 +33,7 @@ from pwa_nav.reach import (
     t0_upper_bound,
     vertex_constraint_system,
 )
+from test_geometry import barycentric
 
 BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 UNIT_SQUARE = Polytope.box([0.0, 0.0], [1.0, 1.0])
