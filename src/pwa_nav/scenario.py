@@ -64,13 +64,18 @@ def _number(value, field: str) -> float:
     return float(arr)
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value, field: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), field,
-             "must be an integer")
+    _require(_is_integer(value), field, "must be an integer")
     return value
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
+    _require(isinstance(obj, dict), where, "must be a JSON object")
     unknown = set(obj) - allowed
     _require(not unknown, where, f"unknown keys {sorted(unknown)}")
     missing = allowed - set(obj)
@@ -85,13 +90,13 @@ def _build_field(block, L_df: float, L_g: float) -> ControlAffineField:
         return TerrainField()
     if kind == "affine":
         _check_keys(block, {"type", "A", "B", "c"}, "dynamics")
-        try:
-            return AffineField(np.array(block["A"], dtype=float),
-                               np.array(block["B"], dtype=float),
-                               np.array(block["c"], dtype=float),
-                               L_df, L_g)
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(f"field 'dynamics': bad affine block ({exc})") from exc
+        A, B, c = (_numbers(block[key], f"dynamics.{key}") for key in ("A", "B", "c"))
+        n = len(A) if A.ndim else 0
+        _require(A.shape == (n, n) and n >= 1, "dynamics.A", "must be a square matrix")
+        _require(B.ndim == 2 and len(B) == n and B.shape[1] >= 1, "dynamics.B",
+                 f"must be a matrix with {n} rows")
+        _require(c.shape == (n,), "dynamics.c", f"must be a length-{n} vector")
+        return AffineField(A, B, c, L_df, L_g)
     raise ScenarioError(f"field 'dynamics.type': unknown type '{kind}'")
 
 
@@ -105,7 +110,7 @@ def parse_scenario(data: dict) -> Scenario:
     _require(bool(np.all(bounds[:, 0] < bounds[:, 1])), "state_bounds", "low must be < high")
     grid = data["grid"]
     _require(isinstance(grid, list) and len(grid) == len(bounds)
-             and all(isinstance(g, int) and g >= 1 for g in grid),
+             and all(_is_integer(g) and g >= 1 for g in grid),
              "grid", "must be positive integer cell counts per dimension")
     partition = GridPartition(bounds, grid)
 
@@ -153,7 +158,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(f"field 'initial_state': {exc}") from exc
 
     target = data["target"]
-    if isinstance(target, int):
+    if _is_integer(target):
         _require(0 <= target < partition.n_cells, "target",
                  f"cell id out of range [0, {partition.n_cells})")
         target_cell = target

@@ -269,7 +269,8 @@ class TestOneDimensional:
 
 class TestMalformedNumbers:
     """A numeric field that holds no number, a ragged list or a non-finite
-    value is a scenario error naming the field, with no traceback."""
+    value, and a block that is no JSON object, are scenario errors naming
+    the field, with no traceback."""
 
     @pytest.mark.parametrize("path, value, field", [
         (("state_bounds", 0, 1), "two", "state_bounds"),
@@ -284,6 +285,11 @@ class TestMalformedNumbers:
         (("control_box", 0, 1), float("inf"), "control_box"),
         (("lipschitz", "L_df"), float("inf"), "lipschitz.L_df"),
         (("gamma",), float("inf"), "gamma"),
+        (("dynamics", "A"), 5.0, "dynamics.A"),
+        (("dynamics", "c"), [float("inf"), 0.0], "dynamics.c"),
+        (("lipschitz",), 5, "lipschitz"),
+        (("grid", 0), True, "grid"),
+        (("target",), True, "target"),
     ])
     def test_plan_exits_one(self, tmp_path, path, value, field):
         data = copy.deepcopy(INTEGRATOR_SCENARIO)
