@@ -15,8 +15,8 @@ import argparse
 import collections
 from pathlib import Path
 
+from pwa_nav.cli import truth_graph
 from pwa_nav.dynamics import linearize_at
-from pwa_nav.graph import WeightMode, build_reach_graph, update_graph
 from pwa_nav.reach import ReachStatus, deviation_bounds, predict_exit_facets
 from pwa_nav.scenario import load_scenario
 
@@ -34,12 +34,8 @@ def main() -> int:
     partition = scenario.partition
     box = scenario.control_box
 
-    # Ground truth as in `pwa-nav truth-graph`: every cell explored with its
-    # exact linearization, so every edge is decided definitively.
-    graph = build_reach_graph(partition, scenario.gamma, WeightMode.CONSTANT)
-    models = {cid: linearize_at(scenario.field, partition.center(cid))
-              for cid in range(partition.n_cells)}
-    update_graph(graph, partition, models, scenario.L_df, scenario.L_g, box)
+    # Ground truth as in `pwa-nav truth-graph`.
+    graph = truth_graph(scenario)
 
     for hops in args.hops:
         items, truths = [], []

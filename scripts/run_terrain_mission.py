@@ -39,7 +39,7 @@ def main() -> int:
     t_final, x_final, *_ = log.trajectory[-1]
     print(f"\nstatus: {log.status.value} after {len(log.records)} iterations, "
           f"t = {t_final:.3f}")
-    print(f"final state: ({x_final[0]:.4f}, {x_final[1]:.4f}), "
+    print(f"final state: ({', '.join(f'{v:.4f}' for v in x_final)}), "
           f"target cell {log.target_cell}, explored {len(log.explored)} cells")
     print("edge statuses:", dict(sorted(counts.items())))
     return 0

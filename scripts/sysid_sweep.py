@@ -45,7 +45,7 @@ def main() -> int:
     ref = linearize_at(scenario.field, center)
     mode = VelocityMode(args.mode)
 
-    print(f"cell {cell}, center ({center[0]:.2f}, {center[1]:.2f}), "
+    print(f"cell {cell}, center ({', '.join(f'{v:.2f}' for v in center)}), "
           f"mode {mode.value}, {args.seeds} seeds")
     # Entry error compares (A, B, c) with the exact linearization; with tiny
     # excursions the state regressor is nearly constant, so A and c are not

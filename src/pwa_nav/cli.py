@@ -18,7 +18,7 @@ from .artifacts import (
     write_trajectory_csv,
 )
 from .dynamics import linearize_at
-from .graph import ReachStatus, WeightMode, build_reach_graph, update_graph
+from .graph import ReachGraph, ReachStatus, WeightMode, build_reach_graph, update_graph
 from .planner import MissionConfig, MissionConfigError, MissionStatus, run_mission
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .reach import decide_exit_facet  # noqa: F401
@@ -83,6 +83,19 @@ def cmd_plan(args) -> int:
     }[mission.status]
 
 
+def truth_graph(scenario) -> ReachGraph:
+    """The ground-truth graph of a scenario: every cell explored with the
+    exact linearization at its center, so one refresh decides every edge
+    definitively, with unit weights."""
+    partition = scenario.partition
+    graph = build_reach_graph(partition, scenario.gamma, WeightMode.CONSTANT)
+    models = {cid: linearize_at(scenario.field, partition.center(cid))
+              for cid in range(partition.n_cells)}
+    update_graph(graph, partition, models, scenario.L_df, scenario.L_g,
+                 scenario.control_box)
+    return graph
+
+
 def cmd_truth_graph(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -91,12 +104,7 @@ def cmd_truth_graph(args) -> int:
         return EXIT_BAD_SCENARIO
     os.makedirs(args.out, exist_ok=True)
     partition = scenario.partition
-    # Every cell explored: one definitive decision per edge, unit weights.
-    graph = build_reach_graph(partition, scenario.gamma, WeightMode.CONSTANT)
-    models = {cid: linearize_at(scenario.field, partition.center(cid))
-              for cid in range(partition.n_cells)}
-    update_graph(graph, partition, models, scenario.L_df, scenario.L_g,
-                 scenario.control_box)
+    graph = truth_graph(scenario)
     write_graph_json(os.path.join(args.out, "graph_truth.json"), graph, partition)
     render_graph_svg(os.path.join(args.out, "truth.svg"), partition, graph)
     n_exists = sum(e.status is ReachStatus.EXISTS for e in graph.edges.values())

@@ -79,6 +79,19 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+def as_control_box(box) -> np.ndarray:
+    """The control box as a (dim, 2) float array of [lo, hi] rows; raises
+    ValueError unless it is finite and nonempty."""
+    box = np.asarray(box, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValueError("box must be (dim, 2)")
+    if not np.all(np.isfinite(box)):
+        raise ValueError("control box must be finite")
+    if np.any(box[:, 0] > box[:, 1]):
+        raise ValueError("empty control box")
+    return box
+
+
 @dataclass
 class LinearConstraintSystem:
     """Rows A[i] . u > b[i] where strict[i], else A[i] . u <= b[i], over the
@@ -93,11 +106,7 @@ class LinearConstraintSystem:
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         self.strict = np.asarray(self.strict, dtype=bool)
-        self.box = np.asarray(self.box, dtype=float)
-        if self.box.ndim != 2 or self.box.shape[1] != 2:
-            raise ValueError("box must be (dim, 2)")
-        if np.any(self.box[:, 0] > self.box[:, 1]):
-            raise ValueError("empty control box")
+        self.box = as_control_box(self.box)
         if self.A.ndim != 2 or self.A.shape[1] != self.dim:
             raise ValueError("A must be (rows, dim)")
         if self.b.shape != self.A.shape[:1] or self.strict.shape != self.A.shape[:1]:

@@ -1,9 +1,7 @@
-"""Axis-aligned grid partitions, polytopes with facet/vertex incidence, and
-box triangulation.
-
-Cells of a grid partition are axis-aligned boxes, but the Polytope type keeps
-a general H+V representation so that every downstream consumer works from
-facet normals and vertex/facet index sets alone.
+"""Axis-aligned grid partitions, their box cells and the Kuhn triangulation
+of a box. A cell [low, high] derives the rest in closed form: facet 2d is
+the low face of axis d and facet 2d + 1 its high face; vertex j takes the
+high side of axis d where bit d of j is set, axis 0 the most significant.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ FACET_TOL = 1e-9
 
 
 class GeometryError(ValueError):
-    """Invalid geometric input (degenerate bounds, non-box cell, ...)."""
+    """Invalid geometric input (degenerate bounds, out-of-range cell id, ...)."""
 
 
 class OutOfDomainError(GeometryError):
@@ -35,45 +33,40 @@ class Simplex:
 
 
 class Polytope:
-    """Bounded full-dimensional polytope: halfspaces n.x <= b, vertex list,
-    and mutually consistent facet/vertex incidence sets.
+    """Axis-aligned box [low, high] with positive widths, as unit-normal
+    halfspaces normals . x <= offsets, vertices in itertools.product order
+    and vertex-facet incidence, all in closed form (see the module
+    docstring). Unit normals make feasibility margins comparable across
+    facets."""
 
-    Normals are unit length so feasibility margins are comparable across
-    facets.
-    """
+    def __init__(self, low, high):
+        low = np.asarray(low, dtype=float)
+        high = np.asarray(high, dtype=float)
+        if np.any(high <= low):
+            raise GeometryError("degenerate box: low >= high")
+        n = len(low)
+        axes = np.arange(n)
+        self.low, self.high = low, high
+        self.normals = np.zeros((2 * n, n))
+        self.normals[2 * axes, axes] = -1.0
+        self.normals[2 * axes + 1, axes] = 1.0
+        self.offsets = np.column_stack([-low, high]).ravel()
+        high_side = (np.arange(2**n)[:, None] >> (n - 1 - axes)) & 1 == 1
+        self.vertices = np.where(high_side, high, low)
+        self.vertex_facet_index = tuple(map(tuple, (2 * axes + high_side).tolist()))
 
-    def __init__(self, normals, offsets, vertices):
-        normals = np.asarray(normals, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        vertices = np.asarray(vertices, dtype=float)
-        if normals.ndim != 2 or vertices.ndim != 2:
-            raise GeometryError("normals and vertices must be 2-D arrays")
-        if normals.shape[1] != vertices.shape[1]:
-            raise GeometryError("normal/vertex dimension mismatch")
-        norms = np.linalg.norm(normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise GeometryError("facet normals must be unit length")
-        slack = normals @ vertices.T - offsets[:, None]  # facets x vertices
-        if np.any(slack > FACET_TOL):
-            raise GeometryError("a vertex violates a halfspace")
-        self.normals = normals
-        self.offsets = offsets
-        self.vertices = vertices
-        on_facet = np.abs(slack) <= FACET_TOL
-        self.facet_vertex_index = [
-            tuple(sorted(np.nonzero(on_facet[i])[0])) for i in range(len(normals))
-        ]
-        self.vertex_facet_index = [
-            tuple(sorted(np.nonzero(on_facet[:, j])[0])) for j in range(len(vertices))
-        ]
+    @classmethod
+    def box(cls, low, high) -> "Polytope":
+        """The box [low, high]."""
+        return cls(low, high)
 
     @property
     def dim(self) -> int:
-        return self.vertices.shape[1]
+        return len(self.low)
 
     @property
     def n_facets(self) -> int:
-        return len(self.offsets)
+        return 2 * self.dim
 
     @property
     def n_vertices(self) -> int:
@@ -85,45 +78,6 @@ class Polytope:
 
     def contains(self, x, tol: float = FACET_TOL) -> bool:
         return self.violation(x) <= tol
-
-    def is_box(self) -> bool:
-        n = self.dim
-        if self.n_facets != 2 * n or self.n_vertices != 2**n:
-            return False
-        eye = np.eye(n)
-        for d in range(n):
-            if not (
-                np.allclose(self.normals[2 * d], -eye[d])
-                and np.allclose(self.normals[2 * d + 1], eye[d])
-            ):
-                return False
-        return True
-
-    def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.is_box():
-            raise GeometryError("polytope is not an axis-aligned box")
-        low = -self.offsets[0::2]
-        high = self.offsets[1::2]
-        return low, high
-
-    @classmethod
-    def box(cls, low, high) -> "Polytope":
-        """Axis-aligned box [low, high]. Facet 2d is the low face of dim d
-        (normal -e_d), facet 2d+1 the high face (normal +e_d)."""
-        low = np.asarray(low, dtype=float)
-        high = np.asarray(high, dtype=float)
-        n = len(low)
-        if np.any(high <= low):
-            raise GeometryError("degenerate box: low >= high")
-        normals = np.zeros((2 * n, n))
-        offsets = np.zeros(2 * n)
-        for d in range(n):
-            normals[2 * d, d] = -1.0
-            offsets[2 * d] = -low[d]
-            normals[2 * d + 1, d] = 1.0
-            offsets[2 * d + 1] = high[d]
-        vertices = np.array(list(itertools.product(*zip(low, high))))
-        return cls(normals, offsets, vertices)
 
 
 class GridPartition:
@@ -153,13 +107,9 @@ class GridPartition:
             self.edges[d][-1] = bounds[d, 1]
         self.n_cells = int(np.prod(resolution))
         self._cells: list[Polytope | None] = [None] * self.n_cells
-        self._centers = np.empty((self.n_cells, self.dim))
-        for cid in range(self.n_cells):
-            mi = self.multi_index(cid)
-            self._centers[cid] = [
-                0.5 * (self.edges[d][mi[d]] + self.edges[d][mi[d] + 1])
-                for d in range(self.dim)
-            ]
+        # C order: the product runs over the last axis fastest.
+        self._centers = np.array(list(itertools.product(
+            *(0.5 * (e[:-1] + e[1:]) for e in self.edges))))
 
     def multi_index(self, cid: int) -> tuple[int, ...]:
         if not 0 <= cid < self.n_cells:
@@ -225,29 +175,17 @@ class GridPartition:
 
 
 def triangulate(cell: Polytope) -> list[Simplex]:
-    """Kuhn triangulation of an axis-aligned box into n! simplices.
+    """Kuhn triangulation of a box into n! simplices, one per axis order.
 
     Every simplex contains the diagonal from the lexicographically smallest
-    vertex (the all-low corner) to the all-high corner; in 2-D this is the
-    standard diagonal split into two triangles.
+    vertex (the all-low corner, vertex 0) to the all-high corner; in 2-D
+    this is the standard diagonal split into two triangles. Raising axis d
+    adds 2^(n-1-d) to the vertex index.
     """
-    if not cell.is_box():
-        raise GeometryError("triangulate supports axis-aligned boxes only")
-    low, high = cell.box_bounds()
     n = cell.dim
-    corner_index = {}
-    for j, v in enumerate(cell.vertices):
-        bits = tuple(int(np.isclose(v[d], high[d])) for d in range(n))
-        corner_index[bits] = j
-    simplices = []
-    for perm in itertools.permutations(range(n)):
-        bits = [0] * n
-        idxs = [corner_index[tuple(bits)]]
-        for d in perm:
-            bits[d] = 1
-            idxs.append(corner_index[tuple(bits)])
-        simplices.append(Simplex(tuple(idxs), perm))
-    return simplices
+    return [Simplex(tuple(itertools.accumulate((1 << (n - 1 - d) for d in perm), initial=0)),
+                    perm)
+            for perm in itertools.permutations(range(n))]
 
 
 def find_containing_simplex(
@@ -261,9 +199,7 @@ def find_containing_simplex(
     of x normalized to [0, 1] over the box, the simplex stepping along axes
     p_0, ..., p_(n-1) has coordinates 1 - y[p_0], y[p_(i-1)] - y[p_i] and
     y[p_(n-1)]."""
-    path = simplices[0].vertex_indices
-    low, high = cell.vertices[path[0]], cell.vertices[path[-1]]
-    y = ((np.asarray(x, dtype=float) - low) / (high - low)).tolist()
+    y = ((np.asarray(x, dtype=float) - cell.low) / (cell.high - cell.low)).tolist()
     best_idx, best_min = 0, -np.inf
     for k, s in enumerate(simplices):
         steps = [y[d] for d in s.axes]

@@ -178,6 +178,9 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
             try:
                 new_cell = partition.locate(probe)
             except OutOfDomainError:
+                # The exit state lies beyond the domain by more than
+                # FACET_TOL; project it back, as after identification.
+                x = np.clip(x, partition.bounds[:, 0], partition.bounds[:, 1])
                 new_cell = partition.locate(x)
                 outcome = "left_domain"
             else:

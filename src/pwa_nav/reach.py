@@ -46,15 +46,12 @@ from .feasibility import (
     LinearConstraintSystem,
     SystemStack,
     _screen,
+    as_control_box,
     decide_stacks,
 )
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
 from .feasibility import balance_witnesses_batch, decide_feasibility  # noqa: F401
 from .geometry import Polytope, Simplex, find_containing_simplex, triangulate
-
-
-class SynthesisError(RuntimeError):
-    pass
 
 
 class UnboundedTransitError(RuntimeError):
@@ -152,11 +149,11 @@ def _nominal_stacks(items):
 
     Returns, for each item, the (r, position) slot of each of its vertices,
     and, for each row count r, the _Rows of its vertices. Items whose cells
-    share a vertex and facet count are stacked together; every drift
+    share a dimension are stacked together; every drift
     A v + c is one matrix-vector product, as model.A @ v + model.c."""
     kinds = {}
     for i, (cell, *_) in enumerate(items):
-        kinds.setdefault((cell.vertices.shape, cell.normals.shape), []).append(i)
+        kinds.setdefault(cell.dim, []).append(i)
     slots = [None] * len(items)
     count, blocks = {}, {}
     for kind in kinds.values():
@@ -168,7 +165,7 @@ def _nominal_stacks(items):
         members = {}
         for t, i in enumerate(kind):
             cell, facet = items[i][:2]
-            vertex_slots, groups = _row_facets(tuple(cell.vertex_facet_index), facet)
+            vertex_slots, groups = _row_facets(cell.vertex_facet_index, facet)
             slots[i] = [(r, count.get(r, 0) + k) for r, k in vertex_slots]
             for r, vertices, facets in groups:
                 members.setdefault(r, []).append((t, vertices, facets))
@@ -300,7 +297,7 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     the synthesized law tolerates model error on the invariance rows too;
     the strict-slack LP decides a vertex only where the balanced slack is
     not positive. The walks of all items run together (see _run_walks)."""
-    box = np.asarray(control_box, dtype=float)
+    box = as_control_box(control_box)
     slots, stacks = _nominal_stacks(items)
     pools = {}
     for r, rows in stacks.items():
@@ -440,9 +437,9 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     and screened up front, one robust and one expanded pool per row shape;
     the walks of all items run together (see _run_walks).
     """
+    box = as_control_box(control_box)
     if not items:
         return []
-    box = np.asarray(control_box, dtype=float)
     slots, stacks = _nominal_stacks(items)
     eps_A, eps_B, eps_c = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items]).T
     pools = {}
@@ -470,10 +467,8 @@ def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):
     U = np.array([witnesses[j] for j in idxs])  # (n+1, m)
     n = cell.dim
     mat = np.vstack([V.T, np.ones(len(idxs))])  # (n+1, n+1)
-    try:
-        fg = np.linalg.solve(mat.T, U)  # (n+1, m): rows = [F | g]^T
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError("degenerate interpolation simplex") from exc
+    # Kuhn simplices of a box with positive widths are never degenerate.
+    fg = np.linalg.solve(mat.T, U)  # (n+1, m): rows = [F | g]^T
     return fg[:n].T, fg[n]
 
 

@@ -138,6 +138,12 @@ class TestDecideFeasibility:
         with pytest.raises(ValueError):
             LinearConstraintSystem(np.zeros((0, 1)), [], [], np.array([[1.0, -1.0]]))
 
+    def test_non_finite_box_rejected(self):
+        # An infinite side would meet a zero coefficient in the kernel.
+        with pytest.raises(ValueError):
+            decide_feasibility(LinearConstraintSystem(
+                [[1.0, 1.0]], [0.5], [True], [[-5.0, np.inf], [-5.0, 5.0]]))
+
 
 BOX_SMALL = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwa_nav.geometry import (
+    FACET_TOL,
     GeometryError,
     GridPartition,
     OutOfDomainError,
@@ -32,10 +33,45 @@ def simplex_volume(cell: Polytope, simplex) -> float:
 
 def facet_measure(cell: Polytope, facet: int) -> float:
     """(n-1)-measure of a box facet: product of side lengths off its axis."""
-    low, high = cell.box_bounds()
-    axis = facet // 2
-    sides = np.delete(high - low, axis)
+    sides = np.delete(cell.high - cell.low, facet // 2)
     return float(np.prod(sides)) if len(sides) else 1.0
+
+
+def reference_incidence(cell: Polytope) -> list[tuple[int, ...]]:
+    """Vertex-facet incidence from the halfspaces: the facets whose
+    constraint each vertex meets within FACET_TOL."""
+    slack = cell.normals @ cell.vertices.T - cell.offsets[:, None]
+    on_facet = np.abs(slack) <= FACET_TOL
+    return [tuple(int(i) for i in np.nonzero(on_facet[:, j])[0])
+            for j in range(cell.n_vertices)]
+
+
+def reference_triangulate(cell: Polytope) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Kuhn simplices as (vertex indices, axes), with each vertex found by
+    matching its coordinates to the box's high corner."""
+    n = cell.dim
+    corner_index = {}
+    for j, v in enumerate(cell.vertices):
+        bits = tuple(int(np.isclose(v[d], cell.high[d])) for d in range(n))
+        corner_index[bits] = j
+    out = []
+    for perm in itertools.permutations(range(n)):
+        bits = [0] * n
+        idxs = [corner_index[tuple(bits)]]
+        for d in perm:
+            bits[d] = 1
+            idxs.append(corner_index[tuple(bits)])
+        out.append((tuple(idxs), perm))
+    return out
+
+
+def random_box(rng, n: int) -> Polytope:
+    """A box with widths between 1e-6 and 1e6, log-uniform, and corners of
+    either sign up to 1e3 widths from the origin. Farther out, isclose takes
+    a low side for the high one and reference_triangulate fails."""
+    widths = 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+    low = rng.uniform(-1.0, 1.0, size=n) * widths * 10.0 ** rng.uniform(0.0, 3.0, size=n)
+    return Polytope.box(low, low + widths)
 
 
 class TestPolytope:
@@ -46,15 +82,6 @@ class TestPolytope:
         for j in range(4):
             assert len(cell.vertex_facet_index[j]) == 2
 
-    def test_incidence_mutual_consistency(self):
-        cell = Polytope.box([0.0, 0.0, 0.0], [2.0, 1.0, 3.0])
-        for i, verts in enumerate(cell.facet_vertex_index):
-            for j in verts:
-                assert i in cell.vertex_facet_index[j]
-        for j, facets in enumerate(cell.vertex_facet_index):
-            for i in facets:
-                assert j in cell.facet_vertex_index[i]
-
     def test_vertices_satisfy_halfspaces(self):
         cell = Polytope.box([-1.0, 2.0], [0.5, 7.0])
         slack = cell.normals @ cell.vertices.T - cell.offsets[:, None]
@@ -64,9 +91,12 @@ class TestPolytope:
         cell = Polytope.box([0.0, 0.0], [10.0, 0.1])
         assert np.allclose(np.linalg.norm(cell.normals, axis=1), 1.0, atol=1e-12)
 
-    def test_non_unit_normal_rejected(self):
-        with pytest.raises(GeometryError):
-            Polytope(normals=[[2.0, 0.0]], offsets=[1.0], vertices=[[0.0, 0.0]])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_incidence_matches_halfspace_reference(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(50):
+            cell = random_box(rng, n)
+            assert list(cell.vertex_facet_index) == reference_incidence(cell)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(GeometryError):
@@ -85,8 +115,8 @@ class TestBuildGridPartition:
     def test_20x20_unit_squares(self):
         part = GridPartition([[-10, 10], [-10, 10]], (20, 20))
         assert part.n_cells == 400
-        low, high = part.cell(0).box_bounds()
-        assert np.allclose(high - low, 1.0)
+        cell = part.cell(0)
+        assert np.allclose(cell.high - cell.low, 1.0)
 
     def test_single_cell(self):
         part = GridPartition([[0, 1], [0, 1]], (1, 1))
@@ -105,9 +135,9 @@ class TestBuildGridPartition:
 
     def test_cell_coverage_layout(self):
         part = GridPartition([[0, 4], [0, 6]], (2, 3))
-        low, high = part.cell(part.flat_index((1, 2))).box_bounds()
-        assert np.allclose(low, [2.0, 4.0])
-        assert np.allclose(high, [4.0, 6.0])
+        cell = part.cell(part.flat_index((1, 2)))
+        assert np.allclose(cell.low, [2.0, 4.0])
+        assert np.allclose(cell.high, [4.0, 6.0])
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(GeometryError):
@@ -202,8 +232,7 @@ class TestTriangulate:
     def test_measures_sum_to_cell_volume(self):
         cell = Polytope.box([-1.0, 0.0, 2.0], [2.0, 0.5, 9.0])
         total = sum(simplex_volume(cell, s) for s in triangulate(cell))
-        low, high = cell.box_bounds()
-        assert total == pytest.approx(float(np.prod(high - low)), rel=1e-9)
+        assert total == pytest.approx(float(np.prod(cell.high - cell.low)), rel=1e-9)
 
     def test_interiors_disjoint_2d(self):
         # Sample points; each interior point must lie in exactly one triangle.
@@ -216,14 +245,13 @@ class TestTriangulate:
             )
             assert hits <= 1
 
-    def test_non_box_rejected(self):
-        tri = Polytope(
-            normals=[[0.0, -1.0], [-1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]],
-            offsets=[0.0, 0.0, np.sqrt(0.5)],
-            vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-        )
-        with pytest.raises(GeometryError):
-            triangulate(tri)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_corner_map_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(50):
+            cell = random_box(rng, n)
+            got = [(s.vertex_indices, s.axes) for s in triangulate(cell)]
+            assert got == reference_triangulate(cell)
 
 
 class TestFindContainingSimplex:

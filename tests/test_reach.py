@@ -104,6 +104,19 @@ class TestDeviationBounds:
             ModelDeviationBounds(-0.1, 0.0, 0.0)
 
 
+class TestNonFiniteControlBox:
+    BOX = [[-5.0, np.inf], [-5.0, 5.0]]
+
+    def test_decide_rejects(self):
+        with pytest.raises(ValueError):
+            decide_exit_facet(UNIT_SQUARE, EXIT_RIGHT, single_integrator(), self.BOX)
+
+    def test_predict_rejects(self):
+        bounds = ModelDeviationBounds(0.01, 0.01, 0.01)
+        with pytest.raises(ValueError):
+            predict_exit_facet(UNIT_SQUARE, EXIT_RIGHT, single_integrator(), bounds, self.BOX)
+
+
 class TestVertexConstraintSystem:
     def test_exit_vertex_rows(self):
         # Vertex (1,1) lies on the exit facet x1=1 and the top facet:
@@ -583,7 +596,7 @@ class TestControllerSynthesis:
             law = PiecewiseInterpolationLaw(cell, witnesses)
             for j, v in enumerate(cell.vertices):
                 assert np.allclose(law.input(v), witnesses[j], atol=1e-9)
-            x = rng.uniform(*cell.box_bounds())
+            x = rng.uniform(cell.low, cell.high)
             simplex = law.simplices[find_containing_simplex(cell, law.simplices, x)]
             lam = barycentric(cell, simplex, x)
             expected = sum(l * witnesses[j] for l, j in zip(lam, simplex.vertex_indices))
