@@ -10,7 +10,6 @@ import numpy as np
 
 from .geometry import Polytope
 
-FD_STEP = 1e-5
 EXIT_TOL = 1e-9          # in-cell predicate tolerance during simulation
 BISECT_TIME_TOL = 1e-10
 
@@ -39,8 +38,8 @@ class AffineModel:
 
 class ControlAffineField:
     """Abstract x' = f(x) + g(x) u with declared Lipschitz constants for
-    grad f and g. Subclasses with an analytic Jacobian override
-    jacobian_drift; others fall back to central finite differences."""
+    grad f and g. Subclasses give the drift, its Jacobian and the control
+    matrix in closed form."""
 
     n: int
     m: int
@@ -53,8 +52,8 @@ class ControlAffineField:
     def control_matrix(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian_drift(self, x) -> np.ndarray | None:
-        return None
+    def jacobian_drift(self, x) -> np.ndarray:
+        raise NotImplementedError
 
     def velocity(self, x, u) -> np.ndarray:
         return self.drift(x) + self.control_matrix(x) @ np.asarray(u, dtype=float)
@@ -120,13 +119,6 @@ def linearize_at(field: ControlAffineField, x_e) -> AffineModel:
     A = grad f(x_e), B = g(x_e), c = f(x_e) - A x_e."""
     x_e = np.asarray(x_e, dtype=float)
     A = field.jacobian_drift(x_e)
-    if A is None:
-        n = field.n
-        A = np.empty((n, n))
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = FD_STEP
-            A[:, d] = (field.drift(x_e + e) - field.drift(x_e - e)) / (2 * FD_STEP)
     B = field.control_matrix(x_e)
     f_e = field.drift(x_e)
     return AffineModel(A, B, f_e - A @ x_e, x_e)

@@ -8,10 +8,11 @@ u in the control box. A SystemStack holds N systems of one shape as (N, r, m)
 Decisions(status, witness, margin) of arrays: status FEASIBLE, INFEASIBLE,
 EMPTY (the slack LP has no point at all) or OPEN (not decided). Two passes
 produce them: _screen, one NumPy pass of interval arithmetic over a stack
-that leaves OPEN what it cannot settle, and decide_stacks, the exact slack
-LP of every system of its stacks. The reach walks keep pools of stacks and
-their Decisions, screened once in prediction, and send the OPEN systems
-they read to decide_stacks, one call per round.
+that leaves OPEN what it cannot settle, including every system within the
+LP's rounding of a threshold, and decide_stacks, the exact slack LP of every
+system of its stacks, each system by itself. The reach walks keep pools of
+stacks and their Decisions, screened once in prediction, and send the OPEN
+systems they read to decide_stacks, one call per round.
 decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
 (balanced LP of several) and screen_feasibility (the screen of one system)
 are views that read one entry of a Decisions as a FeasibilityResult.
@@ -29,8 +30,9 @@ Cramer's rule from one table of cofactor vectors per chunk of stacked
 systems: the feasible candidate with the largest d is the exact optimum,
 returned as the LU solution of its subset, and an empty candidate set
 proves the polytope empty rather than reporting a solver status. Larger m
-goes to HiGHS, whose infeasibility status alone certifies emptiness; any
-other failure raises RuntimeError. SciPy is imported only when HiGHS runs.
+goes to HiGHS, one LP per system, whose infeasibility status alone
+certifies emptiness; any other failure raises RuntimeError. SciPy is
+imported only when HiGHS runs.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def balance_witnesses_batch(
                      a.u <= rhs - d   (non-strict rows)
                      u in box, 0 <= d <= DELTA_CAP
 
-    The systems are independent and are solved together.
+    Each system is solved by itself.
 
     A slack-maximal witness from decide_feasibility often sits on active
     non-strict rows, where any model error flips the inequality; the balanced
@@ -234,26 +236,21 @@ def decide_stacks(stacks: Sequence[SystemStack], balanced: Sequence[bool]) -> li
     decide_feasibility.
 
     Stacks with at most _ENUM_MAX_DIM inputs are enumerated _CHUNK_BLOCKS
-    systems at a time; the systems of all larger stacks share one HiGHS
-    call."""
-    optima = []
-    large = []  # (optima, index, (G, h, box)) per system for HiGHS
+    systems at a time; each system of a larger stack is one HiGHS LP."""
+    out = []
     for stack, form in zip(stacks, balanced):
         n_sys, _, dim = stack.A.shape
         G, h = _slack_rows(stack.A, stack.b, stack.strict, form)
         z = np.full((n_sys, dim + 1), np.nan)
         if dim > _ENUM_MAX_DIM:
-            large += [(z, t, (G[t], h[t], stack.box[t])) for t in range(n_sys)]
+            for t in range(n_sys):
+                z[t] = _highs(G[t], h[t], stack.box[t])
         else:
             for start in range(0, n_sys, _CHUNK_BLOCKS):
                 chunk = slice(start, start + _CHUNK_BLOCKS)
                 z[chunk] = _enumerate_vertices(G[chunk], h[chunk], stack.box[chunk])
-        optima.append((z, G[..., -1].any(axis=1)))
-    if large:
-        for (z, t, _), z_t in zip(large, _highs([block for *_, block in large])):
-            z[t] = z_t
-    return [_decisions(z, carries_slack, stack.box)
-            for stack, (z, carries_slack) in zip(stacks, optima)]
+        out.append(_decisions(z, G[..., -1].any(axis=1), stack.box))
+    return out
 
 
 def _screen(stack: SystemStack) -> Decisions:
@@ -264,16 +261,18 @@ def _screen(stack: SystemStack) -> Decisions:
     Single-variable rows are folded into the box first; then either some row
     is unsatisfiable over the folded box (infeasible) or the folded-box
     center satisfies every row with slack above TOL_STRICT (feasible).
-    Folds and sums run row by row and term by term, in the order of the
-    scalar reference walk, so the two agree to the bit."""
+    Either way the row must miss or clear its threshold by more than the
+    exact LP's rounding, so that the screen settles a system only as the LP
+    decides it. Folds and sums run row by row and term by term, in the order
+    of the scalar reference walk, so the two agree to the bit."""
     A, b, strict, box = stack
     nonzero = A != 0.0
     count = nonzero.sum(axis=2)
     constant = count == 0
-    # A constant row is satisfiable iff 0 > rhs (strict) / 0 <= rhs, and the
-    # LP accepts the latter up to _FEAS_TOL.
-    infeasible = np.any(constant & np.where(strict, 0.0 <= b + TOL_STRICT, b < -_FEAS_TOL),
-                        axis=1)
+    # A constant non-strict row 0 <= rhs is satisfiable iff rhs >= 0, and the
+    # LP accepts it up to _FEAS_TOL. Constant strict rows follow the general
+    # strict rule below.
+    infeasible = np.any(constant & ~strict & (b < -_FEAS_TOL), axis=1)
     # a_k u_k > rhs (strict) bounds u_k from below when a_k > 0; a
     # non-strict row does when a_k < 0.
     fold = (count == 1)[..., None] & nonzero
@@ -304,12 +303,16 @@ def _screen(stack: SystemStack) -> Decisions:
     size = _ordered_sum(np.maximum(np.abs(at_lo), np.abs(at_hi))) + np.abs(b)
     unreachable = reach_hi - b <= TOL_STRICT - _SCREEN_ROUNDING * size
     violated = reach_lo - b > _FEAS_TOL * np.abs(A).max(axis=2) + _SCREEN_ROUNDING * size
-    infeasible |= np.any(~constant & np.where(strict, unreachable, violated), axis=1)
+    infeasible |= np.any(np.where(strict, unreachable, ~constant & violated), axis=1)
 
+    # The center settles feasibility when each strict row's slack clears
+    # TOL_STRICT by the same rounding margin: the LP's optimum, rounded, may
+    # fall to TOL_STRICT where the center's slack is an ulp above it.
     center = 0.5 * (lo + hi)
     val = _ordered_sum(A * center[:, None, :])
     slack = val - b
-    feasible = (np.all(np.where(strict, slack > TOL_STRICT, val <= b), axis=1)
+    cleared = slack > TOL_STRICT + _SCREEN_ROUNDING * size
+    feasible = (np.all(np.where(strict, cleared, val <= b), axis=1)
                 & np.all(lo <= hi, axis=1))
     margin = np.minimum(DELTA_CAP, np.where(strict, slack, np.inf).min(axis=1, initial=np.inf))
     status = np.where(infeasible, INFEASIBLE, np.where(feasible, FEASIBLE, OPEN))
@@ -465,30 +468,19 @@ def _enumerate_vertices(G, h, box) -> np.ndarray:
     return out
 
 
-def _highs(blocks) -> list[np.ndarray]:
-    """All (G, h, box) blocks in one block-diagonal HiGHS LP maximizing the
-    sum of the per-block slacks; the blocks share no variables, so each is
-    optimized individually. Returns each block's optimum. Only a
-    certificate of infeasibility (HiGHS status 2) marks a block empty, with
-    an optimum of NaNs; any other failure raises, since reporting it as
-    empty would certify a reach edge Absent on a solver hiccup. An
-    infeasible LP of several blocks only says that some block is empty, so
-    each block is then solved alone."""
-    cols = np.cumsum([0] + [G.shape[1] for G, _, _ in blocks])
-    rows = np.cumsum([0] + [len(h) for _, h, _ in blocks])
-    c = np.zeros(cols[-1])
-    c[cols[1:] - 1] = -1.0
-    a_ub = np.zeros((rows[-1], cols[-1]))
-    for (G, _, _), r0, r1, c0, c1 in zip(blocks, rows, rows[1:], cols, cols[1:]):
-        a_ub[r0:r1, c0:c1] = G
-    b_ub = np.concatenate([h for _, h, _ in blocks])
-    lo, hi = (np.concatenate(lims) for lims in zip(*(_slack_bounds(box) for _, _, box in blocks)))
-    res = linprog(c, A_ub=a_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+def _highs(G, h, box) -> np.ndarray:
+    """The slack LP G z <= h over the bounds of z = (u, d) from the control
+    box, by HiGHS. Returns its optimum. Only a certificate of infeasibility
+    (HiGHS status 2) marks the system empty, with an optimum of NaNs; any
+    other failure raises, since reporting it as empty would certify a reach
+    edge Absent on a solver hiccup."""
+    c = np.zeros(G.shape[1])
+    c[-1] = -1.0
+    lo, hi = _slack_bounds(box)
+    res = linprog(c, A_ub=G if len(h) else None, b_ub=h if len(h) else None,
                   bounds=np.column_stack([lo, hi]), method="highs", options=_LP_OPTIONS)
     if res.status == 2:
-        if len(blocks) == 1:
-            return [np.full(cols[-1], np.nan)]
-        return [z for blk in blocks for z in _highs([blk])]
+        return np.full(G.shape[1], np.nan)
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed with status {res.status}: {res.message}")
-    return [res.x[cols[i]:cols[i + 1]] for i in range(len(blocks))]
+    return res.x

@@ -1,7 +1,8 @@
 """Axis-aligned grid partitions, their box cells and the Kuhn triangulation
 of a box. A cell [low, high] derives the rest in closed form: facet 2d is
 the low face of axis d and facet 2d + 1 its high face; vertex j takes the
-high side of axis d where bit d of j is set, axis 0 the most significant.
+high side of axis d where bit d of j is set, axis 0 the most significant,
+so it lies on facet 2d + (bit d of j) of every axis d.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ class Simplex:
 
 class Polytope:
     """Axis-aligned box [low, high] with positive widths, as unit-normal
-    halfspaces normals . x <= offsets, vertices in itertools.product order
-    and vertex-facet incidence, all in closed form (see the module
-    docstring). Unit normals make feasibility margins comparable across
-    facets."""
+    halfspaces normals . x <= offsets and vertices in itertools.product
+    order, both in closed form (see the module docstring). Unit normals
+    make feasibility margins comparable across facets."""
 
     def __init__(self, low, high):
         low = np.asarray(low, dtype=float)
@@ -53,7 +53,6 @@ class Polytope:
         self.offsets = np.column_stack([-low, high]).ravel()
         high_side = (np.arange(2**n)[:, None] >> (n - 1 - axes)) & 1 == 1
         self.vertices = np.where(high_side, high, low)
-        self.vertex_facet_index = tuple(map(tuple, (2 * axes + high_side).tolist()))
 
     @classmethod
     def box(cls, low, high) -> "Polytope":

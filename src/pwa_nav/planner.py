@@ -5,7 +5,9 @@ Unintended cell entries are accepted (the state is re-located and the loop
 continues); a transit that times out or exits the wrong facet
 STUCK_RETRY_LIMIT times gets its edge overridden to Absent as an empirical,
 uncertified exclusion. A transit times out after TRANSIT_TIMEOUT_FACTOR
-times its closed-form transit-time bound.
+times its closed-form transit-time bound, and after MAX_TRANSIT_STEPS
+integration steps at the latest: the bound grows without limit as the
+certified exit flow falls to TOL_STRICT.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .sysid import identify
 SIM_STEP = 1e-3
 STUCK_RETRY_LIMIT = 3
 TRANSIT_TIMEOUT_FACTOR = 3.0
+# Ten times the longest transit (977 steps) of the bundled mission and the
+# benchmark's window missions.
+MAX_TRANSIT_STEPS = 10_000
 
 
 class MissionStatus(Enum):
@@ -161,7 +166,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
         cell = partition.cell(current)
         law = PiecewiseInterpolationLaw(cell, edge.witnesses)
         bound = t0_upper_bound(cell, facet, models[current], edge.witnesses, x0=x)
-        t_max = TRANSIT_TIMEOUT_FACTOR * max(bound, SIM_STEP)
+        t_max = min(TRANSIT_TIMEOUT_FACTOR * max(bound, SIM_STEP), MAX_TRANSIT_STEPS * SIM_STEP)
         rec = simulate_closed_loop(env, law, cell, x, step=SIM_STEP,
                                    t_max=t_max, control_box=box)
         for ts, xs, us in rec.samples[1:]:

@@ -7,23 +7,34 @@ those rows by deviation radii derived from the Lipschitz constants, branching
 over the 2^m sign patterns of the control components. These are the vertex
 conditions of Habets & van Schuppen (2004).
 
-Each vertex system is one array-form system: the strict exit-flow row first,
-then the non-strict invariance rows, then, in prediction, one sign row per
-control input. decide_exit_facets and predict_exit_facets build every
-vertex system of a whole list of edges up front, in stacked array products
-over the edges' cells (_nominal_stacks), into pools of one row shape and
-one kind each (balanced and strict-slack LP in definitive
-decisions, robust and expanded rows in prediction): a SystemStack and its
-Decisions, which start as the interval screen's in prediction and all
-OPEN in definitive decisions.
+Each vertex system of an n-D box is one array-form system of n nominal
+rows: the strict exit-flow row first, then the non-strict invariance row of
+the facet 2d + (bit d of the vertex) of every other axis d, in axis order;
+in prediction, one sign row per control input follows. A vertex off the
+exit facet also lies on the opposite facet, exit_facet ^ 1, but its row is
+left out: that facet's normal is the exit normal negated, so its row is
+the exit row negated and made non-strict, bit for bit, in the nominal,
+robust and expanded systems alike (the radii move both rows by the same
+amounts with opposite signs). The exit row a . u > b then implies it,
+-a . u <= -b; in the balanced LP it is the exit row's constraint a second
+time. It never decides a verdict.
+
+decide_exit_facets and predict_exit_facets build every vertex system of a
+whole list of edges up front, in stacked array products over the edges'
+cells (_nominal_stacks), into pools of one cell dimension and one kind each
+(balanced and strict-slack LP in definitive decisions, robust and expanded
+rows in prediction): a SystemStack and its Decisions, which start as the
+interval screen's in prediction and all OPEN in definitive decisions.
+With first the index of an edge's first vertex, its vertex j is system
+first + j of each pool, and, in prediction, vertex j under sign pattern p
+is system (first + j) * P + p.
 Each edge's rule is written once, as a walk: a generator that yields the
 (pool, index) of the system it needs next and receives that system's
 status, stopping as soon as its verdict is settled. The walks run
 together, in rounds: a request the pool has decided is answered at once,
 and each round's OPEN requests are solved in one decide_stacks call, whose
-decisions fill in the pools. With at most three control inputs every
-system is decided by itself, so no witness depends on what else is in the
-round.
+decisions fill in the pools. Every system is decided by itself, so no
+witness depends on what else is in the round.
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -97,40 +107,13 @@ def deviation_bounds(
     return ModelDeviationBounds(L_df * d, L_g * d, eps_c)
 
 
-@lru_cache(maxsize=256)
-def _row_facets(incidence: tuple[tuple[int, ...], ...], exit_facet: int):
-    """Facets of the nominal rows at every vertex of a cell with
-    vertex-facet incidence `incidence`: the exit facet first, then the
-    other facets containing the vertex. Vertices on the exit facet drop it
-    from their incidence set, so their systems have one row fewer.
-
-    Returns, per vertex, its (row count, position among the vertices of
-    that row count), and, per row count r, the (r, vertices, facets) of
-    its vertices in order, facets (count, r)."""
-    slots, groups = [], {}
-    for j, incident in enumerate(incidence):
-        facets = (exit_facet, *(i for i in incident if i != exit_facet))
-        vertices, rows = groups.setdefault(len(facets), ([], []))
-        slots.append((len(facets), len(vertices)))
-        vertices.append(j)
-        rows.append(facets)
-    out = []
-    for r, (vertices, rows) in groups.items():
-        vertices = np.array(vertices, dtype=np.intp)
-        rows = np.array(rows, dtype=np.intp).reshape(-1, r)
-        vertices.setflags(write=False)
-        rows.setflags(write=False)
-        out.append((r, vertices, rows))
-    return tuple(slots), tuple(out)
-
-
 class _Rows(NamedTuple):
-    """Nominal rows of K vertex systems with r rows each."""
+    """Nominal rows of K vertex systems of n-D cells, n rows each."""
 
     item: np.ndarray  # (K,) index of the system's item
     norm: np.ndarray  # (K,) Euclidean norm of its vertex
-    A: np.ndarray     # (K, r, m)
-    b: np.ndarray     # (K, r)
+    A: np.ndarray     # (K, n, m)
+    b: np.ndarray     # (K, n)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -139,52 +122,58 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
 
 
-def _nominal_stacks(items):
-    """Nominal rows of every vertex of (cell, exit_facet, model, ...) items,
-    in the unknown input u_j at v_j: first the exit row A[0] . u > b[0],
-    then the invariance rows A[i] . u <= b[i], one per facet of
-    _row_facets. With n a facet normal, the flow n . (A v + B u + c) must
-    be positive through the exit facet and non-positive through the
-    others. The models share one input count.
+def _row_facet_index(n: int, exit_facet: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Facets of the nominal rows of vertex systems of n-D boxes, (K, n) for
+    exit facets and vertex indices (K,): the exit facet, then, for every
+    other axis d in order, the facet 2d + (bit d of the vertex, axis 0 the
+    most significant) that contains the vertex."""
+    i = np.arange(n - 1)
+    axis = i + (i >= (exit_facet // 2)[:, None])
+    bit = (vertex[:, None] >> (n - 1 - axis)) & 1
+    return np.concatenate([exit_facet[:, None], 2 * axis + bit], axis=1)
 
-    Returns, for each item, the (r, position) slot of each of its vertices,
-    and, for each row count r, the _Rows of its vertices. Items whose cells
-    share a dimension are stacked together; every drift
+
+def _nominal_rows(items, vertex=None) -> _Rows:
+    """Nominal rows of vertex systems of (cell, exit_facet, model, ...)
+    items whose cells share a dimension n: of every vertex of every item,
+    item-major (vertex j of item e is system e * 2^n + j), or, given
+    vertex, of vertex[e] of item e alone.
+
+    In the unknown input u_j at v_j, the exit row A[0] . u > b[0] comes
+    first, then the invariance rows A[i] . u <= b[i] of _row_facet_index:
+    with n a facet normal, the flow n . (A v + B u + c) must be positive
+    through the exit facet and non-positive through the others. Each drift
     A v + c is one matrix-vector product, as model.A @ v + model.c."""
+    n = items[0][0].dim
+    if vertex is None:
+        at = np.repeat(np.arange(len(items)), 2 ** n)
+        vertex = np.tile(np.arange(2 ** n), len(items))
+    else:
+        at, vertex = np.arange(len(items)), np.asarray(vertex)
+    V = np.stack([cell.vertices for cell, *_ in items])[at, vertex]
+    drift = (np.stack([model.A for _, _, model, *_ in items])[at] @ V[..., None])[..., 0]
+    drift += np.stack([model.c for _, _, model, *_ in items])[at]
+    exit_facet = np.array([facet for _, facet, *_ in items])[at]
+    # Every n-D box has the same unit normals.
+    N = items[0][0].normals[_row_facet_index(n, exit_facet, vertex)]
+    B = np.stack([model.B for _, _, model, *_ in items])[at]
+    return _Rows(at, _norm(V), N @ B, -(N @ drift[..., None])[..., 0])
+
+
+def _nominal_stacks(items):
+    """The _Rows of every vertex of (cell, exit_facet, model, ...) items, one
+    per cell dimension n, and, per item, its (n, index of its first vertex
+    system) slot. The models share one input count."""
     kinds = {}
-    for i, (cell, *_) in enumerate(items):
-        kinds.setdefault(cell.dim, []).append(i)
-    slots = [None] * len(items)
-    count, blocks = {}, {}
-    for kind in kinds.values():
-        V = np.stack([items[i][0].vertices for i in kind])
-        normals = np.stack([items[i][0].normals for i in kind])
-        B = np.stack([items[i][2].B for i in kind])
-        drift = (np.stack([items[i][2].A for i in kind])[:, None] @ V[..., None])[..., 0]
-        drift += np.stack([items[i][2].c for i in kind])[:, None]
-        members = {}
-        for t, i in enumerate(kind):
-            cell, facet = items[i][:2]
-            vertex_slots, groups = _row_facets(cell.vertex_facet_index, facet)
-            slots[i] = [(r, count.get(r, 0) + k) for r, k in vertex_slots]
-            for r, vertices, facets in groups:
-                members.setdefault(r, []).append((t, vertices, facets))
-                count[r] = count.get(r, 0) + len(vertices)
-        for r, group in members.items():
-            at = np.repeat([t for t, _, _ in group], [len(v) for _, v, _ in group])
-            vertex = np.concatenate([v for _, v, _ in group])
-            N = normals[at[:, None], np.concatenate([f for _, _, f in group])]
-            blocks.setdefault(r, []).append(
-                _Rows(np.asarray(kind)[at], _norm(V[at, vertex]), N @ B[at],
-                      -(N @ drift[at, vertex][..., None])[..., 0]))
-    return slots, {r: _Rows(*map(np.concatenate, zip(*parts))) for r, parts in blocks.items()}
-
-
-def _vertex_rows(cell: Polytope, exit_facet: int, vertex_j: int, model: AffineModel):
-    """The nominal rows (A, b) of one vertex (see _nominal_stacks)."""
-    slots, stacks = _nominal_stacks([(cell, exit_facet, model)])
-    r, k = slots[0][vertex_j]
-    return stacks[r].A[k], stacks[r].b[k]
+    for e, (cell, *_) in enumerate(items):
+        kinds.setdefault(cell.dim, []).append(e)
+    slots, stacks = [None] * len(items), {}
+    for n, kind in kinds.items():
+        rows = _nominal_rows([items[e] for e in kind])
+        stacks[n] = rows._replace(item=np.asarray(kind)[rows.item])
+        for t, e in enumerate(kind):
+            slots[e] = (n, t * 2 ** n)
+    return slots, stacks
 
 
 def vertex_constraint_system(
@@ -195,9 +184,10 @@ def vertex_constraint_system(
     control_box,
 ) -> LinearConstraintSystem:
     """Nominal rows in the unknown input u_j: strict positive flow through
-    the exit facet, non-strict inflow on the other facets containing v_j."""
-    A, b = _vertex_rows(cell, exit_facet, vertex_j, model)
-    return LinearConstraintSystem(A, b, _exit_row_mask(len(b)), control_box)
+    the exit facet, non-strict inflow on the other facets containing v_j
+    but the one opposite the exit facet (see the module docstring)."""
+    rows = _nominal_rows([(cell, exit_facet, model)], [vertex_j])
+    return LinearConstraintSystem(rows.A[0], rows.b[0], _exit_row_mask(cell.dim), control_box)
 
 
 def _exit_row_mask(rows: int) -> np.ndarray:
@@ -208,7 +198,7 @@ def _exit_row_mask(rows: int) -> np.ndarray:
 
 
 class _Pool:
-    """Every vertex system of one row shape and one kind, as one
+    """Every vertex system of one cell dimension and one kind, as one
     SystemStack decided under one LP form, and their Decisions: the
     screen's when screened, else all OPEN. Rounds fill in the systems the
     walks read."""
@@ -238,9 +228,8 @@ def _run_walks(walks) -> list[ReachDecision]:
     yields the (pool, index) request of the system it needs next and
     receives that system's status. A request its pool has decided is
     answered at once; the others wait for the round, which solves the OPEN
-    requests of every walk together. Vertex enumeration decides each system
-    by itself, so no result depends on what else is in the round; only
-    systems with more than three inputs share a HiGHS LP."""
+    requests of every walk together. Each system is decided by itself, so
+    no result depends on what else is in the round."""
     decisions: list[ReachDecision | None] = [None] * len(walks)
     answered = [(e, walk, None) for e, walk in enumerate(walks)]
     while answered:
@@ -269,12 +258,12 @@ def decide_exit_facet(
     return decide_exit_facets([(cell, exit_facet, model)], control_box)[0]
 
 
-def _decide_walk(vertices):
-    """The definitive rule of one edge, as a walk over its vertices, given
-    as ((balanced, strict-slack) pools, index) pairs. The walk stops at the
-    first vertex that is empty or infeasible."""
+def _decide_walk(pools, first: int, count: int):
+    """The definitive rule of one edge, as a walk over its count vertices,
+    systems first, first + 1, ... of both (balanced, strict-slack) pools.
+    The walk stops at the first vertex that is empty or infeasible."""
     witnesses = []
-    for pools, i in vertices:
+    for i in range(first, first + count):
         for pool in pools:
             status = yield pool, i
             # A positive uniform slack certifies the vertex outright and an
@@ -300,12 +289,11 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     box = as_control_box(control_box)
     slots, stacks = _nominal_stacks(items)
     pools = {}
-    for r, rows in stacks.items():
-        stack = SystemStack(rows.A, rows.b, np.broadcast_to(_exit_row_mask(r), rows.b.shape),
+    for n, rows in stacks.items():
+        stack = SystemStack(rows.A, rows.b, np.broadcast_to(_exit_row_mask(n), rows.b.shape),
                             np.broadcast_to(box, (len(rows.b),) + box.shape))
-        pools[r] = (_Pool(stack, balanced=True), _Pool(stack))
-    return _run_walks([_decide_walk([(pools[r], k) for r, k in item_slots])
-                       for item_slots in slots])
+        pools[n] = (_Pool(stack, balanced=True), _Pool(stack))
+    return _run_walks([_decide_walk(pools[n], first, 2 ** n) for n, first in slots])
 
 
 def sign_patterns(m: int) -> list[tuple[int, ...]]:
@@ -337,10 +325,9 @@ def _perturbed_rows(A0, b0, shift, eps_B, patterns, tighten: bool):
 
 def _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern, control_box,
                       tighten: bool) -> LinearConstraintSystem:
-    A0, b0 = _vertex_rows(cell, exit_facet, vertex_j, ref_model)
-    shift = bounds.eps_A * _norm(cell.vertices[vertex_j]) + bounds.eps_c
+    rows = _nominal_rows([(cell, exit_facet, ref_model)], [vertex_j])
     A, b, strict = _perturbed_rows(
-        A0[None], b0[None], np.array([shift]), np.array([bounds.eps_B]),
+        rows.A, rows.b, bounds.eps_A * rows.norm + bounds.eps_c, np.array([bounds.eps_B]),
         np.array([pattern], dtype=float), tighten)
     return LinearConstraintSystem(A[0, 0], b[0, 0], strict[0, 0], control_box)
 
@@ -386,11 +373,10 @@ def _pattern_stack(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> Syst
                        np.broadcast_to(box, (n_sys,) + box.shape))
 
 
-def _predict_walk(vertices, P: int, zero_radius: bool):
-    """The predictive rule of one edge, as a walk over its vertices, given
-    as (robust pool, expanded pool, index) triples: index is the vertex's
-    first system in both pools of its row shape, and pattern p follows at
-    offset p. P is the number of sign patterns.
+def _predict_walk(robust, expanded, first: int, count: int, P: int, zero_radius: bool):
+    """The predictive rule of one edge, as a walk over its count vertices:
+    vertex j under sign pattern p is system (first + j) * P + p of both
+    the robust and the expanded pool. P is the number of sign patterns.
 
     Every vertex tries its robust patterns until one is feasible, the last
     feasible pattern first. Then every robust-failed vertex tries its
@@ -398,7 +384,7 @@ def _predict_walk(vertices, P: int, zero_radius: bool):
     one where none is."""
     order = list(range(P))
     witnesses, robust_failed = [], []
-    for robust, expanded, i in vertices:
+    for i in range(first * P, (first + count) * P, P):
         for pos, p in enumerate(order):
             if (yield robust, i + p) == FEASIBLE:
                 witnesses.append(robust.decisions.witness[i + p].copy())
@@ -408,7 +394,7 @@ def _predict_walk(vertices, P: int, zero_radius: bool):
                 order.insert(0, order.pop(pos))
                 break
         else:
-            robust_failed.append((expanded, i))
+            robust_failed.append(i)
     if not robust_failed:
         return ReachDecision(ReachStatus.EXISTS, witnesses)
     if zero_radius:
@@ -417,7 +403,7 @@ def _predict_walk(vertices, P: int, zero_radius: bool):
         return ReachDecision(ReachStatus.ABSENT)
     # Robust-feasible vertices are expanded-feasible a fortiori; only the
     # failed ones can certify absence.
-    for expanded, i in robust_failed:
+    for i in robust_failed:
         for p in order:
             if (yield expanded, i + p) == FEASIBLE:
                 break
@@ -434,8 +420,8 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     EXISTS iff every vertex has a feasible robust pattern system; ABSENT iff
     some vertex has all expanded pattern systems infeasible; UNCERTAIN
     otherwise. The robust and expanded systems of every vertex are built
-    and screened up front, one robust and one expanded pool per row shape;
-    the walks of all items run together (see _run_walks).
+    and screened up front, one robust and one expanded pool per cell
+    dimension; the walks of all items run together (see _run_walks).
     """
     box = as_control_box(control_box)
     if not items:
@@ -443,20 +429,18 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     slots, stacks = _nominal_stacks(items)
     eps_A, eps_B, eps_c = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items]).T
     pools = {}
-    for r, rows in stacks.items():
+    for n, rows in stacks.items():
         # eps_A ||v|| + eps_c: how far the deviation radii move the
         # right-hand side of every row at v. Unit normals make the ||n||
         # factors one.
         shift = eps_A[rows.item] * rows.norm + eps_c[rows.item]
-        pools[r] = [_Pool(_pattern_stack(rows.A, rows.b, shift, eps_B[rows.item], box, tighten),
+        pools[n] = [_Pool(_pattern_stack(rows.A, rows.b, shift, eps_B[rows.item], box, tighten),
                           screened=True)
                     for tighten in (True, False)]
-    walks = []
-    for (_, _, model, bounds), item_slots in zip(items, slots):
-        P = 2 ** model.B.shape[1]
-        walks.append(_predict_walk([(*pools[r], k * P) for r, k in item_slots], P,
-                                   bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0))
-    return _run_walks(walks)
+    P = 2 ** box.shape[0]
+    return _run_walks([_predict_walk(*pools[n], first, 2 ** n, P,
+                                     bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0)
+                       for (n, first), (*_, bounds) in zip(slots, items)])
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):

@@ -71,20 +71,6 @@ class TestLinearizeAt:
         assert np.allclose(model.B, [[2.0, 0.0], [0.0, 3.0]])
         assert np.allclose(model.c, [1.0, -1.0])
 
-    def test_finite_difference_matches_analytic(self):
-        env = TerrainField()
-
-        class NumericTerrain(type(env)):
-            def jacobian_drift(self, x):
-                return None
-
-        numeric = NumericTerrain()
-        rng = np.random.default_rng(1)
-        for x in rng.uniform(-10, 10, size=(50, 2)):
-            a = linearize_at(env, x).A
-            b = linearize_at(numeric, x).A
-            assert np.allclose(a, b, atol=1e-8)
-
     def test_affine_field_is_its_own_linearization(self):
         rng = np.random.default_rng(2)
         A = rng.normal(size=(2, 2))

@@ -5,6 +5,8 @@ from pwa_nav.dynamics import AffineField, TerrainField
 from pwa_nav.geometry import GridPartition
 from pwa_nav.graph import WeightMode
 from pwa_nav.planner import (
+    MAX_TRANSIT_STEPS,
+    SIM_STEP,
     MissionConfig,
     MissionConfigError,
     MissionStatus,
@@ -75,6 +77,27 @@ class TestMissionOutcomes:
         assert log.status is MissionStatus.REACHED_TARGET
         final = log.trajectory[-1][1]
         assert sc.partition.locate(final) == 0
+
+
+class TestSlowTransit:
+    """A certified exit flow may be as small as TOL_STRICT, and the transit
+    time bound grows as its inverse; the transit still ends, as a timeout,
+    after MAX_TRANSIT_STEPS steps."""
+
+    # B u = -0.0159 at the fixed input u = 0.72, found by fuzzing, and a
+    # flow of 1.5 TOL_STRICT.
+    @pytest.mark.parametrize("b", [-0.0221, -1.5e-7 / 0.72])
+    def test_transit_is_capped(self, b):
+        field = AffineField([[0.0]], [[b]], [0.0], 1e-6, 1e-6)
+        sc = make_scenario(field, [[0.0, 2.0]], (2,), initial=[1.5], target_cell=0)
+        sc.control_box = np.array([[0.72, 0.72]])
+        log = run_mission(MissionConfig(sc, max_iterations=1))
+        (record,) = log.records
+        assert record.identified and record.outcome == "timeout"
+        assert record.transit_time == pytest.approx(MAX_TRANSIT_STEPS * SIM_STEP)
+        # The start, the identification burst and the transit's steps, with
+        # one more step of at most rounding length to reach t_max.
+        assert len(log.trajectory) <= 1 + sc.sysid.samples + MAX_TRANSIT_STEPS + 1
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,13 @@ import pytest
 from pwa_nav import feasibility
 from pwa_nav.dynamics import AffineModel, TerrainField, linearize_at
 from pwa_nav.feasibility import (
+    FEASIBLE,
     TOL_STRICT,
+    LinearConstraintSystem,
+    SystemStack,
     balance_witnesses_batch,
     decide_feasibility,
+    decide_stacks,
     screen_feasibility,
 )
 from pwa_nav.geometry import (
@@ -33,7 +37,8 @@ from pwa_nav.reach import (
     t0_upper_bound,
     vertex_constraint_system,
 )
-from test_geometry import barycentric
+from test_feasibility import reference_enumerate
+from test_geometry import barycentric, reference_incidence
 
 BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 UNIT_SQUARE = Polytope.box([0.0, 0.0], [1.0, 1.0])
@@ -127,11 +132,16 @@ class TestVertexConstraintSystem:
         assert not rows_satisfied(sys, np.array([1.0, 1.0]))
 
     def test_non_exit_vertex_keeps_all_incident_rows(self):
-        # Vertex (0,0): rows {u1 > 0, -u1 <= 0, -u2 <= 0}.
+        # Vertex (0,0): rows {u1 > 0, -u2 <= 0}. The row -u1 <= 0 of the
+        # left facet, opposite the exit facet, is the exit row negated and
+        # made non-strict, so the system leaves it out.
         sys = vertex_constraint_system(UNIT_SQUARE, EXIT_RIGHT, 0, single_integrator(), BOX)
-        assert sys.A.shape == (3, 2)
+        assert sys.A.shape == (2, 2)
+        assert np.array_equal(sys.A, [[1.0, 0.0], [0.0, -1.0]])
+        assert sys.strict.tolist() == [True, False]
         assert rows_satisfied(sys, np.array([1.0, 0.0]))
         assert not rows_satisfied(sys, np.array([1.0, -1.0]))
+        assert not rows_satisfied(sys, np.array([-1.0, 0.0]))
 
     def test_drift_against_small_control_box(self):
         model = AffineModel(np.zeros((2, 2)), np.eye(2), [-4.5, -4.5], np.zeros(2))
@@ -197,13 +207,17 @@ class TestDecideExitFacet:
                 assert (dec.status is ReachStatus.EXISTS) == sampled_ok
 
 
-def reference_rows(cell, facet, j, model, bounds=None, pattern=None, tighten=True):
+def reference_rows(cell, facet, j, model, bounds=None, pattern=None, tighten=True,
+                   opposite=False):
     """Row-by-row construction of a vertex system as (coeffs, rhs, strict)
     triples: the nominal system when bounds is None, else the robust
-    (tighten=True) or expanded (tighten=False) system of one sign pattern."""
+    (tighten=True) or expanded (tighten=False) system of one sign pattern.
+    The rows are those of the exit facet and of the other facets containing
+    the vertex, less the facet opposite the exit facet unless opposite."""
     v = cell.vertices[j]
     drift = model.A @ v + model.c
-    facets = [facet] + [i for i in cell.vertex_facet_index[j] if i != facet]
+    facets = [facet] + [i for i in reference_incidence(cell)[j]
+                        if i != facet and (opposite or i != facet ^ 1)]
     if bounds is None:
         return [(cell.normals[i] @ model.B, -float(cell.normals[i] @ drift), i == facet)
                 for i in facets]
@@ -262,6 +276,81 @@ class TestRowBuildersMatchReference:
             self.assert_same(
                 expanded_vertex_system(cell, facet, j, model, bounds, pattern, box),
                 reference_rows(cell, facet, j, model, bounds, pattern, tighten=False))
+
+
+def as_system(rows, box):
+    return LinearConstraintSystem([a for a, _, _ in rows], [b for _, b, _ in rows],
+                                  [st for _, _, st in rows], box)
+
+
+class TestOppositeRowIsRedundant:
+    """A vertex off the exit facet leaves out the row of the opposite facet,
+    exit_facet ^ 1, which the exit row implies. Against the systems that
+    keep it (reference_rows with opposite=True), the nominal, robust and
+    expanded systems must decide alike: the same status in both LP forms,
+    the same screen decisions, and the same witness, to the bit, wherever
+    the optimum with the row kept is the only candidate of its slack."""
+
+    @staticmethod
+    def samples(seed, count):
+        """(old, new) system pairs: the nominal, robust and expanded systems
+        of random vertices, exit facets, models, radii, sign patterns and
+        control boxes on random 2-D and 3-D boxes."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            A, B, c = rng.normal(size=(n, n)), rng.normal(size=(n, m)), rng.normal(size=n)
+            low = rng.uniform(-5.0, 5.0, size=n)
+            high = low + rng.uniform(0.1, 3.0, size=n)
+            kind = rng.random()
+            if kind < 0.15:
+                B[:] = 0.0
+            elif kind < 0.35:
+                d = rng.integers(n)
+                A[d], B[d], c[d] = 0.0, 0.0, 0.0
+            elif kind < 0.6:
+                # Dyadic models on integer boxes: every row is exact, so
+                # ties between candidate vertices are exact too.
+                A, B, c = (rng.integers(-4, 5, size=x.shape) / 4.0 for x in (A, B, c))
+                low = rng.integers(-3, 3, size=n).astype(float)
+                high = low + rng.integers(1, 3, size=n)
+            cell = Polytope.box(low, high)
+            model = AffineModel(A, B, c, np.zeros(n))
+            bounds = (ModelDeviationBounds(0.0, 0.0, 0.0) if rng.random() < 0.2
+                      else ModelDeviationBounds(*rng.uniform(0.0, 0.5, size=3)))
+            facet, j = int(rng.integers(2 * n)), int(rng.integers(2 ** n))
+            pattern = sign_patterns(m)[rng.integers(2 ** m)]
+            lo = rng.uniform(-3.0, 0.0, size=m)
+            box = np.column_stack([lo, lo + rng.uniform(0.5, 5.0, size=m)])
+            yield (as_system(reference_rows(cell, facet, j, model, opposite=True), box),
+                   vertex_constraint_system(cell, facet, j, model, box))
+            for tighten, build in ((True, robust_vertex_system), (False, expanded_vertex_system)):
+                old = reference_rows(cell, facet, j, model, bounds, pattern, tighten, opposite=True)
+                yield (as_system(old, box), build(cell, facet, j, model, bounds, pattern, box))
+
+    def test_decisions_match_the_systems_with_the_row(self):
+        groups = {}
+        for old, new in self.samples(30, 600):
+            groups.setdefault((old.A.shape, new.A.shape), []).append((old, new))
+        dropped = unique = 0
+        for (old_shape, new_shape), pairs in groups.items():
+            old, new = (SystemStack.of(list(systems)) for systems in zip(*pairs))
+            dropped += len(pairs) * (old_shape[0] - new_shape[0])
+            for got, want in zip(feasibility._screen(new), feasibility._screen(old)):
+                assert np.array_equal(got, want, equal_nan=True)
+            for balanced in (False, True):
+                got, want = (decide_stacks([stack], [balanced])[0] for stack in (new, old))
+                assert np.array_equal(got.status, want.status)
+                feasible = want.status == FEASIBLE
+                d, d_want = got.margin[feasible], want.margin[feasible]
+                assert np.all(np.abs(d - d_want) <= 1e-12 * np.maximum(1.0, np.abs(d_want)))
+                G, h = feasibility._slack_rows(old.A, old.b, old.strict, balanced)
+                bitwise = feasible & reference_enumerate(G, h, old.box)[1]
+                assert np.array_equal(got.witness[bitwise], want.witness[bitwise])
+                unique += bitwise.sum()
+        # Most pairs differ by the row, and many witnesses are compared bit
+        # for bit.
+        assert dropped > 900 and unique > 500
 
 
 class TestPerturbedSystems:
