@@ -10,9 +10,9 @@ EMPTY (the slack LP has no point at all) or OPEN (not decided). Two passes
 produce them: _screen, one NumPy pass of interval arithmetic over a stack
 that leaves OPEN what it cannot settle, including every system within the
 LP's rounding of a threshold, and decide_stacks, the exact slack LP of every
-system of its stacks, each system by itself. The reach walks keep pools of
-stacks and their Decisions, screened once in prediction, and send the OPEN
-systems they read to decide_stacks, one call per round.
+system of its stacks, each system by itself. The reach rules screen their
+prediction stacks once and, pass by pass, send the OPEN systems they read
+to decide_stacks.
 decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
 (balanced LP of several) and screen_feasibility (the screen of one system)
 are views that read one entry of a Decisions as a FeasibilityResult.
@@ -140,11 +140,6 @@ class Decisions(NamedTuple):
     status: np.ndarray
     witness: np.ndarray
     margin: np.ndarray
-
-    @classmethod
-    def open(cls, n: int, dim: int) -> "Decisions":
-        """n OPEN systems with dim inputs."""
-        return cls(np.full(n, OPEN), np.full((n, dim), np.nan), np.zeros(n))
 
     def result(self, i: int) -> FeasibilityResult | None:
         """System i as a FeasibilityResult; None while it is OPEN."""

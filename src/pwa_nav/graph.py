@@ -4,8 +4,8 @@ Edges between adjacent cells carry Exists/Absent/Uncertain status. Source
 cells with identified dynamics get definitive, frozen decisions; unexplored
 sources get predictions anchored at the nearest explored cell. Each refresh
 collects every edge it must (re)decide and decides them as two batches, one
-definitive and one predictive, in each of which the per-edge walks of reach
-run together in rounds of stacked LPs. Uncertain edges are weighted by
+definitive and one predictive, each of which reach decides in passes of
+stacked LPs over the edges still open. Uncertain edges are weighted by
 proximity to the explored region, scaled by gamma, once per destination
 cell.
 """

@@ -19,22 +19,18 @@ amounts with opposite signs). The exit row a . u > b then implies it,
 -a . u <= -b; in the balanced LP it is the exit row's constraint a second
 time. It never decides a verdict.
 
-decide_exit_facets and predict_exit_facets build every vertex system of a
-whole list of edges up front, in stacked array products over the edges'
-cells (_nominal_stacks), into pools of one cell dimension and one kind each
-(balanced and strict-slack LP in definitive decisions, robust and expanded
-rows in prediction): a SystemStack and its Decisions, which start as the
-interval screen's in prediction and all OPEN in definitive decisions.
-With first the index of an edge's first vertex, its vertex j is system
-first + j of each pool, and, in prediction, vertex j under sign pattern p
-is system (first + j) * P + p.
-Each edge's rule is written once, as a walk: a generator that yields the
-(pool, index) of the system it needs next and receives that system's
-status, stopping as soon as its verdict is settled. The walks run
-together, in rounds: a request the pool has decided is answered at once,
-and each round's OPEN requests are solved in one decide_stacks call, whose
-decisions fill in the pools. Every system is decided by itself, so no
-witness depends on what else is in the round.
+decide_exit_facets and predict_exit_facets decide a whole list of edges
+at once. The nominal rows of every vertex of the edges' cells come from
+stacked array products, one stack per cell dimension n (_by_dimension), in
+which vertex j of edge t is system t * 2^n + j; in prediction, vertex j
+under sign pattern p is system (t * 2^n + j) * P + p of the robust stack.
+Prediction screens the robust stack once, and builds and screens expanded
+systems, once, only at the vertices where every robust pattern failed.
+Each rule then runs as passes over the edges still
+open, one per vertex index (and pattern position), and each pass sends the
+systems it reads that the screen left OPEN to one decide_stacks call. Every
+system is decided by itself, so no witness depends on what else is in the
+pass.
 """
 
 from __future__ import annotations
@@ -160,20 +156,17 @@ def _nominal_rows(items, vertex=None) -> _Rows:
     return _Rows(at, _norm(V), N @ B, -(N @ drift[..., None])[..., 0])
 
 
-def _nominal_stacks(items):
-    """The _Rows of every vertex of (cell, exit_facet, model, ...) items, one
-    per cell dimension n, and, per item, its (n, index of its first vertex
-    system) slot. The models share one input count."""
-    kinds = {}
+def _by_dimension(items):
+    """Indices of (cell, exit_facet, model, ...) items grouped by cell
+    dimension n, in order of first appearance, as (n, indices, rows) with
+    the _Rows of every vertex of the group's items: vertex j of its item t
+    is system t * 2^n + j, and rows.item is t. The models share one input
+    count."""
+    groups: dict[int, list[int]] = {}
     for e, (cell, *_) in enumerate(items):
-        kinds.setdefault(cell.dim, []).append(e)
-    slots, stacks = [None] * len(items), {}
-    for n, kind in kinds.items():
-        rows = _nominal_rows([items[e] for e in kind])
-        stacks[n] = rows._replace(item=np.asarray(kind)[rows.item])
-        for t, e in enumerate(kind):
-            slots[e] = (n, t * 2 ** n)
-    return slots, stacks
+        groups.setdefault(cell.dim, []).append(e)
+    return [(n, group, _nominal_rows([items[e] for e in group]))
+            for n, group in groups.items()]
 
 
 def vertex_constraint_system(
@@ -197,55 +190,22 @@ def _exit_row_mask(rows: int) -> np.ndarray:
     return strict
 
 
-class _Pool:
-    """Every vertex system of one cell dimension and one kind, as one
-    SystemStack decided under one LP form, and their Decisions: the
-    screen's when screened, else all OPEN. Rounds fill in the systems the
-    walks read."""
-
-    def __init__(self, stack: SystemStack, balanced: bool = False, screened: bool = False):
-        self.stack, self.balanced = stack, balanced
-        self.decisions = (_screen(stack) if screened
-                          else Decisions.open(len(stack.b), stack.A.shape[2]))
-
-
-def _solve_round(requests) -> None:
-    """Decide one round's OPEN (pool, index) requests in one decide_stacks
-    call, one stack per pool, and record the decisions in the pools."""
-    by_pool: dict[_Pool, list[int]] = {}
-    for pool, i in requests:
-        by_pool.setdefault(pool, []).append(i)
-    pools, idx = list(by_pool), [np.array(ids) for ids in by_pool.values()]
-    solved = decide_stacks([pool.stack.take(i) for pool, i in zip(pools, idx)],
-                           [pool.balanced for pool in pools])
-    for pool, i, decided in zip(pools, idx, solved):
-        for field, values in zip(pool.decisions, decided):
-            field[i] = values
-
-
-def _run_walks(walks) -> list[ReachDecision]:
-    """Run one-edge walks to their decisions, one per walk in order. A walk
-    yields the (pool, index) request of the system it needs next and
-    receives that system's status. A request its pool has decided is
-    answered at once; the others wait for the round, which solves the OPEN
-    requests of every walk together. Each system is decided by itself, so
-    no result depends on what else is in the round."""
-    decisions: list[ReachDecision | None] = [None] * len(walks)
-    answered = [(e, walk, None) for e, walk in enumerate(walks)]
-    while answered:
-        blocked = []
-        for e, walk, status in answered:
-            try:
-                pool, i = walk.send(status)
-                while (status := pool.decisions.status[i]) != OPEN:
-                    pool, i = walk.send(status)
-            except StopIteration as stop:
-                decisions[e] = stop.value
-            else:
-                blocked.append((e, walk, pool, i))
-        _solve_round([(pool, i) for _, _, pool, i in blocked])
-        answered = [(e, walk, pool.decisions.status[i]) for e, walk, pool, i in blocked]
-    return decisions
+def _decide(stack: SystemStack, idx: np.ndarray, balanced: bool = False,
+            screen: Decisions | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Status (K,) and witness (K, m) of the systems idx of a stack: the
+    screen's verdict where it settled one, else the exact LP's (balanced or
+    strict-slack), from one decide_stacks call on the rest. Every system is
+    decided by itself, so no witness depends on what else is in the call."""
+    if screen is None:
+        status = np.full(len(idx), OPEN)
+        witness = np.full((len(idx), stack.A.shape[2]), np.nan)
+    else:
+        status, witness = screen.status[idx], screen.witness[idx]
+    todo = status == OPEN
+    if todo.any():
+        solved = decide_stacks([stack.take(idx[todo])], [balanced])[0]
+        status[todo], witness[todo] = solved.status, solved.witness
+    return status, witness
 
 
 def decide_exit_facet(
@@ -258,25 +218,6 @@ def decide_exit_facet(
     return decide_exit_facets([(cell, exit_facet, model)], control_box)[0]
 
 
-def _decide_walk(pools, first: int, count: int):
-    """The definitive rule of one edge, as a walk over its count vertices,
-    systems first, first + 1, ... of both (balanced, strict-slack) pools.
-    The walk stops at the first vertex that is empty or infeasible."""
-    witnesses = []
-    for i in range(first, first + count):
-        for pool in pools:
-            status = yield pool, i
-            # A positive uniform slack certifies the vertex outright and an
-            # empty system fails it outright; otherwise the strict-slack LP
-            # decides.
-            if status != INFEASIBLE:
-                break
-        if status != FEASIBLE:
-            return ReachDecision(ReachStatus.ABSENT)
-        witnesses.append(pool.decisions.witness[i].copy())
-    return ReachDecision(ReachStatus.EXISTS, witnesses)
-
-
 def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     """Definitive decisions of (cell, exit_facet, model) items, one per item
     in order: EXISTS with per-vertex witnesses iff every vertex system is
@@ -285,15 +226,33 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     Witnesses are balanced (uniform slack over all rows) when possible, so
     the synthesized law tolerates model error on the invariance rows too;
     the strict-slack LP decides a vertex only where the balanced slack is
-    not positive. The walks of all items run together (see _run_walks)."""
+    not positive. One pass per vertex index j decides vertex j of every
+    item still open, and an item closes at its first vertex that is empty
+    or infeasible."""
     box = as_control_box(control_box)
-    slots, stacks = _nominal_stacks(items)
-    pools = {}
-    for n, rows in stacks.items():
+    out: list[ReachDecision | None] = [None] * len(items)
+    for n, group, rows in _by_dimension(items):
+        V = 2 ** n
         stack = SystemStack(rows.A, rows.b, np.broadcast_to(_exit_row_mask(n), rows.b.shape),
                             np.broadcast_to(box, (len(rows.b),) + box.shape))
-        pools[n] = (_Pool(stack, balanced=True), _Pool(stack))
-    return _run_walks([_decide_walk(pools[n], first, 2 ** n) for n, first in slots])
+        witness = np.full((len(group), V, box.shape[0]), np.nan)
+        live = np.arange(len(group))
+        for j in range(V):
+            idx = live * V + j
+            status, found = _decide(stack, idx, balanced=True)
+            # A positive uniform slack certifies the vertex outright and an
+            # empty system fails it outright; otherwise the strict-slack LP
+            # decides.
+            retry = status == INFEASIBLE
+            status[retry], found[retry] = _decide(stack, idx[retry])
+            witness[live, j] = found
+            live = live[status == FEASIBLE]
+        exists = np.zeros(len(group), dtype=bool)
+        exists[live] = True
+        for t, e in enumerate(group):
+            out[e] = (ReachDecision(ReachStatus.EXISTS, list(witness[t])) if exists[t]
+                      else ReachDecision(ReachStatus.ABSENT))
+    return out
 
 
 def sign_patterns(m: int) -> list[tuple[int, ...]]:
@@ -373,45 +332,6 @@ def _pattern_stack(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> Syst
                        np.broadcast_to(box, (n_sys,) + box.shape))
 
 
-def _predict_walk(robust, expanded, first: int, count: int, P: int, zero_radius: bool):
-    """The predictive rule of one edge, as a walk over its count vertices:
-    vertex j under sign pattern p is system (first + j) * P + p of both
-    the robust and the expanded pool. P is the number of sign patterns.
-
-    Every vertex tries its robust patterns until one is feasible, the last
-    feasible pattern first. Then every robust-failed vertex tries its
-    expanded patterns until one is feasible; the walk stops at the first
-    one where none is."""
-    order = list(range(P))
-    witnesses, robust_failed = [], []
-    for i in range(first * P, (first + count) * P, P):
-        for pos, p in enumerate(order):
-            if (yield robust, i + p) == FEASIBLE:
-                witnesses.append(robust.decisions.witness[i + p].copy())
-                # A pattern feasible at one vertex tends to work at the
-                # neighbours, so it goes first there: the witness is the
-                # first feasible pattern in this order.
-                order.insert(0, order.pop(pos))
-                break
-        else:
-            robust_failed.append(i)
-    if not robust_failed:
-        return ReachDecision(ReachStatus.EXISTS, witnesses)
-    if zero_radius:
-        # Robust and expanded systems coincide at zero radius, so a robust
-        # failure is already an expanded failure.
-        return ReachDecision(ReachStatus.ABSENT)
-    # Robust-feasible vertices are expanded-feasible a fortiori; only the
-    # failed ones can certify absence.
-    for i in robust_failed:
-        for p in order:
-            if (yield expanded, i + p) == FEASIBLE:
-                break
-        else:
-            return ReachDecision(ReachStatus.ABSENT)
-    return ReachDecision(ReachStatus.UNCERTAIN)
-
-
 def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     """Predictive tri-state decisions of (cell, exit_facet, ref_model,
     bounds) items, for cells with unidentified dynamics, one per item in
@@ -419,28 +339,74 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
 
     EXISTS iff every vertex has a feasible robust pattern system; ABSENT iff
     some vertex has all expanded pattern systems infeasible; UNCERTAIN
-    otherwise. The robust and expanded systems of every vertex are built
-    and screened up front, one robust and one expanded pool per cell
-    dimension; the walks of all items run together (see _run_walks).
+    otherwise. The robust systems of every vertex are built and screened
+    once; one pass per (vertex index, pattern position) then tries, at
+    each item's vertex still without a feasible pattern, the pattern at
+    that position of the item's order. A feasible pattern moves to the
+    front of its item's order, since it tends to work at the neighbours
+    too, so each witness is the first feasible pattern in that order.
+    Robust-feasible vertices are expanded-feasible a fortiori, and at zero
+    radius the expanded systems are the robust ones, so only the
+    robust-failed vertices of items with a non-zero radius can certify
+    absence: their expanded systems alone are built and screened, and
+    passes over them in the same order close an item, ABSENT, at its first
+    vertex where every expanded pattern fails.
     """
     box = as_control_box(control_box)
-    if not items:
-        return []
-    slots, stacks = _nominal_stacks(items)
-    eps_A, eps_B, eps_c = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items]).T
-    pools = {}
-    for n, rows in stacks.items():
+    m = box.shape[0]
+    P = 2 ** m
+    radii = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items])
+    out: list[ReachDecision | None] = [None] * len(items)
+    for n, group, rows in _by_dimension(items):
+        E, V = len(group), 2 ** n
+        eps_A, eps_B, eps_c = radii[group][rows.item].T
         # eps_A ||v|| + eps_c: how far the deviation radii move the
         # right-hand side of every row at v. Unit normals make the ||n||
         # factors one.
-        shift = eps_A[rows.item] * rows.norm + eps_c[rows.item]
-        pools[n] = [_Pool(_pattern_stack(rows.A, rows.b, shift, eps_B[rows.item], box, tighten),
-                          screened=True)
-                    for tighten in (True, False)]
-    P = 2 ** box.shape[0]
-    return _run_walks([_predict_walk(*pools[n], first, 2 ** n, P,
-                                     bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0)
-                       for (n, first), (*_, bounds) in zip(slots, items)])
+        shift = eps_A * rows.norm + eps_c
+        robust = _pattern_stack(rows.A, rows.b, shift, eps_B, box, tighten=True)
+        robust_screen = _screen(robust)
+        # Each item's pattern order, move-to-front (see the docstring).
+        order = np.tile(np.arange(P), (E, 1))
+        witness = np.full((E, V, m), np.nan)
+        failed = np.zeros((E, V), dtype=bool)
+        for j in range(V):
+            live = np.arange(E)
+            for pos in range(P):
+                p = order[live, pos]
+                status, found = _decide(robust, (live * V + j) * P + p, screen=robust_screen)
+                ok = status == FEASIBLE
+                done = live[ok]
+                witness[done, j] = found[ok]
+                order[done, 1:pos + 1] = order[done, :pos]
+                order[done, 0] = p[ok]
+                live = live[~ok]
+            failed[live, j] = True
+
+        # At zero radius a robust failure is already an expanded failure.
+        zero = (radii[group] == 0.0).all(axis=1)
+        expand = failed & ~zero[:, None]
+        pairs = np.flatnonzero(expand)
+        expanded = _pattern_stack(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
+                                  tighten=False)
+        expanded_screen = _screen(expanded)
+        pair = np.zeros((E, V), dtype=np.intp)
+        pair[expand] = np.arange(len(pairs))
+        absent = zero.copy()
+        for j in range(V):
+            live = np.flatnonzero(expand[:, j] & ~absent)
+            for pos in range(P):
+                status, _ = _decide(expanded, pair[live, j] * P + order[live, pos],
+                                    screen=expanded_screen)
+                live = live[status != FEASIBLE]
+            absent[live] = True
+
+        for t, e in enumerate(group):
+            if not failed[t].any():
+                out[e] = ReachDecision(ReachStatus.EXISTS, list(witness[t]))
+            else:
+                out[e] = ReachDecision(ReachStatus.ABSENT if absent[t] else ReachStatus.UNCERTAIN)
+    return out
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):

@@ -142,6 +142,10 @@ def parse_scenario(data: dict) -> Scenario:
     _require(sysid.samples >= 1, "sysid.N", "must be positive")
     _require(sysid.time_step > 0, "sysid.T", "must be positive")
     _require(sysid.input_scale > 0, "sysid.input_scale", "must be positive")
+    # Inputs are drawn from [-input_scale, input_scale], whose width must be
+    # a finite float.
+    _require(sysid.input_scale <= np.finfo(float).max / 2, "sysid.input_scale",
+             "must be at most half the largest float")
 
     field = _build_field(data["dynamics"], L_df, L_g)
     _require(field.n == len(bounds), "state_bounds",

@@ -14,7 +14,8 @@ COND_LIMIT = 1e12
 
 
 class IdentificationError(RuntimeError):
-    """Regressor Gram matrix too ill-conditioned even after ridge fallback."""
+    """The excitation overflowed, or the regressor Gram matrix is too
+    ill-conditioned even after ridge fallback."""
 
 
 class VelocityMode(Enum):
@@ -82,7 +83,14 @@ def identify(
             history.append((x.copy(), u.copy()))
         x = x_new
 
-    gram = X @ X.T
+    # An excitation that overflows (a huge time step or state) leaves
+    # nothing to fit; nor does a Gram matrix whose entries overflow.
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xdot))):
+        raise IdentificationError("a recorded state or velocity is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = X @ X.T
+    if not np.all(np.isfinite(gram)):
+        raise IdentificationError("regressor Gram matrix overflows")
     cond = np.linalg.cond(gram)
     if cond > COND_LIMIT:
         ridge = 1e-8 * np.trace(gram) / (n + m + 1)

@@ -14,6 +14,8 @@ from pwa_nav.cli import main
 from pwa_nav.graph import ReachStatus
 from pwa_nav.scenario import ScenarioError, parse_scenario
 
+BUNDLED = Path(__file__).parents[1] / "scenarios" / "terrain.json"
+
 INTEGRATOR_SCENARIO = {
     "dynamics": {
         "type": "affine",
@@ -304,6 +306,44 @@ class TestMalformedNumbers:
         assert "Traceback" not in proc.stderr
 
 
+class TestOverflowingScales:
+    """Scales so large that the excitation overflows end in the documented
+    exit codes, with no traceback."""
+
+    @staticmethod
+    def run_bundled(tmp_path, changes):
+        """`plan` on the bundled scenario with the value at each key path
+        replaced."""
+        data = json.loads(BUNDLED.read_text())
+        for (*parents, key), value in changes.items():
+            block = data
+            for parent in parents:
+                block = block[parent]
+            block[key] = value
+        scenario = write_scenario(tmp_path, data)
+        return run_cli("plan", "--scenario", scenario, "--out", str(tmp_path / "o"),
+                       "--max-iters", "2")
+
+    @pytest.mark.parametrize("changes", [
+        # The time step makes the terrain's RK4 steps overflow.
+        {("sysid", "T"): 1e10},
+        # Finite states whose squares overflow the regressor Gram matrix.
+        {("state_bounds",): [[0.0, 1e300], [0.0, 1e300]], ("initial_state",): [1e299, 1e299],
+         ("target",): [0.0, 0.0]},
+    ])
+    def test_identification_overflow_exits_four(self, tmp_path, changes):
+        proc = self.run_bundled(tmp_path, changes)
+        assert proc.returncode == 4, proc.stderr
+        assert "identification failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_input_scale_beyond_float_range_exits_one(self, tmp_path):
+        proc = self.run_bundled(tmp_path, {("sysid", "input_scale"): 1e308})
+        assert proc.returncode == 1, proc.stderr
+        assert "scenario error: field 'sysid.input_scale'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestCmdSysidCheck:
     def test_affine_recovery_exact(self, tmp_path):
         scenario = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
@@ -327,15 +367,20 @@ class TestCmdSysidCheck:
 
 
 def test_setup_imports_no_scipy(tmp_path):
-    # SciPy serves only HiGHS, for slack LPs with four or more inputs; the
-    # program's import and scenario load must not pay for it.
+    # SciPy serves only HiGHS, for slack LPs with four or more inputs, and
+    # numpy.ma, which np.unique, np.setdiff1d and np.isin import on first
+    # use, costs some 15 ms: neither the program's import and scenario load
+    # nor a short mission may pay for them.
     path = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
-    code = ("import sys, pwa_nav.cli\n"
-            "from pwa_nav.scenario import load_scenario\n"
-            f"load_scenario({path!r})\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    setup = f"from pwa_nav.scenario import load_scenario\nload_scenario({path!r})\n"
+    plan = (f"pwa_nav.cli.main(['plan', '--scenario', {path!r},"
+            f" '--out', {str(tmp_path / 'o')!r}, '--max-iters', '3'])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for case in (setup, plan):
+        code = ("import sys, pwa_nav.cli\n" + case
+                + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                  " or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pwa_nav import feasibility
+from pwa_nav import feasibility, reach
 from pwa_nav.dynamics import AffineModel, TerrainField, linearize_at
 from pwa_nav.feasibility import (
     FEASIBLE,
@@ -494,11 +494,14 @@ def screened(sys):
     return decide_feasibility(sys) if out is None else out
 
 
-def reference_predict(cell, facet, model, bounds, box):
+def reference_predict(cell, facet, model, bounds, box, robust_failed=None):
     """The predictive decision as a walk over the vertices and sign patterns
-    of one edge, trying the last feasible pattern first."""
+    of one edge, trying the last feasible pattern first. The vertices with
+    no feasible robust pattern are appended to robust_failed when given."""
     patterns = sign_patterns(model.B.shape[1])
-    witnesses, robust_failed = [], []
+    witnesses = []
+    if robust_failed is None:
+        robust_failed = []
     for j in range(cell.n_vertices):
         for idx, pat in enumerate(patterns):
             res = screened(robust_vertex_system(cell, facet, j, model, bounds, pat, box))
@@ -545,11 +548,11 @@ def chunk_sizes(monkeypatch):
 
 class TestBatchedDecisions:
     """A batch of edges decides each edge exactly as the edge alone and as
-    the one-edge walk do.
+    the one-edge reference rules do.
 
-    Each batch holds its edges REPEATS times, so that some round of walks
-    solves more than _CHUNK_BLOCKS systems of one shape, and every copy of
-    an edge must come out the same."""
+    Each batch holds its edges REPEATS times, so that some pass solves more
+    than _CHUNK_BLOCKS systems of one shape, and every copy of an edge must
+    come out the same."""
 
     REPEATS = 3
 
@@ -625,7 +628,8 @@ class TestBatchedDecisions:
 
 
 class TestSolvedSystems:
-    """The walks solve only the systems their rules read."""
+    """The passes solve only the systems the reach rules read, and build
+    expanded systems only where the rule may read them."""
 
     def test_empty_first_vertex_ends_the_definitive_walk(self, chunk_sizes):
         # No input at all, and a drift of -1 along the exit normal at the
@@ -656,6 +660,41 @@ class TestSolvedSystems:
             total += batched
             chunk_sizes.clear()
         assert total > 0
+
+    def test_expanded_systems_are_built_only_at_robust_failures(self, monkeypatch):
+        # Every robust system is screened once. Expanded systems are screened
+        # once too, but only at the robust-failed vertices of edges with a
+        # non-zero radius: elsewhere the expanded rule reads none.
+        sizes = []
+        screen = reach._screen
+
+        def recording(stack):
+            sizes.append(len(stack.b))
+            return screen(stack)
+
+        monkeypatch.setattr(reach, "_screen", recording)
+        items = TestBatchedDecisions().items(23, 120)
+        by_box = {}
+        for item in items:
+            by_box.setdefault(len(item[4]), []).append(item)
+        expanded = 0
+        for group in by_box.values():
+            box = group[0][4]
+            P = len(sign_patterns(len(box)))
+            predict_exit_facets([item[:4] for item in group], box)
+            screened_systems = sum(sizes)
+            sizes.clear()
+            vertices = failed = 0
+            for cell, facet, model, bounds, _ in group:
+                robust_failed = []
+                reference_predict(cell, facet, model, bounds, box, robust_failed)
+                vertices += cell.n_vertices
+                if (bounds.eps_A, bounds.eps_B, bounds.eps_c) != (0.0, 0.0, 0.0):
+                    failed += len(robust_failed)
+            assert screened_systems == P * (vertices + failed)
+            assert failed < vertices
+            expanded += failed
+        assert expanded > 0
 
 
 class TestControllerSynthesis:
