@@ -10,9 +10,9 @@ EMPTY (the slack LP has no point at all) or OPEN (not decided). Two passes
 produce them: _screen, one NumPy pass of interval arithmetic over a stack
 that leaves OPEN what it cannot settle, including every system within the
 LP's rounding of a threshold, and decide_stacks, the exact slack LP of every
-system of its stacks, each system by itself. The reach rules screen their
-prediction stacks once and, pass by pass, send the OPEN systems they read
-to decide_stacks.
+system of its stacks, each system by itself. The predictive reach rule
+screens each of its pattern stacks once and sends the OPEN systems of the
+vertices the screen left unsettled to one decide_stacks call.
 decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
 (balanced LP of several) and screen_feasibility (the screen of one system)
 are views that read one entry of a Decisions as a FeasibilityResult.

@@ -4,10 +4,11 @@ Edges between adjacent cells carry Exists/Absent/Uncertain status. Source
 cells with identified dynamics get definitive, frozen decisions; unexplored
 sources get predictions anchored at the nearest explored cell. Each refresh
 collects every edge it must (re)decide and decides them as two batches, one
-definitive and one predictive, each of which reach decides in passes of
-stacked LPs over the edges still open. Uncertain edges are weighted by
-proximity to the explored region, scaled by gamma, once per destination
-cell.
+definitive and one predictive, each of which reach decides over stacked
+vertex systems: the definitive batch in passes over the edges still open,
+the predictive one as one screen and one LP call per pattern stack.
+Uncertain edges are weighted by proximity to the explored region, scaled
+by gamma, once per destination cell.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ certified exit flow falls to TOL_STRICT.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -30,6 +31,8 @@ from .graph import (
 from .reach import decide_exit_facet  # noqa: F401
 from .reach import PiecewiseInterpolationLaw, t0_upper_bound
 from .sysid import identify
+
+log = logging.getLogger(__name__)
 
 SIM_STEP = 1e-3
 STUCK_RETRY_LIMIT = 3
@@ -86,6 +89,16 @@ class MissionLog:
     initial_cell: int
 
 
+def _append(records: list[IterationRecord], record: IterationRecord) -> None:
+    """Append a record and log it as one key=value line at DEBUG level."""
+    records.append(record)
+    edge = "%d->%d" % record.target_edge if record.target_edge else None
+    log.debug("iteration=%d cell=%d identified=%s edge=%s outcome=%s exit_facet=%s "
+              "intended_facet=%s transit_time=%s residual=%s", record.iteration, record.cell,
+              record.identified, edge, record.outcome, record.exit_facet,
+              record.intended_facet, float(record.transit_time), record.residual_rms)
+
+
 def _cell_seed(base_seed: int, cell: int, visit: int) -> int:
     ss = np.random.SeedSequence(entropy=int(base_seed) & (2**64 - 1),
                                 spawn_key=(cell, visit))
@@ -136,7 +149,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
             x = np.clip(x, partition.bounds[:, 0], partition.bounds[:, 1])
             new_cell = partition.locate(x)
             if new_cell != current:
-                records.append(IterationRecord(
+                _append(records, IterationRecord(
                     iteration, current, True, None, None, "drifted_during_identification",
                     None, None, 0.0, residual))
                 current = new_cell
@@ -148,7 +161,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
         update_graph(graph, partition, models, sc.L_df, sc.L_g, box)
         path = shortest_path(graph, current, target)
         if path is None:
-            records.append(IterationRecord(
+            _append(records, IterationRecord(
                 iteration, current, identified_now, None, None, "no_path",
                 None, None, 0.0, residual))
             status = MissionStatus.STUCK
@@ -158,7 +171,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
         facet = partition.common_facet(current, nxt)
         edge = graph.edges[(current, nxt)]
         if edge.status is not ReachStatus.EXISTS:
-            records.append(IterationRecord(
+            _append(records, IterationRecord(
                 iteration, current, identified_now, path, (current, nxt),
                 "edge_rejected", None, facet, 0.0, residual))
             continue
@@ -199,7 +212,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
                 override_absent(graph, current, nxt)
                 outcome += "_overridden"
 
-        records.append(IterationRecord(
+        _append(records, IterationRecord(
             iteration, current, identified_now, path, (current, nxt), outcome,
             rec.exit_facet, facet, rec.exit_time, residual))
         current = new_cell

@@ -23,14 +23,19 @@ decide_exit_facets and predict_exit_facets decide a whole list of edges
 at once. The nominal rows of every vertex of the edges' cells come from
 stacked array products, one stack per cell dimension n (_by_dimension), in
 which vertex j of edge t is system t * 2^n + j; in prediction, vertex j
-under sign pattern p is system (t * 2^n + j) * P + p of the robust stack.
-Prediction screens the robust stack once, and builds and screens expanded
-systems, once, only at the vertices where every robust pattern failed.
-Each rule then runs as passes over the edges still
-open, one per vertex index (and pattern position), and each pass sends the
-systems it reads that the screen left OPEN to one decide_stacks call. Every
-system is decided by itself, so no witness depends on what else is in the
-pass.
+under sign pattern p, of P = 2^m, is system (t * 2^n + j) * P + p of the
+robust stack. The definitive rule runs one pass per vertex index over the
+edges still open: one balanced decide_stacks call, then one strict-slack
+call where the balanced slack is not positive. The predictive rule is a set
+condition, free of any order: an edge is Exists iff every vertex has some
+feasible robust pattern system, and Absent iff some vertex has no feasible
+expanded one. Robust-feasible implies expanded-feasible, and at zero radius
+the expanded systems are the robust ones, so expanded systems are built
+only at the robust-failed vertices of edges with a non-zero radius. Each of
+the two stacks is screened once, and the patterns the screen left OPEN at
+the vertices where it settled none FEASIBLE go to one decide_stacks call
+(_any_feasible). Every system is decided by itself, so no witness depends
+on what else is in the call.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .feasibility import (
     INFEASIBLE,
     OPEN,
     TOL_STRICT,
-    Decisions,
     LinearConstraintSystem,
     SystemStack,
     _screen,
@@ -190,24 +194,6 @@ def _exit_row_mask(rows: int) -> np.ndarray:
     return strict
 
 
-def _decide(stack: SystemStack, idx: np.ndarray, balanced: bool = False,
-            screen: Decisions | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Status (K,) and witness (K, m) of the systems idx of a stack: the
-    screen's verdict where it settled one, else the exact LP's (balanced or
-    strict-slack), from one decide_stacks call on the rest. Every system is
-    decided by itself, so no witness depends on what else is in the call."""
-    if screen is None:
-        status = np.full(len(idx), OPEN)
-        witness = np.full((len(idx), stack.A.shape[2]), np.nan)
-    else:
-        status, witness = screen.status[idx], screen.witness[idx]
-    todo = status == OPEN
-    if todo.any():
-        solved = decide_stacks([stack.take(idx[todo])], [balanced])[0]
-        status[todo], witness[todo] = solved.status, solved.witness
-    return status, witness
-
-
 def decide_exit_facet(
     cell: Polytope,
     exit_facet: int,
@@ -239,12 +225,12 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
         live = np.arange(len(group))
         for j in range(V):
             idx = live * V + j
-            status, found = _decide(stack, idx, balanced=True)
+            status, found, _ = decide_stacks([stack.take(idx)], [True])[0]
             # A positive uniform slack certifies the vertex outright and an
             # empty system fails it outright; otherwise the strict-slack LP
             # decides.
             retry = status == INFEASIBLE
-            status[retry], found[retry] = _decide(stack, idx[retry])
+            status[retry], found[retry], _ = decide_stacks([stack.take(idx[retry])], [False])[0]
             witness[live, j] = found
             live = live[status == FEASIBLE]
         exists = np.zeros(len(group), dtype=bool)
@@ -332,29 +318,41 @@ def _pattern_stack(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> Syst
                        np.broadcast_to(box, (n_sys,) + box.shape))
 
 
+def _any_feasible(stack: SystemStack) -> tuple[np.ndarray, np.ndarray]:
+    """Whether some pattern system of each vertex of a _pattern_stack is
+    feasible, (K,), and the witness of the first feasible one in
+    sign_patterns order, (K, m), NaN where none is. The screen settles what
+    it can; at the vertices where it settled no pattern FEASIBLE, the
+    patterns it left OPEN go to one decide_stacks call."""
+    m = stack.A.shape[2]
+    screen = _screen(stack)
+    status = screen.status.reshape(-1, 2 ** m)
+    witness = screen.witness.reshape(status.shape + (m,))
+    solve = (status == OPEN) & ~(status == FEASIBLE).any(axis=1, keepdims=True)
+    solved = decide_stacks([stack.take(solve.ravel())], [False])[0]
+    status[solve], witness[solve] = solved.status, solved.witness
+    feasible = status == FEASIBLE
+    return feasible.any(axis=1), witness[np.arange(len(status)), feasible.argmax(axis=1)]
+
+
 def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     """Predictive tri-state decisions of (cell, exit_facet, ref_model,
     bounds) items, for cells with unidentified dynamics, one per item in
     order.
 
-    EXISTS iff every vertex has a feasible robust pattern system; ABSENT iff
-    some vertex has all expanded pattern systems infeasible; UNCERTAIN
-    otherwise. The robust systems of every vertex are built and screened
-    once; one pass per (vertex index, pattern position) then tries, at
-    each item's vertex still without a feasible pattern, the pattern at
-    that position of the item's order. A feasible pattern moves to the
-    front of its item's order, since it tends to work at the neighbours
-    too, so each witness is the first feasible pattern in that order.
-    Robust-feasible vertices are expanded-feasible a fortiori, and at zero
-    radius the expanded systems are the robust ones, so only the
-    robust-failed vertices of items with a non-zero radius can certify
-    absence: their expanded systems alone are built and screened, and
-    passes over them in the same order close an item, ABSENT, at its first
-    vertex where every expanded pattern fails.
+    EXISTS iff every vertex has some feasible robust pattern system; ABSENT
+    iff some vertex has no feasible expanded pattern system; UNCERTAIN
+    otherwise. Both are set conditions, free of any order over vertices or
+    patterns: each vertex's witness is its first feasible robust pattern
+    in sign_patterns order among those the screen settled FEASIBLE, else
+    among those the LP decided (see _any_feasible). Robust-feasible
+    vertices are expanded-feasible a fortiori, and at zero radius the
+    expanded systems are the robust ones, so only the robust-failed
+    vertices of items with a non-zero radius can certify absence: their
+    expanded systems alone are built and decided.
     """
     box = as_control_box(control_box)
     m = box.shape[0]
-    P = 2 ** m
     radii = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items])
     out: list[ReachDecision | None] = [None] * len(items)
     for n, group, rows in _by_dimension(items):
@@ -364,42 +362,19 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
         # right-hand side of every row at v. Unit normals make the ||n||
         # factors one.
         shift = eps_A * rows.norm + eps_c
-        robust = _pattern_stack(rows.A, rows.b, shift, eps_B, box, tighten=True)
-        robust_screen = _screen(robust)
-        # Each item's pattern order, move-to-front (see the docstring).
-        order = np.tile(np.arange(P), (E, 1))
-        witness = np.full((E, V, m), np.nan)
-        failed = np.zeros((E, V), dtype=bool)
-        for j in range(V):
-            live = np.arange(E)
-            for pos in range(P):
-                p = order[live, pos]
-                status, found = _decide(robust, (live * V + j) * P + p, screen=robust_screen)
-                ok = status == FEASIBLE
-                done = live[ok]
-                witness[done, j] = found[ok]
-                order[done, 1:pos + 1] = order[done, :pos]
-                order[done, 0] = p[ok]
-                live = live[~ok]
-            failed[live, j] = True
+        feasible, witness = _any_feasible(
+            _pattern_stack(rows.A, rows.b, shift, eps_B, box, tighten=True))
+        failed = ~feasible.reshape(E, V)
+        witness = witness.reshape(E, V, m)
 
         # At zero radius a robust failure is already an expanded failure.
         zero = (radii[group] == 0.0).all(axis=1)
-        expand = failed & ~zero[:, None]
-        pairs = np.flatnonzero(expand)
-        expanded = _pattern_stack(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
-                                  tighten=False)
-        expanded_screen = _screen(expanded)
-        pair = np.zeros((E, V), dtype=np.intp)
-        pair[expand] = np.arange(len(pairs))
+        pairs = np.flatnonzero(failed & ~zero[:, None])
+        expandable, _ = _any_feasible(
+            _pattern_stack(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
+                           tighten=False))
         absent = zero.copy()
-        for j in range(V):
-            live = np.flatnonzero(expand[:, j] & ~absent)
-            for pos in range(P):
-                status, _ = _decide(expanded, pair[live, j] * P + order[live, pos],
-                                    screen=expanded_screen)
-                live = live[status != FEASIBLE]
-            absent[live] = True
+        absent[pairs[~expandable] // V] = True
 
         for t, e in enumerate(group):
             if not failed[t].any():

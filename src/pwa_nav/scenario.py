@@ -108,6 +108,12 @@ def parse_scenario(data: dict) -> Scenario:
     _require(bounds.ndim == 2 and bounds.shape[1] == 2, "state_bounds",
              "must be a list of [low, high] pairs")
     _require(bool(np.all(bounds[:, 0] < bounds[:, 1])), "state_bounds", "low must be < high")
+    # The graph and the deviation radii take norms of distances between
+    # states, which square coordinate differences up to the diagonal's.
+    with np.errstate(over="ignore"):
+        diagonal = bounds[:, 1] - bounds[:, 0]
+        _require(bool(np.isfinite(diagonal @ diagonal)), "state_bounds",
+                 "the squared length of the domain's diagonal must be a finite float")
     grid = data["grid"]
     _require(isinstance(grid, list) and len(grid) == len(bounds)
              and all(_is_integer(g) and g >= 1 for g in grid),

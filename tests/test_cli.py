@@ -237,9 +237,10 @@ ONE_D_SCENARIO = {
 }
 
 
-def run_cli(*args):
-    """The CLI in a fresh process, as a user runs it."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
+def run_cli(*args, **environ):
+    """The CLI in a fresh process, as a user runs it, with the environment
+    variables environ set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]), **environ)
     return subprocess.run([sys.executable, "-m", "pwa_nav.cli", *args],
                           env=env, capture_output=True, text=True, timeout=120)
 
@@ -267,6 +268,40 @@ class TestOneDimensional:
             assert len(rects) == 3
             assert len({el.get("y") for el in rects}) == 1  # one row
             assert all(float(el.get("height")) > 0 for el in rects)
+
+
+class TestDebugTrace:
+    """Under PWA_NAV_LOG=debug, `plan` logs one key=value line per
+    mission.json record, in order, and writes the same artifacts."""
+
+    @staticmethod
+    def line(record):
+        edge = record["target_edge"]
+        return (f"iteration={record['iteration']} cell={record['cell']} "
+                f"identified={record['identified']} "
+                f"edge={f'{edge[0]}->{edge[1]}' if edge else None} "
+                f"outcome={record['outcome']} exit_facet={record['exit_facet']} "
+                f"intended_facet={record['intended_facet']} "
+                f"transit_time={record['transit_time']} residual={record['residual_rms']}")
+
+    def test_one_line_per_record(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PWA_NAV_LOG", raising=False)
+        scenario = write_scenario(tmp_path, ONE_D_SCENARIO)
+        quiet = run_cli("plan", "--scenario", scenario, "--out", str(tmp_path / "quiet"))
+        debug = run_cli("plan", "--scenario", scenario, "--out", str(tmp_path / "debug"),
+                        PWA_NAV_LOG="debug")
+        assert quiet.returncode == debug.returncode == 0, debug.stderr
+        assert "iteration=" not in quiet.stderr
+        records = json.loads((tmp_path / "debug" / "mission.json").read_text())["records"]
+        prefix = "DEBUG pwa_nav.planner: "
+        lines = [line[len(prefix):] for line in debug.stderr.splitlines()
+                 if line.startswith(prefix)]
+        assert len(records) >= 2
+        assert lines == [self.line(record) for record in records]
+        for name in ("trajectory.csv", "graph_final.json", "mission.json",
+                     "trajectory.svg", "graph.svg"):
+            assert ((tmp_path / "quiet" / name).read_bytes()
+                    == (tmp_path / "debug" / name).read_bytes()), name
 
 
 class TestMalformedNumbers:
@@ -307,13 +342,13 @@ class TestMalformedNumbers:
 
 
 class TestOverflowingScales:
-    """Scales so large that the excitation overflows end in the documented
-    exit codes, with no traceback."""
+    """Scales so large that the excitation or the domain's distances
+    overflow end in the documented exit codes, with no traceback."""
 
     @staticmethod
-    def run_bundled(tmp_path, changes):
+    def run_bundled(tmp_path, changes, **environ):
         """`plan` on the bundled scenario with the value at each key path
-        replaced."""
+        replaced, and the environment variables environ set."""
         data = json.loads(BUNDLED.read_text())
         for (*parents, key), value in changes.items():
             block = data
@@ -322,14 +357,15 @@ class TestOverflowingScales:
             block[key] = value
         scenario = write_scenario(tmp_path, data)
         return run_cli("plan", "--scenario", scenario, "--out", str(tmp_path / "o"),
-                       "--max-iters", "2")
+                       "--max-iters", "2", **environ)
 
     @pytest.mark.parametrize("changes", [
         # The time step makes the terrain's RK4 steps overflow.
         {("sysid", "T"): 1e10},
-        # Finite states whose squares overflow the regressor Gram matrix.
-        {("state_bounds",): [[0.0, 1e300], [0.0, 1e300]], ("initial_state",): [1e299, 1e299],
-         ("target",): [0.0, 0.0]},
+        # Finite states whose squares overflow the regressor Gram matrix, in
+        # a domain whose diagonal is short enough to square.
+        {("state_bounds",): [[1e154, 1.1e154], [1e154, 1.1e154]],
+         ("initial_state",): [1.01e154, 1.01e154], ("target",): [1e154, 1e154]},
     ])
     def test_identification_overflow_exits_four(self, tmp_path, changes):
         proc = self.run_bundled(tmp_path, changes)
@@ -341,6 +377,24 @@ class TestOverflowingScales:
         proc = self.run_bundled(tmp_path, {("sysid", "input_scale"): 1e308})
         assert proc.returncode == 1, proc.stderr
         assert "scenario error: field 'sysid.input_scale'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("half_width", [6e153, 1e300])
+    def test_state_bounds_with_overflowing_diagonal_exit_one(self, tmp_path, half_width):
+        # The squared diagonal, 2 (2 half_width)^2, exceeds the largest float.
+        proc = self.run_bundled(tmp_path, {("state_bounds",): [[-half_width, half_width]] * 2},
+                                PYTHONWARNINGS="error::RuntimeWarning")
+        assert proc.returncode == 1, proc.stderr
+        assert "scenario error: field 'state_bounds'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_state_bounds_with_finite_squared_diagonal_run(self, tmp_path):
+        # Squared diagonal 1.77e308, just below the largest float.
+        proc = self.run_bundled(tmp_path, {("state_bounds",): [[-4.7e153, 4.7e153]] * 2},
+                                PYTHONWARNINGS="error::RuntimeWarning")
+        # Reached, stuck or capped: the scenario is accepted and runs.
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        assert "Warning" not in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -489,35 +489,44 @@ def reference_decide(cell, facet, model, box):
     return ReachDecision(ReachStatus.EXISTS, witnesses)
 
 
-def screened(sys):
-    out = screen_feasibility(sys)
-    return decide_feasibility(sys) if out is None else out
+def first_feasible(systems):
+    """The set rule at one vertex: the first of its pattern systems that the
+    screen settles FEASIBLE, else the first that the LP decides FEASIBLE
+    among those the screen leaves open; None when none is feasible."""
+    screens = [screen_feasibility(sys) for sys in systems]
+    for res in screens:
+        if res is not None and res.feasible:
+            return res
+    for sys, res in zip(systems, screens):
+        if res is None and (solved := decide_feasibility(sys)).feasible:
+            return solved
+    return None
 
 
 def reference_predict(cell, facet, model, bounds, box, robust_failed=None):
-    """The predictive decision as a walk over the vertices and sign patterns
-    of one edge, trying the last feasible pattern first. The vertices with
-    no feasible robust pattern are appended to robust_failed when given."""
+    """The predictive decision of one edge as the set rule reads it, vertex
+    by vertex: Exists iff every vertex has a feasible robust pattern,
+    Absent iff some vertex has no feasible expanded pattern. The vertices
+    with no feasible robust pattern are appended to robust_failed when
+    given."""
     patterns = sign_patterns(model.B.shape[1])
     witnesses = []
     if robust_failed is None:
         robust_failed = []
     for j in range(cell.n_vertices):
-        for idx, pat in enumerate(patterns):
-            res = screened(robust_vertex_system(cell, facet, j, model, bounds, pat, box))
-            if res.feasible:
-                witnesses.append(res.witness)
-                patterns.insert(0, patterns.pop(idx))
-                break
-        else:
+        res = first_feasible([robust_vertex_system(cell, facet, j, model, bounds, pat, box)
+                              for pat in patterns])
+        if res is None:
             robust_failed.append(j)
+        else:
+            witnesses.append(res.witness)
     if not robust_failed:
         return ReachDecision(ReachStatus.EXISTS, witnesses)
     if bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0:
         return ReachDecision(ReachStatus.ABSENT)
     for j in robust_failed:
-        if not any(screened(expanded_vertex_system(cell, facet, j, model, bounds, pat, box)).feasible
-                   for pat in patterns):
+        if first_feasible([expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
+                           for pat in patterns]) is None:
             return ReachDecision(ReachStatus.ABSENT)
     return ReachDecision(ReachStatus.UNCERTAIN)
 
@@ -628,8 +637,9 @@ class TestBatchedDecisions:
 
 
 class TestSolvedSystems:
-    """The passes solve only the systems the reach rules read, and build
-    expanded systems only where the rule may read them."""
+    """The reach rules solve only the systems that the screen leaves open
+    and a verdict may need, and build expanded systems only where the
+    predictive rule may read them."""
 
     def test_empty_first_vertex_ends_the_definitive_walk(self, chunk_sizes):
         # No input at all, and a drift of -1 along the exit normal at the
@@ -640,9 +650,32 @@ class TestSolvedSystems:
         assert decision.status is ReachStatus.ABSENT
         assert sum(chunk_sizes) == 1
 
-    def test_prediction_solves_what_the_reference_walk_reads(self, chunk_sizes):
-        # reference_predict solves, one at a time, exactly the screen-open
-        # systems it reads.
+    def test_prediction_solves_the_open_patterns_of_unsettled_vertices(self, monkeypatch):
+        # The LP receives, in stack order, exactly the screen-open pattern
+        # systems of the vertices where the screen settled no pattern
+        # feasible: robust ones at every vertex, then expanded ones at the
+        # robust-failed vertices of edges with a non-zero radius. Each
+        # pattern stack takes at most one decide_stacks call.
+        calls, solved = [], []
+        decide, enumerate_vertices = reach.decide_stacks, feasibility._enumerate_vertices
+
+        def counting(stacks, balanced):
+            calls.append(len(stacks))
+            return decide(stacks, balanced)
+
+        def recording(G, h, box):
+            solved.extend(G)
+            return enumerate_vertices(G, h, box)
+
+        monkeypatch.setattr(reach, "decide_stacks", counting)
+        monkeypatch.setattr(feasibility, "_enumerate_vertices", recording)
+
+        def open_patterns(systems):
+            screens = [screen_feasibility(sys) for sys in systems]
+            if any(res is not None and res.feasible for res in screens):
+                return []
+            return [sys for sys, res in zip(systems, screens) if res is None]
+
         items = TestBatchedDecisions().items(22, 120)
         by_box = {}
         for item in items:
@@ -650,15 +683,34 @@ class TestSolvedSystems:
         total = 0
         for group in by_box.values():
             box = group[0][4]
+            patterns = sign_patterns(len(box))
             predict_exit_facets([item[:4] for item in group], box)
-            batched = sum(chunk_sizes)
-            chunk_sizes.clear()
-            for cell, facet, model, bounds, _ in group:
-                reference_predict(cell, facet, model, bounds, box)
-            assert chunk_sizes == [1] * len(chunk_sizes)
-            assert batched == len(chunk_sizes)
-            total += batched
-            chunk_sizes.clear()
+            dims = list(dict.fromkeys(cell.dim for cell, *_ in group))
+            assert len(calls) <= 2 * len(dims)
+            batched = list(solved)
+            expected = []
+            for n in dims:
+                edges = [item for item in group if item[0].dim == n]
+                failed = []
+                for cell, facet, model, bounds, _ in edges:
+                    for j in range(cell.n_vertices):
+                        systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
+                                   for pat in patterns]
+                        expected += open_patterns(systems)
+                        if first_feasible(systems) is None and (
+                                bounds.eps_A, bounds.eps_B, bounds.eps_c) != (0.0, 0.0, 0.0):
+                            failed.append((cell, facet, j, model, bounds))
+                for cell, facet, j, model, bounds in failed:
+                    expected += open_patterns([
+                        expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
+                        for pat in patterns])
+            assert len(batched) == len(expected)
+            for G, sys in zip(batched, expected):
+                assert np.array_equal(G, feasibility._slack_rows(sys.A, sys.b, sys.strict,
+                                                                 False)[0])
+            total += len(batched)
+            calls.clear()
+            solved.clear()
         assert total > 0
 
     def test_expanded_systems_are_built_only_at_robust_failures(self, monkeypatch):

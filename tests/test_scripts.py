@@ -30,7 +30,6 @@ ONE_D = {
 
 # Small settings: each script runs in well under a second per scenario.
 SCRIPTS = {
-    "run_terrain_mission.py": ["--max-iters", "3"],
     "sysid_sweep.py": ["--samples", "10", "--time-steps", "1e-3", "--seeds", "1"],
     "prediction_accuracy.py": ["--hops", "1"],
 }
@@ -67,6 +66,3 @@ def test_one_dimensional_scenario(name, one_d):
     proc = run_script(name, one_d)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    if name == "run_terrain_mission.py":
-        # One coordinate for a 1-D state.
-        assert "final state: (1.0000)," in proc.stdout
