@@ -72,8 +72,11 @@ class Polytope:
         return len(self.vertices)
 
     def violation(self, x) -> float:
-        """Maximal signed halfspace violation; <= 0 means inside."""
-        return float(np.max(self.normals @ np.asarray(x, dtype=float) - self.offsets))
+        """Maximal signed halfspace violation, max(low - x, x - high); <= 0
+        means inside. With unit axis normals this is normals @ x - offsets
+        bit for bit, for every finite x; NaN in x gives NaN (never inside)."""
+        x = np.asarray(x, dtype=float)
+        return float(np.maximum(self.low - x, x - self.high).max())
 
     def contains(self, x, tol: float = FACET_TOL) -> bool:
         return self.violation(x) <= tol
@@ -201,8 +204,13 @@ def find_containing_simplex(
     y = ((np.asarray(x, dtype=float) - cell.low) / (cell.high - cell.low)).tolist()
     best_idx, best_min = 0, -np.inf
     for k, s in enumerate(simplices):
-        steps = [y[d] for d in s.axes]
-        m = min(1.0 - steps[0], steps[-1], *(a - b for a, b in zip(steps, steps[1:])))
+        # The minimum over 1 - y[p_0], y[p_(n-1)], then the differences in
+        # axis order: with NaN coordinates min() depends on that order.
+        prev = y[s.axes[0]]
+        m = min(1.0 - prev, y[s.axes[-1]])
+        for d in s.axes[1:]:
+            m = min(m, prev - y[d])
+            prev = y[d]
         if m >= -tol:
             return k
         if m > best_min:

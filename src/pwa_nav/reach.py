@@ -418,9 +418,10 @@ class PiecewiseInterpolationLaw:
         return self._laws[k]
 
     def input(self, x):
+        x = np.asarray(x, dtype=float)
         k = find_containing_simplex(self.cell, self.simplices, x)
         F, g = self._law(k)
-        return F @ np.asarray(x, dtype=float) + g
+        return F @ x + g
 
 
 def t0_upper_bound(

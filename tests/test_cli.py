@@ -192,11 +192,7 @@ class TestCmdPlan:
         data = copy.deepcopy(INTEGRATOR_SCENARIO)
         data["sysid"]["N"] = 3
         scenario = write_scenario(tmp_path, data)
-        env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pwa_nav.cli", "plan", "--scenario", scenario,
-             "--out", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = run_cli("plan", "--scenario", scenario, "--out", str(tmp_path / "o"))
         assert proc.returncode == 4
         assert "identification failed" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -238,9 +234,11 @@ ONE_D_SCENARIO = {
 
 
 def run_cli(*args, **environ):
-    """The CLI in a fresh process, as a user runs it, with the environment
-    variables environ set."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]), **environ)
+    """The CLI in a fresh process, as a user runs it, with RuntimeWarnings
+    as errors (as pyproject.toml makes them in-process) and the environment
+    variables environ set over that."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pwa_nav.__file__).parents[1]),
+           "PYTHONWARNINGS": "error::RuntimeWarning", **environ}
     return subprocess.run([sys.executable, "-m", "pwa_nav.cli", *args],
                           env=env, capture_output=True, text=True, timeout=120)
 
@@ -346,9 +344,9 @@ class TestOverflowingScales:
     overflow end in the documented exit codes, with no traceback."""
 
     @staticmethod
-    def run_bundled(tmp_path, changes, **environ):
+    def run_bundled(tmp_path, changes):
         """`plan` on the bundled scenario with the value at each key path
-        replaced, and the environment variables environ set."""
+        replaced."""
         data = json.loads(BUNDLED.read_text())
         for (*parents, key), value in changes.items():
             block = data
@@ -357,7 +355,7 @@ class TestOverflowingScales:
             block[key] = value
         scenario = write_scenario(tmp_path, data)
         return run_cli("plan", "--scenario", scenario, "--out", str(tmp_path / "o"),
-                       "--max-iters", "2", **environ)
+                       "--max-iters", "2")
 
     @pytest.mark.parametrize("changes", [
         # The time step makes the terrain's RK4 steps overflow.
@@ -382,16 +380,14 @@ class TestOverflowingScales:
     @pytest.mark.parametrize("half_width", [6e153, 1e300])
     def test_state_bounds_with_overflowing_diagonal_exit_one(self, tmp_path, half_width):
         # The squared diagonal, 2 (2 half_width)^2, exceeds the largest float.
-        proc = self.run_bundled(tmp_path, {("state_bounds",): [[-half_width, half_width]] * 2},
-                                PYTHONWARNINGS="error::RuntimeWarning")
+        proc = self.run_bundled(tmp_path, {("state_bounds",): [[-half_width, half_width]] * 2})
         assert proc.returncode == 1, proc.stderr
         assert "scenario error: field 'state_bounds'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_state_bounds_with_finite_squared_diagonal_run(self, tmp_path):
         # Squared diagonal 1.77e308, just below the largest float.
-        proc = self.run_bundled(tmp_path, {("state_bounds",): [[-4.7e153, 4.7e153]] * 2},
-                                PYTHONWARNINGS="error::RuntimeWarning")
+        proc = self.run_bundled(tmp_path, {("state_bounds",): [[-4.7e153, 4.7e153]] * 2})
         # Reached, stuck or capped: the scenario is accepted and runs.
         assert proc.returncode in (0, 2, 3), proc.stderr
         assert "Warning" not in proc.stderr

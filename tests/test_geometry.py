@@ -90,6 +90,27 @@ class TestPolytope:
         cell = Polytope.box([0.0, 0.0], [10.0, 0.1])
         assert np.allclose(np.linalg.norm(cell.normals, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_violation_matches_halfspace_form(self, n):
+        # violation is max(low - x, x - high); with unit axis normals that
+        # is normals @ x - offsets bit for bit.
+        rng = np.random.default_rng(60 + n)
+        for _ in range(100):
+            cell = random_box(rng, n)
+            width = cell.high - cell.low
+            points = list(rng.uniform(cell.low - width, cell.high + width, size=(20, n)))
+            points += list(cell.vertices) + [np.zeros(n), -np.zeros(n)]
+            for d in range(n):  # exactly on each facet
+                for side in (cell.low, cell.high):
+                    x = rng.uniform(cell.low, cell.high)
+                    x[d] = side[d]
+                    points.append(x)
+            for x in points:
+                want = float(np.max(cell.normals @ x - cell.offsets))
+                assert cell.violation(x).hex() == want.hex(), x
+        nan = np.full(n, np.nan)
+        assert np.isnan(cell.violation(nan)) and not cell.contains(nan)
+
     def test_degenerate_box_rejected(self):
         with pytest.raises(GeometryError):
             Polytope.box([0.0, 0.0], [1.0, 0.0])
@@ -259,6 +280,40 @@ class TestFindContainingSimplex:
         for x in rng.uniform((0, 0), (2, 3), size=(100, 2)):
             k = find_containing_simplex(cell, simplices, x)
             assert barycentric(cell, simplices[k], x).min() >= -1e-9
+
+    @staticmethod
+    def reference_closed_form(cell, simplices, x, tol=1e-9):
+        """find_containing_simplex with its minima built from per-simplex
+        lists, as before it walked the axes in place."""
+        y = ((np.asarray(x, dtype=float) - cell.low) / (cell.high - cell.low)).tolist()
+        best_idx, best_min = 0, -np.inf
+        for k, s in enumerate(simplices):
+            steps = [y[d] for d in s.axes]
+            m = min(1.0 - steps[0], steps[-1], *(a - b for a, b in zip(steps, steps[1:])))
+            if m >= -tol:
+                return k
+            if m > best_min:
+                best_idx, best_min = k, m
+        return best_idx
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_choice_as_list_form(self, n):
+        # Same index everywhere, ties and NaN coordinates included: min()
+        # over the same values in the same order.
+        rng = np.random.default_rng(70 + n)
+        cell = Polytope.box(np.zeros(n), rng.uniform(0.5, 2.0, size=n))
+        simplices = triangulate(cell)
+        points = list(rng.uniform(-0.5, 2.5, size=(300, n)))
+        points += list(cell.vertices) + [0.5 * cell.high]
+        for x in list(points[:40]):
+            for d in range(n):
+                for value in (np.nan, np.inf, -np.inf, cell.high[d]):
+                    x = x.copy()
+                    x[d] = value
+                    points.append(x)
+        for x in points:
+            assert (find_containing_simplex(cell, simplices, x)
+                    == self.reference_closed_form(cell, simplices, x)), x
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_barycentric_solve(self, n):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from pwa_nav.dynamics import AffineField, TerrainField, linearize_at
+from pwa_nav.dynamics import AffineField, AffineModel, TerrainField, linearize_at
 from pwa_nav.sysid import (
+    COND_LIMIT,
     IdentificationConfig,
     IdentificationError,
     VelocityMode,
     identify,
 )
+from test_dynamics import bits
 
 BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 
@@ -145,3 +147,133 @@ class TestMechanics:
                                control_box=BOX, history=history)
         mean_state = np.mean([x for x, _ in history], axis=0)
         assert np.allclose(model.center, mean_state)
+
+
+def reference_identify(env, x_init, cfg, control_box=None, history=None):
+    """identify as it was before it batched its draws: one rng.uniform call
+    and one np.clip per sample, and a fifth velocity evaluation for the
+    oracle velocity."""
+    n, m = env.n, env.m
+    rng = np.random.default_rng(cfg.seed)
+    x = np.asarray(x_init, dtype=float).copy()
+    T = cfg.time_step
+    N = cfg.samples
+    X = np.empty((n + m + 1, N))
+    Xdot = np.empty((n, N))
+    states = np.empty((N, n))
+    for i in range(N):
+        u = rng.uniform(-cfg.input_scale, cfg.input_scale, size=m)
+        if control_box is not None:
+            box = np.asarray(control_box, dtype=float)
+            u = np.clip(u, box[:, 0], box[:, 1])
+        k1 = env.velocity(x, u)
+        k2 = env.velocity(x + 0.5 * T * k1, u)
+        k3 = env.velocity(x + 0.5 * T * k2, u)
+        k4 = env.velocity(x + T * k3, u)
+        x_new = x + (T / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if cfg.velocity_mode is VelocityMode.ORACLE:
+            v = env.velocity(x, u)
+        else:
+            v = (x_new - x) / T
+        X[:n, i] = x
+        X[n:n + m, i] = u
+        X[-1, i] = 1.0
+        Xdot[:, i] = v
+        states[i] = x
+        if history is not None:
+            history.append((x.copy(), u.copy()))
+        x = x_new
+    gram = X @ X.T
+    cond = np.linalg.cond(gram)
+    if cond > COND_LIMIT:
+        gram = gram + 1e-8 * np.trace(gram) / (n + m + 1) * np.eye(n + m + 1)
+        theta = np.linalg.solve(gram, X @ Xdot.T).T
+    else:
+        theta = np.linalg.lstsq(X.T, Xdot.T, rcond=None)[0].T
+    residual = Xdot - theta @ X
+    model = AffineModel(A=theta[:, :n], B=theta[:, n:n + m], c=theta[:, -1],
+                        center=states.mean(axis=0))
+    return model, x, float(np.sqrt(np.mean(residual**2)))
+
+
+class TestMatchesReference:
+    """One draw for all inputs and the first RK4 stage as the oracle
+    velocity leave every output of identify bit-identical."""
+
+    @pytest.mark.parametrize("mode", list(VelocityMode))
+    @pytest.mark.parametrize("box", [None, "wide", "tight"])
+    @pytest.mark.parametrize("kind", ["terrain", "affine-m1", "affine-m3"])
+    def test_bit_identical(self, kind, box, mode):
+        rng = np.random.default_rng([7, len(kind), len(box or ""), len(mode.value)])
+        if kind == "terrain":
+            env = TerrainField()
+        else:
+            m = int(kind[-1])
+            env = AffineField(rng.normal(scale=0.5, size=(2, 2)),
+                              rng.normal(size=(2, m)), rng.normal(size=2))
+        bounds = {None: None, "wide": [-5.0, 5.0], "tight": [-0.03, 0.05]}[box]
+        control_box = None if bounds is None else np.tile(bounds, (env.m, 1))
+        for seed in range(4):
+            cfg = IdentificationConfig(samples=40 + 10 * seed, velocity_mode=mode, seed=seed)
+            x0 = rng.uniform(-3.0, 3.0, size=2)
+            got_history, want_history = [], []
+            got = identify(env, x0, cfg, control_box=control_box, history=got_history)
+            want = reference_identify(env, x0, cfg, control_box, want_history)
+            for field in ("A", "B", "c", "center"):
+                assert bits(getattr(got[0], field)) == bits(getattr(want[0], field)), field
+            assert bits(got[1]) == bits(want[1])
+            assert bits(got[2]) == bits(want[2])
+            assert len(got_history) == len(want_history) == cfg.samples
+            for part in range(2):
+                assert (bits([h[part] for h in got_history])
+                        == bits([h[part] for h in want_history]))
+
+
+class FiniteOnly:
+    """A field that fails the test if evaluated at a state that is not
+    finite."""
+
+    def __init__(self, env):
+        self.env, self.n, self.m = env, env.n, env.m
+        self.calls = 0
+
+    def velocity(self, x, u):
+        assert np.all(np.isfinite(x)), x
+        self.calls += 1
+        return self.env.velocity(x, u)
+
+
+class TestOverflow:
+    """An excitation that overflows stops at the first state, stage or
+    velocity that is not finite, with IdentificationError and no
+    RuntimeWarning (an error under this suite's filterwarnings)."""
+
+    @pytest.mark.parametrize("mode", list(VelocityMode))
+    @pytest.mark.parametrize("kind", ["terrain", "affine"])
+    def test_huge_time_step(self, kind, mode):
+        env = TerrainField() if kind == "terrain" else AffineField(
+            [[2.0, 0.0], [0.0, 1.0]], np.eye(2), [1.0, 1.0])
+        env = FiniteOnly(env)
+        cfg = IdentificationConfig(samples=100, time_step=1e10, velocity_mode=mode)
+        history = []
+        with pytest.raises(IdentificationError, match="overflowed"):
+            identify(env, np.array([1.0, 1.0]), cfg, control_box=BOX, history=history)
+        # The states recorded before it are finite, and it stopped early.
+        assert 0 < len(history) < cfg.samples
+        assert all(np.all(np.isfinite(x)) for x, _ in history)
+        assert env.calls <= 4 * (len(history) + 1)
+
+    def test_initial_state_not_finite(self):
+        env = FiniteOnly(TerrainField())
+        cfg = IdentificationConfig(samples=10)
+        with pytest.raises(IdentificationError, match="initial state"):
+            identify(env, np.array([np.inf, 0.0]), cfg, control_box=BOX)
+        assert env.calls == 0
+
+    def test_input_not_finite(self):
+        env = FiniteOnly(TerrainField())
+        cfg = IdentificationConfig(samples=10)
+        box = np.array([[-1.0, 1.0], [np.nan, np.nan]])
+        with pytest.raises(IdentificationError, match="an input"):
+            identify(env, np.zeros(2), cfg, control_box=box)
+        assert env.calls == 0
