@@ -151,19 +151,15 @@ class ExitRecord:
 
 def saturation(control_box):
     """The map u -> u clamped componentwise into control_box, an (m, 2)
-    array of [low, high] rows; with no box, u as a float array. It clamps
-    one input or a stack of them, with the values of np.clip."""
-    if control_box is None:
-        return lambda u: np.asarray(u, dtype=float)
+    array of [low, high] rows. It clamps one input or a stack of them, with
+    the values of np.clip."""
     box = np.asarray(control_box, dtype=float)
     low, high = box[:, 0].copy(), box[:, 1].copy()
     return lambda u: np.minimum(np.maximum(u, low), high)
 
 
-def rk4_step(velocity, x, dt: float, k1=None) -> np.ndarray:
-    """One classical RK4 step. k1, when given, must be velocity(x)."""
-    if k1 is None:
-        k1 = velocity(x)
+def rk4_step(velocity, x, dt: float, k1) -> np.ndarray:
+    """One classical RK4 step from the first stage k1 = velocity(x)."""
     k2 = velocity(x + 0.5 * dt * k1)
     k3 = velocity(x + 0.5 * dt * k2)
     k4 = velocity(x + dt * k3)
@@ -177,7 +173,8 @@ def simulate_closed_loop(
     x0,
     step: float = 1e-3,
     t_max: float = 10.0,
-    control_box=None,
+    *,
+    control_box,
 ) -> ExitRecord:
     """Integrate x' = f(x) + g(x) sat(law(x)) with classical RK4 until the
     state leaves the cell or t_max elapses. The crossing time is bisected to

@@ -10,12 +10,13 @@ EMPTY (the slack LP has no point at all) or OPEN (not decided). Two passes
 produce them: _screen, one NumPy pass of interval arithmetic over a stack
 that leaves OPEN what it cannot settle, including every system within the
 LP's rounding of a threshold, and decide_stacks, the exact slack LP of every
-system of its stacks, each system by itself. The predictive reach rule
+system of one stack, each system by itself. The predictive reach rule
 screens each of its pattern stacks once and sends the OPEN systems of the
 vertices the screen left unsettled to one decide_stacks call.
 decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
-(balanced LP of several) and screen_feasibility (the screen of one system)
-are views that read one entry of a Decisions as a FeasibilityResult.
+(balanced LP of several systems of one shape) and screen_feasibility (the
+screen of one system) are views that stack their systems and read each
+entry of the Decisions as a FeasibilityResult.
 
 Strict inequalities are certified by slack maximization: the system is
 feasible iff the maximal common slack of the strict rows exceeds TOL_STRICT,
@@ -38,7 +39,6 @@ imported only when HiGHS runs.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -162,7 +162,8 @@ class SystemStack(NamedTuple):
 
     @classmethod
     def of(cls, systems: list[LinearConstraintSystem]) -> "SystemStack":
-        """The stack of same-shape systems, in order."""
+        """The stack of same-shape systems, in order; ValueError (from
+        np.stack) when their shapes differ."""
         return cls(np.stack([s.A for s in systems]), np.stack([s.b for s in systems]),
                    np.stack([s.strict for s in systems]), np.stack([s.box for s in systems]))
 
@@ -180,7 +181,7 @@ def decide_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult:
     Feasible iff d* > TOL_STRICT. Without strict rows this degenerates to a
     plain feasibility check with margin DELTA_CAP.
     """
-    return decide_stacks([SystemStack.of([sys])], [False])[0].result(0)
+    return decide_stacks(SystemStack.of([sys]), False).result(0)
 
 
 def balance_witnesses_batch(
@@ -192,7 +193,8 @@ def balance_witnesses_batch(
                      a.u <= rhs - d   (non-strict rows)
                      u in box, 0 <= d <= DELTA_CAP
 
-    Each system is solved by itself.
+    Each system is solved by itself. The systems must share one shape, else
+    ValueError.
 
     A slack-maximal witness from decide_feasibility often sits on active
     non-strict rows, where any model error flips the inequality; the balanced
@@ -205,17 +207,10 @@ def balance_witnesses_batch(
     is infeasible outright is empty too. Then None is returned, which spares
     callers the fallback solve.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, sys in enumerate(systems):
-        groups.setdefault(sys.A.shape, []).append(i)
-    stacks = [SystemStack.of([systems[i] for i in members]) for members in groups.values()]
-    out: list[FeasibilityResult | None] = [None] * len(systems)
-    for members, decided in zip(groups.values(), decide_stacks(stacks, [True] * len(stacks))):
-        if np.any(decided.status == EMPTY):
-            return None
-        for t, i in enumerate(members):
-            out[i] = decided.result(t)
-    return out
+    decided = decide_stacks(SystemStack.of(systems), True)
+    if np.any(decided.status == EMPTY):
+        return None
+    return [decided.result(i) for i in range(len(systems))]
 
 
 def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
@@ -224,28 +219,24 @@ def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
     return _screen(SystemStack.of([sys])).result(0)
 
 
-def decide_stacks(stacks: Sequence[SystemStack], balanced: Sequence[bool]) -> list[Decisions]:
-    """The exact slack LP of every system of every stack, one Decisions per
-    stack with no system OPEN. balanced[s] selects, for stack s, the
-    balanced LP of balance_witnesses_batch over the strict-slack LP of
-    decide_feasibility.
+def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
+    """The exact slack LP of every system of a stack, with no system OPEN:
+    the balanced LP of balance_witnesses_batch where balanced, else the
+    strict-slack LP of decide_feasibility.
 
-    Stacks with at most _ENUM_MAX_DIM inputs are enumerated _CHUNK_BLOCKS
-    systems at a time; each system of a larger stack is one HiGHS LP."""
-    out = []
-    for stack, form in zip(stacks, balanced):
-        n_sys, _, dim = stack.A.shape
-        G, h = _slack_rows(stack.A, stack.b, stack.strict, form)
-        z = np.full((n_sys, dim + 1), np.nan)
-        if dim > _ENUM_MAX_DIM:
-            for t in range(n_sys):
-                z[t] = _highs(G[t], h[t], stack.box[t])
-        else:
-            for start in range(0, n_sys, _CHUNK_BLOCKS):
-                chunk = slice(start, start + _CHUNK_BLOCKS)
-                z[chunk] = _enumerate_vertices(G[chunk], h[chunk], stack.box[chunk])
-        out.append(_decisions(z, G[..., -1].any(axis=1), stack.box))
-    return out
+    With at most _ENUM_MAX_DIM inputs the stack is enumerated _CHUNK_BLOCKS
+    systems at a time; with more, each system is one HiGHS LP."""
+    n_sys, _, dim = stack.A.shape
+    G, h = _slack_rows(stack.A, stack.b, stack.strict, balanced)
+    z = np.full((n_sys, dim + 1), np.nan)
+    if dim > _ENUM_MAX_DIM:
+        for t in range(n_sys):
+            z[t] = _highs(G[t], h[t], stack.box[t])
+    else:
+        for start in range(0, n_sys, _CHUNK_BLOCKS):
+            chunk = slice(start, start + _CHUNK_BLOCKS)
+            z[chunk] = _enumerate_vertices(G[chunk], h[chunk], stack.box[chunk])
+    return _decisions(z, G[..., -1].any(axis=1), stack.box)
 
 
 def _screen(stack: SystemStack) -> Decisions:

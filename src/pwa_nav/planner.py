@@ -20,13 +20,7 @@ import numpy as np
 
 from .dynamics import ExitOutcome, simulate_closed_loop
 from .geometry import OutOfDomainError
-from .graph import (
-    ReachStatus,
-    build_reach_graph,
-    override_absent,
-    shortest_path,
-    update_graph,
-)
+from .graph import build_reach_graph, override_absent, shortest_path, update_graph
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .reach import decide_exit_facet  # noqa: F401
 from .reach import PiecewiseInterpolationLaw, t0_upper_bound
@@ -169,13 +163,9 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
 
         nxt = path[1]
         facet = partition.common_facet(current, nxt)
+        # The current cell is identified, so update_graph made its out-edges
+        # definitive, and shortest_path takes no Absent edge: this one Exists.
         edge = graph.edges[(current, nxt)]
-        if edge.status is not ReachStatus.EXISTS:
-            _append(records, IterationRecord(
-                iteration, current, identified_now, path, (current, nxt),
-                "edge_rejected", None, facet, 0.0, residual))
-            continue
-
         cell = partition.cell(current)
         law = PiecewiseInterpolationLaw(cell, edge.witnesses)
         bound = t0_upper_bound(cell, facet, models[current], edge.witnesses, x0=x)

@@ -20,13 +20,14 @@ amounts with opposite signs). The exit row a . u > b then implies it,
 time. It never decides a verdict.
 
 decide_exit_facets and predict_exit_facets decide a whole list of edges
-at once. The nominal rows of every vertex of the edges' cells come from
-stacked array products, one stack per cell dimension n (_by_dimension), in
-which vertex j of edge t is system t * 2^n + j; in prediction, vertex j
-under sign pattern p, of P = 2^m, is system (t * 2^n + j) * P + p of the
-robust stack. The definitive rule runs one pass per vertex index over the
-edges still open: one balanced decide_stacks call, then one strict-slack
-call where the balanced slack is not positive. The predictive rule is a set
+at once; the edges' cells share one dimension n. The nominal rows of every
+vertex of every edge come from stacked array products into one stack
+(_nominal_rows), in which vertex j of edge t is system t * 2^n + j; in
+prediction, vertex j under sign pattern p, of P = 2^m, is system
+(t * 2^n + j) * P + p of the robust stack (_perturbed_rows). The
+definitive rule runs one pass per vertex index over the edges still open:
+one balanced decide_stacks call, then one strict-slack call where the
+balanced slack is not positive. The predictive rule is a set
 condition, free of any order: an edge is Exists iff every vertex has some
 feasible robust pattern system, and Absent iff some vertex has no feasible
 expanded one. Robust-feasible implies expanded-feasible, and at zero radius
@@ -35,7 +36,9 @@ only at the robust-failed vertices of edges with a non-zero radius. Each of
 the two stacks is screened once, and the patterns the screen left OPEN at
 the vertices where it settled none FEASIBLE go to one decide_stacks call
 (_any_feasible). Every system is decided by itself, so no witness depends
-on what else is in the call.
+on what else is in the call. The one-system views (vertex_constraint_system,
+robust_vertex_system, expanded_vertex_system) build the stack of their one
+edge and read their system out of it by index.
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ def deviation_bounds(
 class _Rows(NamedTuple):
     """Nominal rows of K vertex systems of n-D cells, n rows each."""
 
-    item: np.ndarray  # (K,) index of the system's item
     norm: np.ndarray  # (K,) Euclidean norm of its vertex
     A: np.ndarray     # (K, n, m)
     b: np.ndarray     # (K, n)
@@ -133,11 +135,11 @@ def _row_facet_index(n: int, exit_facet: np.ndarray, vertex: np.ndarray) -> np.n
     return np.concatenate([exit_facet[:, None], 2 * axis + bit], axis=1)
 
 
-def _nominal_rows(items, vertex=None) -> _Rows:
-    """Nominal rows of vertex systems of (cell, exit_facet, model, ...)
-    items whose cells share a dimension n: of every vertex of every item,
-    item-major (vertex j of item e is system e * 2^n + j), or, given
-    vertex, of vertex[e] of item e alone.
+def _nominal_rows(items) -> _Rows:
+    """Nominal rows of the vertex systems of every vertex of every
+    (cell, exit_facet, model, ...) item, item-major: vertex j of item e is
+    system e * 2^n + j. The cells must share one dimension n, else
+    ValueError (from np.stack).
 
     In the unknown input u_j at v_j, the exit row A[0] . u > b[0] comes
     first, then the invariance rows A[i] . u <= b[i] of _row_facet_index:
@@ -145,11 +147,8 @@ def _nominal_rows(items, vertex=None) -> _Rows:
     through the exit facet and non-positive through the others. Each drift
     A v + c is one matrix-vector product, as model.A @ v + model.c."""
     n = items[0][0].dim
-    if vertex is None:
-        at = np.repeat(np.arange(len(items)), 2 ** n)
-        vertex = np.tile(np.arange(2 ** n), len(items))
-    else:
-        at, vertex = np.arange(len(items)), np.asarray(vertex)
+    at = np.repeat(np.arange(len(items)), 2 ** n)
+    vertex = np.tile(np.arange(2 ** n), len(items))
     V = np.stack([cell.vertices for cell, *_ in items])[at, vertex]
     drift = (np.stack([model.A for _, _, model, *_ in items])[at] @ V[..., None])[..., 0]
     drift += np.stack([model.c for _, _, model, *_ in items])[at]
@@ -157,20 +156,7 @@ def _nominal_rows(items, vertex=None) -> _Rows:
     # Every n-D box has the same unit normals.
     N = items[0][0].normals[_row_facet_index(n, exit_facet, vertex)]
     B = np.stack([model.B for _, _, model, *_ in items])[at]
-    return _Rows(at, _norm(V), N @ B, -(N @ drift[..., None])[..., 0])
-
-
-def _by_dimension(items):
-    """Indices of (cell, exit_facet, model, ...) items grouped by cell
-    dimension n, in order of first appearance, as (n, indices, rows) with
-    the _Rows of every vertex of the group's items: vertex j of its item t
-    is system t * 2^n + j, and rows.item is t. The models share one input
-    count."""
-    groups: dict[int, list[int]] = {}
-    for e, (cell, *_) in enumerate(items):
-        groups.setdefault(cell.dim, []).append(e)
-    return [(n, group, _nominal_rows([items[e] for e in group]))
-            for n, group in groups.items()]
+    return _Rows(_norm(V), N @ B, -(N @ drift[..., None])[..., 0])
 
 
 def vertex_constraint_system(
@@ -183,8 +169,9 @@ def vertex_constraint_system(
     """Nominal rows in the unknown input u_j: strict positive flow through
     the exit facet, non-strict inflow on the other facets containing v_j
     but the one opposite the exit facet (see the module docstring)."""
-    rows = _nominal_rows([(cell, exit_facet, model)], [vertex_j])
-    return LinearConstraintSystem(rows.A[0], rows.b[0], _exit_row_mask(cell.dim), control_box)
+    rows = _nominal_rows([(cell, exit_facet, model)])
+    return LinearConstraintSystem(rows.A[vertex_j], rows.b[vertex_j], _exit_row_mask(cell.dim),
+                                  control_box)
 
 
 def _exit_row_mask(rows: int) -> np.ndarray:
@@ -216,43 +203,44 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     item still open, and an item closes at its first vertex that is empty
     or infeasible."""
     box = as_control_box(control_box)
-    out: list[ReachDecision | None] = [None] * len(items)
-    for n, group, rows in _by_dimension(items):
-        V = 2 ** n
-        stack = SystemStack(rows.A, rows.b, np.broadcast_to(_exit_row_mask(n), rows.b.shape),
-                            np.broadcast_to(box, (len(rows.b),) + box.shape))
-        witness = np.full((len(group), V, box.shape[0]), np.nan)
-        live = np.arange(len(group))
-        for j in range(V):
-            idx = live * V + j
-            status, found, _ = decide_stacks([stack.take(idx)], [True])[0]
-            # A positive uniform slack certifies the vertex outright and an
-            # empty system fails it outright; otherwise the strict-slack LP
-            # decides.
-            retry = status == INFEASIBLE
-            status[retry], found[retry], _ = decide_stacks([stack.take(idx[retry])], [False])[0]
-            witness[live, j] = found
-            live = live[status == FEASIBLE]
-        exists = np.zeros(len(group), dtype=bool)
-        exists[live] = True
-        for t, e in enumerate(group):
-            out[e] = (ReachDecision(ReachStatus.EXISTS, list(witness[t])) if exists[t]
-                      else ReachDecision(ReachStatus.ABSENT))
-    return out
+    if not items:
+        return []
+    rows = _nominal_rows(items)
+    E, V = len(items), 2 ** items[0][0].dim
+    strict = np.broadcast_to(_exit_row_mask(rows.b.shape[1]), rows.b.shape)
+    stack = SystemStack(rows.A, rows.b, strict, np.broadcast_to(box, (E * V,) + box.shape))
+    witness = np.full((E, V, box.shape[0]), np.nan)
+    live = np.arange(E)
+    for j in range(V):
+        idx = live * V + j
+        status, found, _ = decide_stacks(stack.take(idx), True)
+        # A positive uniform slack certifies the vertex outright and an
+        # empty system fails it outright; otherwise the strict-slack LP
+        # decides.
+        retry = status == INFEASIBLE
+        status[retry], found[retry], _ = decide_stacks(stack.take(idx[retry]), False)
+        witness[live, j] = found
+        live = live[status == FEASIBLE]
+    exists = np.zeros(E, dtype=bool)
+    exists[live] = True
+    return [ReachDecision(ReachStatus.EXISTS, list(w)) if ok else ReachDecision(ReachStatus.ABSENT)
+            for ok, w in zip(exists, witness)]
 
 
 def sign_patterns(m: int) -> list[tuple[int, ...]]:
     return list(itertools.product((1, -1), repeat=m))
 
 
-def _perturbed_rows(A0, b0, shift, eps_B, patterns, tighten: bool):
-    """Rows (A, b, strict) of the robust (tighten=True) or expanded
-    (tighten=False) systems of K vertices under P sign patterns s, shaped
-    (K, P, r + m, m), (K, P, r + m) and (K, P, r + m): the nominal rows
+def _perturbed_rows(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> SystemStack:
+    """The robust (tighten=True) or expanded (tighten=False) systems of K
+    vertices under every sign pattern s of sign_patterns(m), vertex-major
+    (vertex k under pattern p is system k * 2^m + p): the nominal rows
     A0 (K, r, m), b0 (K, r) moved by the radii eps_B (K,) and the vertex
     shifts (K,), then the sign rows u_k > 0 (s_k > 0) or u_k <= 0
-    (s_k < 0) for the patterns (P, m)."""
-    (K, r, m), P = A0.shape, len(patterns)
+    (s_k < 0)."""
+    K, r, m = A0.shape
+    patterns = np.array(sign_patterns(m), dtype=float)
+    P = len(patterns)
     # Tightening adds -s*eps_B and +shift to the exit row and +s*eps_B and
     # -shift to the invariance rows; expanding flips every sign.
     side = np.ones(r)
@@ -265,16 +253,20 @@ def _perturbed_rows(A0, b0, shift, eps_B, patterns, tighten: bool):
     b = np.concatenate([rhs, np.zeros((K, P, m))], axis=2)
     strict = np.concatenate([np.broadcast_to(_exit_row_mask(r), (K, P, r)),
                              np.broadcast_to(patterns > 0, (K, P, m))], axis=2)
-    return A, b, strict
+    return SystemStack(A.reshape(K * P, r + m, m), b.reshape(K * P, r + m),
+                       strict.reshape(K * P, r + m),
+                       np.broadcast_to(box, (K * P,) + box.shape))
 
 
 def _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern, control_box,
                       tighten: bool) -> LinearConstraintSystem:
-    rows = _nominal_rows([(cell, exit_facet, ref_model)], [vertex_j])
-    A, b, strict = _perturbed_rows(
-        rows.A, rows.b, bounds.eps_A * rows.norm + bounds.eps_c, np.array([bounds.eps_B]),
-        np.array([pattern], dtype=float), tighten)
-    return LinearConstraintSystem(A[0, 0], b[0, 0], strict[0, 0], control_box)
+    box = as_control_box(control_box)
+    rows = _nominal_rows([(cell, exit_facet, ref_model)])
+    stack = _perturbed_rows(rows.A, rows.b, bounds.eps_A * rows.norm + bounds.eps_c,
+                            np.full(len(rows.b), bounds.eps_B), box, tighten)
+    patterns = sign_patterns(rows.A.shape[2])
+    i = vertex_j * len(patterns) + patterns.index(tuple(pattern))
+    return LinearConstraintSystem(stack.A[i], stack.b[i], stack.strict[i], box)
 
 
 def robust_vertex_system(
@@ -306,20 +298,8 @@ def predict_exit_facet(
     return predict_exit_facets([(cell, exit_facet, ref_model, bounds)], control_box)[0]
 
 
-def _pattern_stack(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> SystemStack:
-    """The robust (tighten=True) or expanded systems of stacked vertices
-    under every sign pattern, vertex-major, patterns in sign_patterns
-    order."""
-    m = A0.shape[2]
-    A, b, strict = _perturbed_rows(A0, b0, shift, eps_B,
-                                   np.array(sign_patterns(m), dtype=float), tighten)
-    n_sys, r = b.shape[0] * b.shape[1], b.shape[2]
-    return SystemStack(A.reshape(n_sys, r, m), b.reshape(n_sys, r), strict.reshape(n_sys, r),
-                       np.broadcast_to(box, (n_sys,) + box.shape))
-
-
 def _any_feasible(stack: SystemStack) -> tuple[np.ndarray, np.ndarray]:
-    """Whether some pattern system of each vertex of a _pattern_stack is
+    """Whether some pattern system of each vertex of a _perturbed_rows stack is
     feasible, (K,), and the witness of the first feasible one in
     sign_patterns order, (K, m), NaN where none is. The screen settles what
     it can; at the vertices where it settled no pattern FEASIBLE, the
@@ -329,7 +309,7 @@ def _any_feasible(stack: SystemStack) -> tuple[np.ndarray, np.ndarray]:
     status = screen.status.reshape(-1, 2 ** m)
     witness = screen.witness.reshape(status.shape + (m,))
     solve = (status == OPEN) & ~(status == FEASIBLE).any(axis=1, keepdims=True)
-    solved = decide_stacks([stack.take(solve.ravel())], [False])[0]
+    solved = decide_stacks(stack.take(solve.ravel()), False)
     status[solve], witness[solve] = solved.status, solved.witness
     feasible = status == FEASIBLE
     return feasible.any(axis=1), witness[np.arange(len(status)), feasible.argmax(axis=1)]
@@ -352,36 +332,31 @@ def predict_exit_facets(items, control_box) -> list[ReachDecision]:
     expanded systems alone are built and decided.
     """
     box = as_control_box(control_box)
-    m = box.shape[0]
+    if not items:
+        return []
+    rows = _nominal_rows(items)
+    E, V, m = len(items), 2 ** items[0][0].dim, box.shape[0]
     radii = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items])
-    out: list[ReachDecision | None] = [None] * len(items)
-    for n, group, rows in _by_dimension(items):
-        E, V = len(group), 2 ** n
-        eps_A, eps_B, eps_c = radii[group][rows.item].T
-        # eps_A ||v|| + eps_c: how far the deviation radii move the
-        # right-hand side of every row at v. Unit normals make the ||n||
-        # factors one.
-        shift = eps_A * rows.norm + eps_c
-        feasible, witness = _any_feasible(
-            _pattern_stack(rows.A, rows.b, shift, eps_B, box, tighten=True))
-        failed = ~feasible.reshape(E, V)
-        witness = witness.reshape(E, V, m)
+    eps_A, eps_B, eps_c = np.repeat(radii, V, axis=0).T
+    # eps_A ||v|| + eps_c: how far the deviation radii move the right-hand
+    # side of every row at v. Unit normals make the ||n|| factors one.
+    shift = eps_A * rows.norm + eps_c
+    feasible, witness = _any_feasible(
+        _perturbed_rows(rows.A, rows.b, shift, eps_B, box, tighten=True))
+    failed = ~feasible.reshape(E, V)
+    witness = witness.reshape(E, V, m)
 
-        # At zero radius a robust failure is already an expanded failure.
-        zero = (radii[group] == 0.0).all(axis=1)
-        pairs = np.flatnonzero(failed & ~zero[:, None])
-        expandable, _ = _any_feasible(
-            _pattern_stack(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
-                           tighten=False))
-        absent = zero.copy()
-        absent[pairs[~expandable] // V] = True
-
-        for t, e in enumerate(group):
-            if not failed[t].any():
-                out[e] = ReachDecision(ReachStatus.EXISTS, list(witness[t]))
-            else:
-                out[e] = ReachDecision(ReachStatus.ABSENT if absent[t] else ReachStatus.UNCERTAIN)
-    return out
+    # At zero radius a robust failure is already an expanded failure.
+    zero = (radii == 0.0).all(axis=1)
+    pairs = np.flatnonzero(failed & ~zero[:, None])
+    expandable, _ = _any_feasible(
+        _perturbed_rows(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
+                        tighten=False))
+    absent = zero.copy()
+    absent[pairs[~expandable] // V] = True
+    return [ReachDecision(ReachStatus.EXISTS, list(w)) if not f.any()
+            else ReachDecision(ReachStatus.ABSENT if a else ReachStatus.UNCERTAIN)
+            for f, w, a in zip(failed, witness, absent)]
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):

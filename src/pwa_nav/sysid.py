@@ -58,7 +58,7 @@ def identify(
     env: ControlAffineField,
     x_init,
     cfg: IdentificationConfig,
-    control_box=None,
+    control_box,
     history: list | None = None,
 ) -> tuple[AffineModel, np.ndarray, float]:
     """Excite the system with uniform random inputs in

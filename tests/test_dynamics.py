@@ -27,6 +27,10 @@ class ConstantLaw:
         return self.u
 
 
+# Wide enough that none of this file's laws saturates against it.
+BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
+
+
 def bits(a):
     """Shape and bytes of a as a float array: equal only when bit-identical,
     signed zeros and NaN payloads included."""
@@ -136,7 +140,7 @@ class TestRK4:
             def integrate(step, t_end=1.0):
                 x = x0.copy()
                 for _ in range(int(round(t_end / step))):
-                    x = rk4_step(vel, x, step)
+                    x = rk4_step(vel, x, step, vel(x))
                 return x
 
             # Exact endpoint via matrix exponential of the homogenized system.
@@ -163,9 +167,6 @@ class TestSaturation:
         for row in u:
             assert bits(clamp(row)) == bits(np.clip(row, box[:, 0], box[:, 1]))
 
-    def test_no_box_is_float_array(self):
-        assert bits(saturation(None)([1, -2])) == bits([1.0, -2.0])
-
 
 def reference_rk4_step(velocity, x, dt):
     k1 = velocity(x)
@@ -175,13 +176,11 @@ def reference_rk4_step(velocity, x, dt):
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def reference_simulate_closed_loop(field, law, cell, x0, step, t_max, control_box=None):
+def reference_simulate_closed_loop(field, law, cell, x0, step, t_max, control_box):
     """simulate_closed_loop as it was before it reused evaluations: the law
     and the field evaluated afresh for every stage, trial step and sample,
     np.clip saturation and the halfspace form of the exit test."""
     def saturate(u):
-        if control_box is None:
-            return np.asarray(u, dtype=float)
         box = np.asarray(control_box, dtype=float)
         return np.clip(u, box[:, 0], box[:, 1])
 
@@ -239,10 +238,10 @@ class TestTransitMatchesReference:
         return AffineField(rng.normal(scale=0.5, size=(n, n)), rng.normal(size=(n, m)),
                            rng.normal(scale=2.0, size=n))
 
-    @pytest.mark.parametrize("boxed", [False, True])
+    @pytest.mark.parametrize("saturating", [False, True])
     @pytest.mark.parametrize("kind", ["terrain", "affine-m1", "affine-m2", "affine-m3"])
-    def test_bit_identical(self, kind, boxed):
-        rng = np.random.default_rng([42, len(kind), boxed])
+    def test_bit_identical(self, kind, saturating):
+        rng = np.random.default_rng([42, len(kind), saturating])
         outcomes, bisected = set(), 0
         for trial in range(8):
             field = self.field(kind, rng)
@@ -250,7 +249,8 @@ class TestTransitMatchesReference:
             low = rng.uniform(-5.0, 5.0, size=n)
             cell = Polytope.box(low, low + rng.uniform(0.3, 1.5, size=n))
             witnesses = rng.uniform(-3.0, 3.0, size=(cell.n_vertices, m))
-            box = np.tile([-1.0, 1.0], (m, 1)) if boxed else None
+            # The witnesses lie in [-3, 3], so a [-5, 5] box never clamps.
+            box = np.tile([-1.0, 1.0] if saturating else [-5.0, 5.0], (m, 1))
             x0 = rng.uniform(cell.low, cell.high)
             if trial in (2, 6):  # from the center, for too short to leave
                 x0 = 0.5 * (cell.low + cell.high)
@@ -276,7 +276,7 @@ class TestSimulateClosedLoop:
         field = AffineField(np.zeros((2, 2)), np.eye(2), np.zeros(2))
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         rec = simulate_closed_loop(
-            field, ConstantLaw(np.array([1.0, 0.0])), cell, (0.0, 0.5)
+            field, ConstantLaw(np.array([1.0, 0.0])), cell, (0.0, 0.5), control_box=BOX
         )
         assert rec.outcome is ExitOutcome.EXITED_FACET
         assert rec.exit_time == pytest.approx(1.0, abs=1e-6)
@@ -287,7 +287,7 @@ class TestSimulateClosedLoop:
         field = AffineField(np.zeros((2, 2)), np.eye(2), np.zeros(2))
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         rec = simulate_closed_loop(
-            field, ConstantLaw(np.zeros(2)), cell, (0.5, 0.5), t_max=0.25
+            field, ConstantLaw(np.zeros(2)), cell, (0.5, 0.5), t_max=0.25, control_box=BOX
         )
         assert rec.outcome is ExitOutcome.TIMEOUT
         assert rec.exit_time == pytest.approx(0.25)
@@ -295,7 +295,8 @@ class TestSimulateClosedLoop:
     def test_terrain_drift_exit(self):
         env = TerrainField()
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
-        rec = simulate_closed_loop(env, ConstantLaw(np.zeros(2)), cell, (0.5, 0.5))
+        rec = simulate_closed_loop(env, ConstantLaw(np.zeros(2)), cell, (0.5, 0.5),
+                                   control_box=BOX)
         assert rec.outcome is ExitOutcome.EXITED_FACET
         # Drift ~ (-4.5, -4.5): exits left or bottom after ~0.5/4.5 seconds.
         n = cell.normals[rec.exit_facet]
@@ -306,11 +307,11 @@ class TestSimulateClosedLoop:
         env = TerrainField()
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         law = ConstantLaw(np.array([0.3, -0.2]))
-        rec = simulate_closed_loop(env, law, cell, (0.5, 0.5))
+        rec = simulate_closed_loop(env, law, cell, (0.5, 0.5), control_box=BOX)
         n = cell.normals[rec.exit_facet]
         b = cell.offsets[rec.exit_facet]
         assert abs(float(n @ rec.exit_state) - b) <= 1e-7
-        u = np.clip(law.input(rec.exit_state), -5, 5)
+        u = np.clip(law.input(rec.exit_state), BOX[:, 0], BOX[:, 1])
         assert float(n @ env.velocity(rec.exit_state, u)) > 0
 
     def test_input_saturation(self):
@@ -330,4 +331,5 @@ class TestSimulateClosedLoop:
         field = AffineField(np.zeros((2, 2)), np.eye(2), np.zeros(2))
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            simulate_closed_loop(field, ConstantLaw(np.zeros(2)), cell, (2.0, 0.5))
+            simulate_closed_loop(field, ConstantLaw(np.zeros(2)), cell, (2.0, 0.5),
+                                 control_box=BOX)

@@ -278,7 +278,7 @@ def screened_stack(stack):
     LP deciding the systems it leaves OPEN."""
     decisions = feasibility._screen(stack)
     rest = np.flatnonzero(decisions.status == OPEN)
-    for field, values in zip(decisions, decide_stacks([stack.take(rest)], [False])[0]):
+    for field, values in zip(decisions, decide_stacks(stack.take(rest), False)):
         field[rest] = values
     return decisions
 
@@ -438,7 +438,7 @@ class TestScreenThreshold:
                 systems.append(LinearConstraintSystem(A, b, strict, box))
             stack = SystemStack.of(systems)
             screened = screened_stack(stack).status == FEASIBLE
-            plain = decide_stacks([stack], [False])[0].status == FEASIBLE
+            plain = decide_stacks(stack, False).status == FEASIBLE
             assert screened.tolist() == plain.tolist()
 
 
@@ -473,7 +473,7 @@ class TestSeveralRowThreshold:
         for rows in (2, 3, 4):
             stack = self.stack(800 + 10 * m + rows, m, rows, 1000)
             screened = screened_stack(stack).status == FEASIBLE
-            plain = decide_stacks([stack], [False])[0].status == FEASIBLE
+            plain = decide_stacks(stack, False).status == FEASIBLE
             assert screened.tolist() == plain.tolist()
             settled += int(np.sum(feasibility._screen(stack).status != OPEN))
             lp_feasible += int(plain.sum())
@@ -541,7 +541,7 @@ class TestNonStrictThreshold:
             stack = SystemStack.of(group)
             screen = feasibility._screen(stack).status
             screened = screened_stack(stack).status == FEASIBLE
-            plain = decide_stacks([stack], [False])[0].status == FEASIBLE
+            plain = decide_stacks(stack, False).status == FEASIBLE
             assert screened.tolist() == plain.tolist()
             settled_infeasible += int(np.sum(screen == INFEASIBLE))
             lp_feasible += int(plain.sum())
@@ -568,8 +568,8 @@ class TestStackedCore:
         rng = np.random.default_rng(770 + m)
         stacks = [self.fixed_shape_systems(rng, m, rows, 150) for rows in (2, 4)]
         assert len(stacks[0]) > 2 * feasibility._CHUNK_BLOCKS
-        plain = decide_stacks([SystemStack.of(s) for s in stacks], [False, False])
-        balanced = decide_stacks([SystemStack.of(s) for s in stacks], [True, True])
+        plain = [decide_stacks(SystemStack.of(s), False) for s in stacks]
+        balanced = [decide_stacks(SystemStack.of(s), True) for s in stacks]
         screened = [screened_stack(SystemStack.of(s)) for s in stacks]
         for i, systems in enumerate(stacks):
             for t, sys in enumerate(systems):
@@ -595,7 +595,7 @@ class TestStackedCore:
         rng = np.random.default_rng(780)
         stacks = [[sys for sys in self.fixed_shape_systems(rng, 4, rows, 12)
                    if not reference_verdict(sys, False)[1]] for rows in (1, 3)]
-        results = decide_stacks([SystemStack.of(s) for s in stacks], [False, False])
+        results = [decide_stacks(SystemStack.of(s), False) for s in stacks]
         # One HiGHS LP per system.
         assert len(lp_calls) == sum(map(len, stacks))
         for systems, decisions in zip(stacks, results):
@@ -608,7 +608,7 @@ class TestStackedCore:
         empty = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [-2.0], [False], BOX_4D)
         feasible = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [0.5], [True], BOX_4D)
         for balanced in (False, True):
-            decisions = decide_stacks([SystemStack.of([feasible, empty, feasible])], [balanced])[0]
+            decisions = decide_stacks(SystemStack.of([feasible, empty, feasible]), balanced)
             assert (decisions.status == FEASIBLE).tolist() == [True, False, True]
             assert decisions.status[1] == EMPTY
         assert len(lp_calls) == 6
@@ -737,17 +737,27 @@ class TestHighsOracle:
     def test_batches_match_highs(self, m):
         rng = np.random.default_rng(710 + m)
         for _ in range(60):
-            systems = [degenerate_system(rng, m) for _ in range(4)]
-            batch = balance_witnesses_batch(systems)
-            verdicts = [reference_verdict(sys, True) for sys in systems]
-            if any(empty for _, empty in verdicts):
-                assert batch is None
-                continue
-            assert batch is not None
-            for sys, res, (feasible, _) in zip(systems, batch, verdicts):
-                assert res.feasible == feasible
-                if res.feasible:
-                    assert substitute(sys, res.witness)
+            for systems in by_shape([degenerate_system(rng, m) for _ in range(4)]):
+                batch = balance_witnesses_batch(systems)
+                verdicts = [reference_verdict(sys, True) for sys in systems]
+                if any(empty for _, empty in verdicts):
+                    assert batch is None
+                    continue
+                assert batch is not None
+                for sys, res, (feasible, _) in zip(systems, batch, verdicts):
+                    assert res.feasible == feasible
+                    if res.feasible:
+                        assert substitute(sys, res.witness)
+
+    def test_mixed_shapes_rejected(self):
+        one_row = LinearConstraintSystem([[1.0, 0.0]], [0.0], [True], BOX_2D)
+        two_rows = LinearConstraintSystem([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0],
+                                          [True, False], BOX_2D)
+        with pytest.raises(ValueError):
+            balance_witnesses_batch([one_row, two_rows])
+        with pytest.raises(ValueError):
+            balance_witnesses_batch([one_row, LinearConstraintSystem([[1.0]], [0.0], [True],
+                                                                     BOX_1D)])
 
     def test_empty_enumeration_certifies_emptiness(self):
         # u >= 0.7 and u <= 0.2 meet nowhere, even with every row relaxed.
@@ -835,7 +845,7 @@ class TestCofactorKernel:
             if exact:
                 assert np.array_equal(z, ref, equal_nan=True)
             unique += ref_unique.sum()
-            decisions = decide_stacks([stack], [balanced])[0]
+            decisions = decide_stacks(stack, balanced)
             for t in np.flatnonzero(decisions.status == FEASIBLE):
                 sys = LinearConstraintSystem(stack.A[t], stack.b[t], stack.strict[t], stack.box[t])
                 assert substitute(sys, decisions.witness[t])
@@ -889,11 +899,12 @@ class TestHighsPath:
         rng = np.random.default_rng(750)
         systems = [degenerate_system(rng, m) for m in (2, 4, 3, 4, 1)]
         systems = [s for s in systems if reference_verdict(s, True)[1] is False]
-        batch = balance_witnesses_batch(systems)
-        assert batch is not None
+        batches = [(group, balance_witnesses_batch(group)) for group in by_shape(systems)]
         assert len(lp_calls) == sum(sys.dim > 3 for sys in systems)
-        for sys, res in zip(systems, batch):
-            assert res.feasible == solve_balanced(sys).feasible
+        for group, batch in batches:
+            assert batch is not None
+            for sys, res in zip(group, batch):
+                assert res.feasible == solve_balanced(sys).feasible
 
     def test_small_systems_skip_highs(self, lp_calls):
         rng = np.random.default_rng(760)

@@ -121,6 +121,12 @@ class TestNonFiniteControlBox:
         with pytest.raises(ValueError):
             predict_exit_facet(UNIT_SQUARE, EXIT_RIGHT, single_integrator(), bounds, self.BOX)
 
+    def test_empty_batches_reject(self):
+        with pytest.raises(ValueError):
+            decide_exit_facets([], self.BOX)
+        with pytest.raises(ValueError):
+            predict_exit_facets([], self.BOX)
+
 
 class TestVertexConstraintSystem:
     def test_exit_vertex_rows(self):
@@ -339,7 +345,7 @@ class TestOppositeRowIsRedundant:
             for got, want in zip(feasibility._screen(new), feasibility._screen(old)):
                 assert np.array_equal(got, want, equal_nan=True)
             for balanced in (False, True):
-                got, want = (decide_stacks([stack], [balanced])[0] for stack in (new, old))
+                got, want = (decide_stacks(stack, balanced) for stack in (new, old))
                 assert np.array_equal(got.status, want.status)
                 feasible = want.status == FEASIBLE
                 d, d_want = got.margin[feasible], want.margin[feasible]
@@ -555,6 +561,16 @@ def chunk_sizes(monkeypatch):
     return sizes
 
 
+def batches(items):
+    """(cell, exit_facet, model, bounds, box) items grouped into the batches
+    the reach rules take, one control-box dimension and one cell dimension
+    each, in order of first appearance, with the box of each."""
+    out = {}
+    for item in items:
+        out.setdefault((len(item[4]), item[0].dim), []).append(item)
+    return [(group[0][4], group) for group in out.values()]
+
+
 class TestBatchedDecisions:
     """A batch of edges decides each edge exactly as the edge alone and as
     the one-edge reference rules do.
@@ -598,13 +614,8 @@ class TestBatchedDecisions:
         return out
 
     def test_predictions_match_single_edges(self, chunk_sizes):
-        items = self.items(20, 240)
-        by_box = {}
-        for item in items:
-            by_box.setdefault(len(item[4]), []).append(item)
         statuses = set()
-        for group in by_box.values():
-            box = group[0][4]
+        for box, group in batches(self.items(20, 240)):
             batch = predict_exit_facets([item[:4] for item in group] * self.REPEATS, box)
             assert len(batch) == len(group) * self.REPEATS
             for i, got in enumerate(batch):
@@ -616,11 +627,9 @@ class TestBatchedDecisions:
         assert feasibility._CHUNK_BLOCKS in chunk_sizes
 
     def test_definitive_decisions_match_single_edges(self, chunk_sizes):
-        items = self.items(21, 240)
         statuses = set()
-        for m in (1, 2, 3):
-            box = np.tile([-2.0, 2.0], (m, 1))
-            group = [item[:3] for item in items if len(item[4]) == m]
+        for box, group in batches(self.items(21, 240)):
+            group = [item[:3] for item in group]
             batch = decide_exit_facets(group * self.REPEATS, box)
             assert len(batch) == len(group) * self.REPEATS
             for i, got in enumerate(batch):
@@ -634,6 +643,16 @@ class TestBatchedDecisions:
     def test_empty_batches(self):
         assert decide_exit_facets([], BOX) == []
         assert predict_exit_facets([], BOX) == []
+
+    def test_mixed_dimensions_rejected(self):
+        cube = Polytope.box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        cube_model = AffineModel(np.zeros((3, 3)), np.eye(3, 2), np.zeros(3), np.zeros(3))
+        items = [(UNIT_SQUARE, EXIT_RIGHT, single_integrator()), (cube, 1, cube_model)]
+        with pytest.raises(ValueError):
+            decide_exit_facets(items, BOX)
+        bounds = ModelDeviationBounds(0.01, 0.01, 0.01)
+        with pytest.raises(ValueError):
+            predict_exit_facets([item + (bounds,) for item in items], BOX)
 
 
 class TestSolvedSystems:
@@ -655,13 +674,13 @@ class TestSolvedSystems:
         # systems of the vertices where the screen settled no pattern
         # feasible: robust ones at every vertex, then expanded ones at the
         # robust-failed vertices of edges with a non-zero radius. Each
-        # pattern stack takes at most one decide_stacks call.
+        # pattern stack takes one strict-slack decide_stacks call.
         calls, solved = [], []
         decide, enumerate_vertices = reach.decide_stacks, feasibility._enumerate_vertices
 
-        def counting(stacks, balanced):
-            calls.append(len(stacks))
-            return decide(stacks, balanced)
+        def counting(stack, balanced):
+            calls.append(balanced)
+            return decide(stack, balanced)
 
         def recording(G, h, box):
             solved.extend(G)
@@ -676,34 +695,26 @@ class TestSolvedSystems:
                 return []
             return [sys for sys, res in zip(systems, screens) if res is None]
 
-        items = TestBatchedDecisions().items(22, 120)
-        by_box = {}
-        for item in items:
-            by_box.setdefault(len(item[4]), []).append(item)
         total = 0
-        for group in by_box.values():
-            box = group[0][4]
+        for box, group in batches(TestBatchedDecisions().items(22, 120)):
             patterns = sign_patterns(len(box))
             predict_exit_facets([item[:4] for item in group], box)
-            dims = list(dict.fromkeys(cell.dim for cell, *_ in group))
-            assert len(calls) <= 2 * len(dims)
+            assert calls == [False, False]
             batched = list(solved)
             expected = []
-            for n in dims:
-                edges = [item for item in group if item[0].dim == n]
-                failed = []
-                for cell, facet, model, bounds, _ in edges:
-                    for j in range(cell.n_vertices):
-                        systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
-                                   for pat in patterns]
-                        expected += open_patterns(systems)
-                        if first_feasible(systems) is None and (
-                                bounds.eps_A, bounds.eps_B, bounds.eps_c) != (0.0, 0.0, 0.0):
-                            failed.append((cell, facet, j, model, bounds))
-                for cell, facet, j, model, bounds in failed:
-                    expected += open_patterns([
-                        expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
-                        for pat in patterns])
+            failed = []
+            for cell, facet, model, bounds, _ in group:
+                for j in range(cell.n_vertices):
+                    systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
+                               for pat in patterns]
+                    expected += open_patterns(systems)
+                    if first_feasible(systems) is None and (
+                            bounds.eps_A, bounds.eps_B, bounds.eps_c) != (0.0, 0.0, 0.0):
+                        failed.append((cell, facet, j, model, bounds))
+            for cell, facet, j, model, bounds in failed:
+                expected += open_patterns([
+                    expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
+                    for pat in patterns])
             assert len(batched) == len(expected)
             for G, sys in zip(batched, expected):
                 assert np.array_equal(G, feasibility._slack_rows(sys.A, sys.b, sys.strict,
@@ -725,13 +736,8 @@ class TestSolvedSystems:
             return screen(stack)
 
         monkeypatch.setattr(reach, "_screen", recording)
-        items = TestBatchedDecisions().items(23, 120)
-        by_box = {}
-        for item in items:
-            by_box.setdefault(len(item[4]), []).append(item)
         expanded = 0
-        for group in by_box.values():
-            box = group[0][4]
+        for box, group in batches(TestBatchedDecisions().items(23, 120)):
             P = len(sign_patterns(len(box)))
             predict_exit_facets([item[:4] for item in group], box)
             screened_systems = sum(sizes)

@@ -149,7 +149,7 @@ class TestMechanics:
         assert np.allclose(model.center, mean_state)
 
 
-def reference_identify(env, x_init, cfg, control_box=None, history=None):
+def reference_identify(env, x_init, cfg, control_box, history=None):
     """identify as it was before it batched its draws: one rng.uniform call
     and one np.clip per sample, and a fifth velocity evaluation for the
     oracle velocity."""
@@ -163,9 +163,8 @@ def reference_identify(env, x_init, cfg, control_box=None, history=None):
     states = np.empty((N, n))
     for i in range(N):
         u = rng.uniform(-cfg.input_scale, cfg.input_scale, size=m)
-        if control_box is not None:
-            box = np.asarray(control_box, dtype=float)
-            u = np.clip(u, box[:, 0], box[:, 1])
+        box = np.asarray(control_box, dtype=float)
+        u = np.clip(u, box[:, 0], box[:, 1])
         k1 = env.velocity(x, u)
         k2 = env.velocity(x + 0.5 * T * k1, u)
         k3 = env.velocity(x + 0.5 * T * k2, u)
@@ -211,8 +210,10 @@ class TestMatchesReference:
             m = int(kind[-1])
             env = AffineField(rng.normal(scale=0.5, size=(2, 2)),
                               rng.normal(size=(2, m)), rng.normal(size=2))
-        bounds = {None: None, "wide": [-5.0, 5.0], "tight": [-0.03, 0.05]}[box]
-        control_box = None if bounds is None else np.tile(bounds, (env.m, 1))
+        # Every call takes a finite box; with None it is far wider than any
+        # input, with "wide" it holds them all too, and "tight" clamps.
+        bounds = {None: [-1e6, 1e6], "wide": [-5.0, 5.0], "tight": [-0.03, 0.05]}[box]
+        control_box = np.tile(bounds, (env.m, 1))
         for seed in range(4):
             cfg = IdentificationConfig(samples=40 + 10 * seed, velocity_mode=mode, seed=seed)
             x0 = rng.uniform(-3.0, 3.0, size=2)
