@@ -59,8 +59,7 @@ def main() -> int:
                 truths.append(graph.edges[(cid, nbr)].status)
         counts = collections.Counter()
         unsound = 0
-        for decision, truth in zip(predict_exit_facets(items, box), truths):
-            pred = decision.status
+        for pred, truth in zip(predict_exit_facets(items, box), truths):
             counts[pred.value] += 1
             if pred is not ReachStatus.UNCERTAIN and pred is not truth:
                 unsound += 1

@@ -36,11 +36,8 @@ from .reach import (
     ReachStatus,
     decide_exit_facet,
     deviation_bounds,
-    expanded_vertex_system,
     predict_exit_facet,
-    robust_vertex_system,
     t0_upper_bound,
-    vertex_constraint_system,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .sysid import IdentificationConfig, IdentificationError, VelocityMode, identify

@@ -12,7 +12,10 @@ that leaves OPEN what it cannot settle, including every system within the
 LP's rounding of a threshold, and decide_stacks, the exact slack LP of every
 system of one stack, each system by itself. The predictive reach rule
 screens each of its pattern stacks once and sends the OPEN systems of the
-vertices the screen left unsettled to one decide_stacks call.
+vertices the screen left unsettled to one decide_stacks call. A system's
+box may be inverted (a sign pattern's orthant that misses the control box);
+inverted beyond _FEAS_TOL, the screen settles it INFEASIBLE and the LP
+finds it EMPTY.
 decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
 (balanced LP of several systems of one shape) and screen_feasibility (the
 screen of one system) are views that stack their systems and read each
@@ -242,41 +245,27 @@ def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
 def _screen(stack: SystemStack) -> Decisions:
     """Cheap interval screen of every system in a stack, consistent with
     the exact LP's thresholds: INFEASIBLE, FEASIBLE (the witness is the
-    folded-box center) or OPEN where it is inconclusive.
+    box center) or OPEN where it is inconclusive.
 
-    Single-variable rows are folded into the box first; then either some row
-    is unsatisfiable over the folded box (infeasible) or the folded-box
-    center satisfies every row with slack above TOL_STRICT (feasible).
-    Either way the row must miss or clear its threshold by more than the
-    exact LP's rounding, so that the screen settles a system only as the LP
-    decides it. Folds and sums run row by row and term by term, in the order
-    of the scalar reference walk, so the two agree to the bit."""
+    Either the box is inverted or some row is unsatisfiable over the box
+    (infeasible), or the box center satisfies every row with slack above
+    TOL_STRICT (feasible). Either way the row must miss or clear its
+    threshold by more than the exact LP's rounding, so that the screen
+    settles a system only as the LP decides it. Sums run term by term, in
+    the order of the scalar reference walk, so the two agree to the bit."""
     A, b, strict, box = stack
-    nonzero = A != 0.0
-    count = nonzero.sum(axis=2)
-    constant = count == 0
+    constant = np.all(A == 0.0, axis=2)
     # A constant non-strict row 0 <= rhs is satisfiable iff rhs >= 0, and the
     # LP accepts it up to _FEAS_TOL. Constant strict rows follow the general
     # strict rule below.
     infeasible = np.any(constant & ~strict & (b < -_FEAS_TOL), axis=1)
-    # a_k u_k > rhs (strict) bounds u_k from below when a_k > 0; a
-    # non-strict row does when a_k < 0.
-    fold = (count == 1)[..., None] & nonzero
-    lower = fold & (strict[..., None] == (A > 0.0))
-    upper = fold & ~lower
+    # Box sides are unit rows once the LP scales them, and it lets a vertex
+    # pass each by up to _FEAS_TOL: a box inverted by less is left to the LP.
     lo, hi = box[..., 0], box[..., 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = b[..., None] / A
-    for i in range(A.shape[1]):
-        lo = np.where(lower[:, i], np.maximum(lo, bound[:, i]), lo)
-        hi = np.where(upper[:, i], np.minimum(hi, bound[:, i]), hi)
-    # Box sides and single-variable rows are unit rows once the LP scales
-    # them, and it lets a vertex pass each by up to _FEAS_TOL: a folded box
-    # inverted by less is left to the LP.
     infeasible |= np.any(
         lo - hi > _FEAS_TOL + _SCREEN_ROUNDING * (np.abs(lo) + np.abs(hi)), axis=1)
 
-    # Row-wise interval bounds over the folded box. A strict row's largest
+    # Row-wise interval bounds over the box. A strict row's largest
     # slack reach_hi - b is compared with TOL_STRICT, as the LP compares its
     # slack; a non-strict row's least violation reach_lo - b with the
     # _FEAS_TOL times its largest coefficient that the LP lets a vertex

@@ -42,7 +42,7 @@ class EdgeRecord:
     status: ReachStatus
     weight: float
     definitive: bool = False
-    witnesses: list | None = None
+    witnesses: list | None = None  # set only on definitive Exists edges
     ref_cell: int | None = None  # prediction anchor, for cache invalidation
 
 
@@ -148,11 +148,10 @@ def update_graph(
         edge.definitive = True
         edge.ref_cell = None
         summary["definitive"] += 1
-    for (edge, ref), decision in zip(to_predict, predict_exit_facets(predict_items, control_box)):
-        edge.status = decision.status
-        edge.witnesses = decision.witnesses
+    for (edge, ref), status in zip(to_predict, predict_exit_facets(predict_items, control_box)):
+        edge.status = status
         edge.ref_cell = ref
-        if decision.status is ReachStatus.EXISTS:
+        if status is ReachStatus.EXISTS:
             edge.weight = 1.0
         summary["predicted"] += 1
 
@@ -226,16 +225,21 @@ def shortest_path(graph: ReachGraph, src: int, dst: int) -> list[int] | None:
     rdist = _dijkstra(radj, dst)
     total = dist[dst]
     tol = 1e-9 * max(1.0, abs(total))
-    # Greedy walk along the shortest-path DAG, smallest next node first.
-    path = [src]
-    cur = src
-    while cur != dst:
-        best = None
-        for v, w in sorted(adj[cur]):
-            if v in rdist and abs(dist[cur] + w + rdist[v] - total) <= tol:
-                best = v
+    # Depth-first along the edges of near-shortest routes, smallest next
+    # node first. A node is entered at most once, so edges lighter than tol
+    # cannot lead the walk round a cycle, and a dead end backtracks; the
+    # reverse search's tree edges keep some route to dst open.
+    path, seen = [src], {src}
+    options = [iter(sorted(adj[src]))]
+    while path[-1] != dst:
+        cur = path[-1]
+        for v, w in options[-1]:
+            if v not in seen and v in rdist and abs(dist[cur] + w + rdist[v] - total) <= tol:
+                seen.add(v)
+                path.append(v)
+                options.append(iter(sorted(adj[v])))
                 break
-        assert best is not None, "shortest-path DAG walk lost the target"
-        path.append(best)
-        cur = best
+        else:
+            path.pop()
+            options.pop()
     return path

@@ -9,15 +9,20 @@ conditions of Habets & van Schuppen (2004).
 
 Each vertex system of an n-D box is one array-form system of n nominal
 rows: the strict exit-flow row first, then the non-strict invariance row of
-the facet 2d + (bit d of the vertex) of every other axis d, in axis order;
-in prediction, one sign row per control input follows. A vertex off the
-exit facet also lies on the opposite facet, exit_facet ^ 1, but its row is
-left out: that facet's normal is the exit normal negated, so its row is
-the exit row negated and made non-strict, bit for bit, in the nominal,
-robust and expanded systems alike (the radii move both rows by the same
-amounts with opposite signs). The exit row a . u > b then implies it,
+the facet 2d + (bit d of the vertex) of every other axis d, in axis order.
+A vertex off the exit facet also lies on the opposite facet, exit_facet ^ 1,
+but its row is left out: that facet's normal is the exit normal negated, so
+its row is the exit row negated and made non-strict, bit for bit, in the
+nominal, robust and expanded systems alike (the radii move both rows by the
+same amounts with opposite signs). The exit row a . u > b then implies it,
 -a . u <= -b; in the balanced LP it is the exit row's constraint a second
 time. It never decides a verdict.
+
+In prediction, sign pattern s is the closed orthant of s cut from the
+control box: the input box [max(lo, 0), hi] on the axes where s_k > 0 and
+[lo, min(hi, 0)] where s_k < 0, inverted where the box misses the orthant.
+On it ||u||_1 = s . u exactly, so the radius eps_B moves the rows linearly,
+and the closed orthants cover every input.
 
 decide_exit_facets and predict_exit_facets decide a whole list of edges
 at once; the edges' cells share one dimension n. The nominal rows of every
@@ -29,14 +34,14 @@ definitive rule runs one pass per vertex index over the edges still open:
 one balanced decide_stacks call, then one strict-slack call where the
 balanced slack is not positive. The predictive rule is a set
 condition, free of any order: an edge is Exists iff every vertex has some
-feasible robust pattern system, and Absent iff some vertex has no feasible
+feasible robust orthant system, and Absent iff some vertex has no feasible
 expanded one. Robust-feasible implies expanded-feasible, and at zero radius
 the expanded systems are the robust ones, so expanded systems are built
 only at the robust-failed vertices of edges with a non-zero radius. Each of
 the two stacks is screened once, and the patterns the screen left OPEN at
 the vertices where it settled none FEASIBLE go to one decide_stacks call
-(_any_feasible). Every system is decided by itself, so no witness depends
-on what else is in the call. The one-system views (vertex_constraint_system,
+(_any_feasible). Predictions carry no witness: a transit runs only on a
+definitive edge. The one-system views (vertex_constraint_system,
 robust_vertex_system, expanded_vertex_system) build the stack of their one
 edge and read their system out of it by index.
 """
@@ -94,7 +99,8 @@ class ReachStatus(Enum):
 @dataclass
 class ReachDecision:
     status: ReachStatus
-    witnesses: list[np.ndarray] | None = None  # per-vertex inputs, iff EXISTS
+    # Per-vertex inputs, set only on definitive EXISTS decisions.
+    witnesses: list[np.ndarray] | None = None
 
 
 def deviation_bounds(
@@ -236,8 +242,7 @@ def _perturbed_rows(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> Sys
     vertices under every sign pattern s of sign_patterns(m), vertex-major
     (vertex k under pattern p is system k * 2^m + p): the nominal rows
     A0 (K, r, m), b0 (K, r) moved by the radii eps_B (K,) and the vertex
-    shifts (K,), then the sign rows u_k > 0 (s_k > 0) or u_k <= 0
-    (s_k < 0)."""
+    shifts (K,), over the control box cut by the closed orthant of s."""
     K, r, m = A0.shape
     patterns = np.array(sign_patterns(m), dtype=float)
     P = len(patterns)
@@ -248,25 +253,27 @@ def _perturbed_rows(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> Sys
     if not tighten:
         side = -side
     moved = A0[:, None] + side[:, None] * (patterns[:, None, :] * eps_B[:, None, None, None])
-    A = np.concatenate([moved, np.broadcast_to(np.eye(m), (K, P, m, m))], axis=2)
     rhs = np.broadcast_to((b0 - side * shift[:, None])[:, None], (K, P, r))
-    b = np.concatenate([rhs, np.zeros((K, P, m))], axis=2)
-    strict = np.concatenate([np.broadcast_to(_exit_row_mask(r), (K, P, r)),
-                             np.broadcast_to(patterns > 0, (K, P, m))], axis=2)
-    return SystemStack(A.reshape(K * P, r + m, m), b.reshape(K * P, r + m),
-                       strict.reshape(K * P, r + m),
-                       np.broadcast_to(box, (K * P,) + box.shape))
+    lo, hi = box[:, 0], box[:, 1]
+    orthant = np.where((patterns > 0)[..., None],
+                       np.column_stack([np.maximum(lo, 0.0), hi]),
+                       np.column_stack([lo, np.minimum(hi, 0.0)]))
+    return SystemStack(moved.reshape(K * P, r, m), rhs.reshape(K * P, r),
+                       np.broadcast_to(_exit_row_mask(r), (K * P, r)),
+                       np.broadcast_to(orthant, (K, P, m, 2)).reshape(K * P, m, 2))
 
 
 def _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern, control_box,
                       tighten: bool) -> LinearConstraintSystem:
-    box = as_control_box(control_box)
+    """One system of the _perturbed_rows stack of one edge, over its orthant
+    box; ValueError (empty control box) where the box misses the orthant."""
     rows = _nominal_rows([(cell, exit_facet, ref_model)])
     stack = _perturbed_rows(rows.A, rows.b, bounds.eps_A * rows.norm + bounds.eps_c,
-                            np.full(len(rows.b), bounds.eps_B), box, tighten)
+                            np.full(len(rows.b), bounds.eps_B), as_control_box(control_box),
+                            tighten)
     patterns = sign_patterns(rows.A.shape[2])
     i = vertex_j * len(patterns) + patterns.index(tuple(pattern))
-    return LinearConstraintSystem(stack.A[i], stack.b[i], stack.strict[i], box)
+    return LinearConstraintSystem(stack.A[i], stack.b[i], stack.strict[i], stack.box[i])
 
 
 def robust_vertex_system(
@@ -294,69 +301,60 @@ def predict_exit_facet(
     bounds: ModelDeviationBounds,
     control_box,
 ) -> ReachDecision:
-    """Predictive decision of one exit facet (see predict_exit_facets)."""
-    return predict_exit_facets([(cell, exit_facet, ref_model, bounds)], control_box)[0]
+    """Predictive decision of one exit facet, with no witnesses (see
+    predict_exit_facets)."""
+    return ReachDecision(
+        predict_exit_facets([(cell, exit_facet, ref_model, bounds)], control_box)[0])
 
 
-def _any_feasible(stack: SystemStack) -> tuple[np.ndarray, np.ndarray]:
-    """Whether some pattern system of each vertex of a _perturbed_rows stack is
-    feasible, (K,), and the witness of the first feasible one in
-    sign_patterns order, (K, m), NaN where none is. The screen settles what
-    it can; at the vertices where it settled no pattern FEASIBLE, the
-    patterns it left OPEN go to one decide_stacks call."""
-    m = stack.A.shape[2]
-    screen = _screen(stack)
-    status = screen.status.reshape(-1, 2 ** m)
-    witness = screen.witness.reshape(status.shape + (m,))
+def _any_feasible(stack: SystemStack) -> np.ndarray:
+    """Whether some pattern system of each vertex of a _perturbed_rows stack
+    is feasible, (K,). The screen settles what it can; at the vertices where
+    it settled no pattern FEASIBLE, the patterns it left OPEN go to one
+    decide_stacks call."""
+    status = _screen(stack).status.reshape(-1, 2 ** stack.A.shape[2])
     solve = (status == OPEN) & ~(status == FEASIBLE).any(axis=1, keepdims=True)
-    solved = decide_stacks(stack.take(solve.ravel()), False)
-    status[solve], witness[solve] = solved.status, solved.witness
-    feasible = status == FEASIBLE
-    return feasible.any(axis=1), witness[np.arange(len(status)), feasible.argmax(axis=1)]
+    status[solve] = decide_stacks(stack.take(solve.ravel()), False).status
+    return (status == FEASIBLE).any(axis=1)
 
 
-def predict_exit_facets(items, control_box) -> list[ReachDecision]:
-    """Predictive tri-state decisions of (cell, exit_facet, ref_model,
+def predict_exit_facets(items, control_box) -> list[ReachStatus]:
+    """Predictive tri-state statuses of (cell, exit_facet, ref_model,
     bounds) items, for cells with unidentified dynamics, one per item in
     order.
 
     EXISTS iff every vertex has some feasible robust pattern system; ABSENT
     iff some vertex has no feasible expanded pattern system; UNCERTAIN
     otherwise. Both are set conditions, free of any order over vertices or
-    patterns: each vertex's witness is its first feasible robust pattern
-    in sign_patterns order among those the screen settled FEASIBLE, else
-    among those the LP decided (see _any_feasible). Robust-feasible
-    vertices are expanded-feasible a fortiori, and at zero radius the
-    expanded systems are the robust ones, so only the robust-failed
-    vertices of items with a non-zero radius can certify absence: their
-    expanded systems alone are built and decided.
+    patterns. Robust-feasible vertices are expanded-feasible a fortiori,
+    and at zero radius the expanded systems are the robust ones, so only
+    the robust-failed vertices of items with a non-zero radius can certify
+    absence: their expanded systems alone are built and decided.
     """
     box = as_control_box(control_box)
     if not items:
         return []
     rows = _nominal_rows(items)
-    E, V, m = len(items), 2 ** items[0][0].dim, box.shape[0]
+    E, V = len(items), 2 ** items[0][0].dim
     radii = np.array([(b.eps_A, b.eps_B, b.eps_c) for *_, b in items])
     eps_A, eps_B, eps_c = np.repeat(radii, V, axis=0).T
     # eps_A ||v|| + eps_c: how far the deviation radii move the right-hand
     # side of every row at v. Unit normals make the ||n|| factors one.
     shift = eps_A * rows.norm + eps_c
-    feasible, witness = _any_feasible(
-        _perturbed_rows(rows.A, rows.b, shift, eps_B, box, tighten=True))
-    failed = ~feasible.reshape(E, V)
-    witness = witness.reshape(E, V, m)
+    failed = ~_any_feasible(
+        _perturbed_rows(rows.A, rows.b, shift, eps_B, box, tighten=True)).reshape(E, V)
 
     # At zero radius a robust failure is already an expanded failure.
     zero = (radii == 0.0).all(axis=1)
     pairs = np.flatnonzero(failed & ~zero[:, None])
-    expandable, _ = _any_feasible(
+    expandable = _any_feasible(
         _perturbed_rows(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
                         tighten=False))
     absent = zero.copy()
     absent[pairs[~expandable] // V] = True
-    return [ReachDecision(ReachStatus.EXISTS, list(w)) if not f.any()
-            else ReachDecision(ReachStatus.ABSENT if a else ReachStatus.UNCERTAIN)
-            for f, w, a in zip(failed, witness, absent)]
+    return [ReachStatus.EXISTS if not f.any()
+            else ReachStatus.ABSENT if a else ReachStatus.UNCERTAIN
+            for f, a in zip(failed, absent)]
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):

@@ -172,6 +172,16 @@ class TestCmdPlan:
         rc = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_tiny_gamma_reaches_target(self, tmp_path):
+        # A 6 x 6 window of the bundled terrain. Uncertain edges of weight
+        # about 1e-12 tie in the search with each other and with cycles
+        # among them, and the mission still ends.
+        data = json.loads(BUNDLED.read_text())
+        data.update({"state_bounds": [[0, 6], [0, 6]], "grid": [6, 6],
+                     "initial_state": [4.5, 4.5], "target": [1.5, 1.5], "gamma": 1e-12})
+        scenario = write_scenario(tmp_path, data)
+        assert main(["plan", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
+
     def test_iteration_cap_exits_three(self, tmp_path):
         scenario = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
         rc = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "o"),

@@ -201,15 +201,14 @@ class TestBruteForceAgreement:
 
 def reference_screen(sys):
     """The interval screen as a scalar walk over the rows, stopping at the
-    first conclusive row: single-variable rows folded into the box, then
-    interval bounds over the folded box, then the folded-box center."""
+    first conclusive row: an inverted box, then interval bounds over the
+    box, then the box center."""
     lo = sys.box[:, 0].tolist()
     hi = sys.box[:, 1].tolist()
     rows = list(zip(sys.A.tolist(), sys.b.tolist(), sys.strict.tolist()))
     general = []
     for a, rhs, strict in rows:
-        nz = [k for k, c in enumerate(a) if c != 0.0]
-        if not nz:
+        if not any(c != 0.0 for c in a):
             # The LP accepts 0 <= rhs up to feasibility._FEAS_TOL; 0 > rhs is
             # a strict row like any other.
             if strict:
@@ -217,19 +216,12 @@ def reference_screen(sys):
             elif rhs < -feasibility._FEAS_TOL:
                 return FeasibilityResult(False, None, 0.0)
             continue
-        if len(nz) == 1:
-            k = nz[0]
-            bound = rhs / a[k]
-            if strict == (a[k] > 0):
-                lo[k] = max(lo[k], bound)
-            else:
-                hi[k] = min(hi[k], bound)
         general.append((a, rhs, strict))
-    # The LP lets a vertex pass a box side or a single-variable row by up
-    # to feasibility._FEAS_TOL.
+    # The LP lets a vertex pass a box side by up to feasibility._FEAS_TOL.
     if any(l - h > feasibility._FEAS_TOL + feasibility._SCREEN_ROUNDING * (abs(l) + abs(h))
            for l, h in zip(lo, hi)):
         return FeasibilityResult(False, None, 0.0)
+
     def rounding(a, rhs):
         """The rounding margin the LP may need on a row
         (feasibility._SCREEN_ROUNDING times the row's magnitude)."""
@@ -297,8 +289,7 @@ def screen_systems(seed):
     """The random m = 2 systems and the degenerate m = 1, 2, 3 systems the
     screen is checked on."""
     rng = np.random.default_rng(seed)
-    # Degenerate systems bring the constant and single-variable rows that
-    # the screen folds into the box.
+    # Degenerate systems bring constant and single-variable rows.
     systems = [random_system(rng) for _ in range(300)]
     systems += [degenerate_system(rng, m) for m in (1, 2, 3) for _ in range(200)]
     return systems
@@ -345,6 +336,19 @@ class TestScreen:
             decisions = screened_stack(SystemStack.of(group))
             for i, sys in enumerate(group):
                 assert (decisions.status[i] == FEASIBLE) == decide_feasibility(sys).feasible
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_inverted_box(self, m):
+        # The orthant of a sign pattern that misses the control box leaves
+        # an inverted box. Inverted beyond the LP's tolerance, the screen
+        # settles it INFEASIBLE and the LP, by enumeration or HiGHS, finds it
+        # EMPTY; inverted by less, the screen leaves it to the LP.
+        box = np.tile([-1.0, 1.0], (2, m, 1))
+        box[:, 0] = [[0.5, 0.0], [1e-12, 0.0]]
+        stack = SystemStack(np.ones((2, 1, m)), np.full((2, 1), -10.0),
+                            np.ones((2, 1), dtype=bool), box)
+        assert feasibility._screen(stack).status.tolist() == [INFEASIBLE, OPEN]
+        assert decide_stacks(stack.take([0]), False).status.tolist() == [EMPTY]
 
     @pytest.mark.parametrize("rhs, feasible", [
         (-5e-8, False), (0.0, False), (-0.999 * TOL_STRICT, False), (-2e-7, True)])
@@ -495,7 +499,7 @@ class TestNonStrictThreshold:
         ([1.0, -2.5], [[-2.0, 3.0], [-1.0, 1.0]]),
         ([-4.0, 0.5], [[-1.0, 2.0], [0.0, 1.0]]),
         ([0.1, 0.2, 0.3], [[-1.0, 1.0]] * 3),
-        # Single-variable rows, which the screen folds into the box.
+        # Single-variable rows.
         ([3.7], [[-5.0, 5.0]]),
         ([0.0, -2.0], [[-1.0, 1.0], [-0.5, 2.0]]),
     ]

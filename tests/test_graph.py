@@ -173,7 +173,8 @@ class TestUpdateGraph:
 
     def test_refresh_matches_single_edge_decisions(self):
         # The refresh decides its edges as batches; each edge must come out
-        # as its own single-edge decision, witnesses included.
+        # as its own single-edge decision, witnesses included. Predictions
+        # carry none.
         env = TerrainField()
         part = GridPartition([[-10, -6], [-10, -6]], (4, 4))
         graph = build_reach_graph(part, gamma=100.0)
@@ -188,6 +189,7 @@ class TestUpdateGraph:
                 bounds = deviation_bounds(ref, part.center(edge.ref_cell), part.center(src),
                                           env.L_df, env.L_g)
                 alone = predict_exit_facet(part.cell(src), facet, ref, bounds, BOX)
+                assert alone.witnesses is None
             assert edge.status is alone.status
             if alone.witnesses is None:
                 assert edge.witnesses is None
@@ -290,6 +292,25 @@ class TestShortestPath:
             (1, 3, ReachStatus.EXISTS, 1.0),
         ])
         assert shortest_path(g, 0, 3) == [0, 1, 3]
+
+    def test_cycle_below_tie_tolerance(self):
+        # Edge weights below the tie tolerance make 0 -> 1 -> 0 a tie too;
+        # the walk enters each node once.
+        g = make_graph(3, [
+            (0, 1, ReachStatus.UNCERTAIN, 1e-10),
+            (1, 0, ReachStatus.UNCERTAIN, 1e-10),
+            (1, 2, ReachStatus.EXISTS, 1.0),
+        ])
+        assert shortest_path(g, 0, 2) == [0, 1, 2]
+
+    def test_tied_dead_end_backtracks(self):
+        # 0 -> 1 ties with the route 0 -> 2, but 1 leads only back to 0.
+        g = make_graph(3, [
+            (0, 1, ReachStatus.UNCERTAIN, 1e-10),
+            (1, 0, ReachStatus.UNCERTAIN, 1e-10),
+            (0, 2, ReachStatus.EXISTS, 1.0),
+        ])
+        assert shortest_path(g, 0, 2) == [0, 2]
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(20250823)

@@ -214,12 +214,15 @@ class TestDecideExitFacet:
 
 
 def reference_rows(cell, facet, j, model, bounds=None, pattern=None, tighten=True,
-                   opposite=False):
+                   opposite=False, sign_rows=False):
     """Row-by-row construction of a vertex system as (coeffs, rhs, strict)
     triples: the nominal system when bounds is None, else the robust
     (tighten=True) or expanded (tighten=False) system of one sign pattern.
     The rows are those of the exit facet and of the other facets containing
-    the vertex, less the facet opposite the exit facet unless opposite."""
+    the vertex, less the facet opposite the exit facet unless opposite.
+    With sign_rows, the rows u_k > 0 (s_k > 0) or u_k <= 0 (s_k < 0) of
+    the pattern follow: the sign-row rule, which the pattern's closed
+    orthant (reference_orthant) replaces."""
     v = cell.vertices[j]
     drift = model.A @ v + model.c
     facets = [facet] + [i for i in reference_incidence(cell)[j]
@@ -240,12 +243,19 @@ def reference_rows(cell, facet, j, model, bounds=None, pattern=None, tighten=Tru
         else:
             rows.append((b_plus, -float(n @ drift) - shift, False) if tighten
                         else (b_minus, -float(n @ drift) + shift, False))
-    m = model.B.shape[1]
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        rows.append((e, 0.0, pattern[k] > 0))
+    if sign_rows:
+        m = model.B.shape[1]
+        for k in range(m):
+            e = np.zeros(m)
+            e[k] = 1.0
+            rows.append((e, 0.0, pattern[k] > 0))
     return rows
+
+
+def reference_orthant(box, pattern):
+    """The control box cut by the closed orthant of a sign pattern."""
+    return np.array([[max(lo, 0.0), hi] if s > 0 else [lo, min(hi, 0.0)]
+                     for (lo, hi), s in zip(box, pattern)])
 
 
 class TestRowBuildersMatchReference:
@@ -256,10 +266,11 @@ class TestRowBuildersMatchReference:
              Polytope.box([-1.0, 0.0, 0.5], [0.0, 2.0, 0.75])]
 
     @staticmethod
-    def assert_same(sys, rows):
+    def assert_same(sys, rows, box):
         assert np.array_equal(sys.A, np.array([a for a, _, _ in rows]))
         assert np.array_equal(sys.b, np.array([b for _, b, _ in rows]))
         assert np.array_equal(sys.strict, np.array([st for _, _, st in rows]))
+        assert np.array_equal(sys.box, box)
 
     def test_random_models_bounds_patterns(self):
         rng = np.random.default_rng(11)
@@ -274,14 +285,26 @@ class TestRowBuildersMatchReference:
             j = int(rng.integers(cell.n_vertices))
             pattern = sign_patterns(m)[rng.integers(2**m)]
             box = np.tile([-5.0, 5.0], (m, 1))
+            orthant = reference_orthant(box, pattern)
             self.assert_same(vertex_constraint_system(cell, facet, j, model, box),
-                             reference_rows(cell, facet, j, model))
+                             reference_rows(cell, facet, j, model), box)
             self.assert_same(
                 robust_vertex_system(cell, facet, j, model, bounds, pattern, box),
-                reference_rows(cell, facet, j, model, bounds, pattern, tighten=True))
+                reference_rows(cell, facet, j, model, bounds, pattern, tighten=True), orthant)
             self.assert_same(
                 expanded_vertex_system(cell, facet, j, model, bounds, pattern, box),
-                reference_rows(cell, facet, j, model, bounds, pattern, tighten=False))
+                reference_rows(cell, facet, j, model, bounds, pattern, tighten=False), orthant)
+
+    def test_orthants_missing_the_box_reject(self):
+        # [1, 2] x [-5, 5] misses every orthant with u_0 <= 0.
+        box = np.array([[1.0, 2.0], [-5.0, 5.0]])
+        bounds = ModelDeviationBounds(0.1, 0.1, 0.1)
+        model = single_integrator()
+        assert robust_vertex_system(UNIT_SQUARE, EXIT_RIGHT, 0, model, bounds, (1, -1),
+                                    box).box.tolist() == [[1.0, 2.0], [-5.0, 0.0]]
+        for build in (robust_vertex_system, expanded_vertex_system):
+            with pytest.raises(ValueError):
+                build(UNIT_SQUARE, EXIT_RIGHT, 0, model, bounds, (-1, 1), box)
 
 
 def as_system(rows, box):
@@ -301,7 +324,9 @@ class TestOppositeRowIsRedundant:
     def samples(seed, count):
         """(old, new) system pairs: the nominal, robust and expanded systems
         of random vertices, exit facets, models, radii, sign patterns and
-        control boxes on random 2-D and 3-D boxes."""
+        control boxes on random 2-D and 3-D boxes. A pattern whose orthant
+        misses the control box has no system; it is turned negative on the
+        axes where the box lies below 0."""
         rng = np.random.default_rng(seed)
         for _ in range(count):
             n, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
@@ -328,11 +353,13 @@ class TestOppositeRowIsRedundant:
             pattern = sign_patterns(m)[rng.integers(2 ** m)]
             lo = rng.uniform(-3.0, 0.0, size=m)
             box = np.column_stack([lo, lo + rng.uniform(0.5, 5.0, size=m)])
+            pattern = tuple(-1 if hi < 0.0 else s for s, hi in zip(pattern, box[:, 1]))
             yield (as_system(reference_rows(cell, facet, j, model, opposite=True), box),
                    vertex_constraint_system(cell, facet, j, model, box))
+            orthant = reference_orthant(box, pattern)
             for tighten, build in ((True, robust_vertex_system), (False, expanded_vertex_system)):
                 old = reference_rows(cell, facet, j, model, bounds, pattern, tighten, opposite=True)
-                yield (as_system(old, box), build(cell, facet, j, model, bounds, pattern, box))
+                yield (as_system(old, orthant), build(cell, facet, j, model, bounds, pattern, box))
 
     def test_decisions_match_the_systems_with_the_row(self):
         groups = {}
@@ -372,12 +399,11 @@ class TestPerturbedSystems:
             robust = robust_vertex_system(
                 UNIT_SQUARE, EXIT_RIGHT, 3, model, zero, pat, BOX
             )
-            # The leading rows coincide with the nominal ones.
-            r = len(nominal.b)
-            assert np.allclose(robust.A[:r], nominal.A)
-            assert np.allclose(robust.b[:r], nominal.b)
-            assert np.array_equal(robust.strict[:r], nominal.strict)
-            assert len(robust.b) == r + 2  # sign rows
+            # The rows are the nominal ones; the signs cut the box.
+            assert np.allclose(robust.A, nominal.A)
+            assert np.allclose(robust.b, nominal.b)
+            assert np.array_equal(robust.strict, nominal.strict)
+            assert np.array_equal(robust.box, reference_orthant(BOX, pat))
 
     def test_robust_contained_in_nominal_contained_in_expanded(self):
         rng = np.random.default_rng(3)
@@ -391,13 +417,12 @@ class TestPerturbedSystems:
             robust = robust_vertex_system(UNIT_SQUARE, facet, j, model, bounds, pat, BOX)
             expanded = expanded_vertex_system(UNIT_SQUARE, facet, j, model, bounds, pat, BOX)
             for u in rng.uniform(-5, 5, size=(200, 2)):
+                # Within the pattern's orthant, ||u||_1 = s . u.
+                if not np.all((u >= robust.box[:, 0]) & (u <= robust.box[:, 1])):
+                    continue
                 if rows_satisfied(robust, u):
                     assert rows_satisfied(nominal, u)
-                nominal_and_signed = rows_satisfied(nominal, u) and all(
-                    (u[k] > TOL_STRICT if pat[k] > 0 else u[k] <= 0.0)
-                    for k in range(2)
-                )
-                if nominal_and_signed:
+                if rows_satisfied(nominal, u):
                     assert rows_satisfied(expanded, u)
 
     def test_expansion_recovers_borderline_case(self):
@@ -495,46 +520,60 @@ def reference_decide(cell, facet, model, box):
     return ReachDecision(ReachStatus.EXISTS, witnesses)
 
 
-def first_feasible(systems):
-    """The set rule at one vertex: the first of its pattern systems that the
-    screen settles FEASIBLE, else the first that the LP decides FEASIBLE
-    among those the screen leaves open; None when none is feasible."""
+def any_feasible(systems):
+    """The set rule at one vertex: whether some of its pattern systems is
+    settled FEASIBLE by the screen, or decided FEASIBLE by the LP among
+    those the screen leaves open."""
     screens = [screen_feasibility(sys) for sys in systems]
-    for res in screens:
-        if res is not None and res.feasible:
-            return res
-    for sys, res in zip(systems, screens):
-        if res is None and (solved := decide_feasibility(sys)).feasible:
-            return solved
-    return None
+    return any(decide_feasibility(sys).feasible if res is None else res.feasible
+               for sys, res in zip(systems, screens))
 
 
 def reference_predict(cell, facet, model, bounds, box, robust_failed=None):
-    """The predictive decision of one edge as the set rule reads it, vertex
+    """The predictive status of one edge as the set rule reads it, vertex
     by vertex: Exists iff every vertex has a feasible robust pattern,
     Absent iff some vertex has no feasible expanded pattern. The vertices
     with no feasible robust pattern are appended to robust_failed when
     given."""
     patterns = sign_patterns(model.B.shape[1])
-    witnesses = []
     if robust_failed is None:
         robust_failed = []
     for j in range(cell.n_vertices):
-        res = first_feasible([robust_vertex_system(cell, facet, j, model, bounds, pat, box)
-                              for pat in patterns])
-        if res is None:
+        if not any_feasible([robust_vertex_system(cell, facet, j, model, bounds, pat, box)
+                             for pat in patterns]):
             robust_failed.append(j)
-        else:
-            witnesses.append(res.witness)
     if not robust_failed:
-        return ReachDecision(ReachStatus.EXISTS, witnesses)
+        return ReachStatus.EXISTS
     if bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0:
-        return ReachDecision(ReachStatus.ABSENT)
+        return ReachStatus.ABSENT
     for j in robust_failed:
-        if first_feasible([expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
-                           for pat in patterns]) is None:
-            return ReachDecision(ReachStatus.ABSENT)
-    return ReachDecision(ReachStatus.UNCERTAIN)
+        if not any_feasible([expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
+                             for pat in patterns]):
+            return ReachStatus.ABSENT
+    return ReachStatus.UNCERTAIN
+
+
+def sign_row_rule(cell, facet, model, bounds, box):
+    """The predictive status of one edge under the sign-row rule: pattern s
+    keeps the whole control box and adds the rows u_k > 0 (s_k > 0) and
+    u_k <= 0 (s_k < 0), and every pattern system is decided by the exact
+    LP."""
+    patterns = sign_patterns(len(box))
+
+    def feasible(j, tighten):
+        stack = SystemStack.of([
+            as_system(reference_rows(cell, facet, j, model, bounds, pat, tighten,
+                                     sign_rows=True), box)
+            for pat in patterns])
+        return bool(np.any(decide_stacks(stack, False).status == FEASIBLE))
+
+    failed = [j for j in range(cell.n_vertices) if not feasible(j, True)]
+    if not failed:
+        return ReachStatus.EXISTS
+    if bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0 or not all(
+            feasible(j, False) for j in failed):
+        return ReachStatus.ABSENT
+    return ReachStatus.UNCERTAIN
 
 
 def assert_same_decision(got, want):
@@ -620,9 +659,10 @@ class TestBatchedDecisions:
             assert len(batch) == len(group) * self.REPEATS
             for i, got in enumerate(batch):
                 cell, facet, model, bounds, _ = group[i % len(group)]
-                assert_same_decision(got, predict_exit_facet(cell, facet, model, bounds, box))
-                assert_same_decision(got, reference_predict(cell, facet, model, bounds, box))
-                statuses.add(got.status)
+                alone = predict_exit_facet(cell, facet, model, bounds, box)
+                assert alone.status is got and alone.witnesses is None
+                assert got is reference_predict(cell, facet, model, bounds, box)
+                statuses.add(got)
         assert statuses == set(ReachStatus)
         assert feasibility._CHUNK_BLOCKS in chunk_sizes
 
@@ -653,6 +693,68 @@ class TestBatchedDecisions:
         bounds = ModelDeviationBounds(0.01, 0.01, 0.01)
         with pytest.raises(ValueError):
             predict_exit_facets([item + (bounds,) for item in items], BOX)
+
+
+class TestOrthantsMatchSignRows:
+    """Pattern s as the closed orthant of s cut from the control box decides
+    every edge as the sign rows u_k > 0 (s_k > 0), u_k <= 0 (s_k < 0) over
+    the whole box did: a sign-row solution lies in the orthant, and the
+    closed orthants cover every input. Boxes that exclude 0 (some orthants
+    miss them) and zero-width axes are among the draws; m = 4 goes to
+    HiGHS."""
+
+    CELLS = [Polytope.box([0.5], [1.5]), UNIT_SQUARE, Polytope.box([2.0, -1.0], [3.0, 0.5]),
+             Polytope.box([-1.0, 0.0, 0.5], [0.0, 1.0, 1.5])]
+    # Control-box axes: around 0, one-sided at 0, clear of 0 on either side,
+    # and zero-width at or off 0.
+    AXES = [(-2.0, 2.0), (-0.5, 3.0), (0.0, 2.0), (-2.0, 0.0), (0.3, 2.5), (-2.5, -0.4),
+            (0.0, 0.0), (0.7, 0.7)]
+
+    def batches(self, seed, count, size, ms):
+        """count batches of size random edges, each batch one cell dimension
+        and one control box with m drawn from ms."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            m = int(rng.choice(ms))
+            dim = self.CELLS[rng.integers(len(self.CELLS))].dim
+            cells = [c for c in self.CELLS if c.dim == dim]
+            box = np.array([self.AXES[k] for k in rng.integers(len(self.AXES), size=m)])
+            items = []
+            for _ in range(size):
+                cell = cells[rng.integers(len(cells))]
+                n = cell.dim
+                A, B = rng.normal(scale=0.5, size=(n, n)), rng.normal(size=(n, m))
+                c = rng.normal(scale=2.0, size=n)
+                kind = rng.random()
+                if kind < 0.1:
+                    B[:] = 0.0
+                elif kind < 0.3:
+                    # Dyadic models: rows and orthant corners are exact.
+                    A, B, c = (rng.integers(-4, 5, size=x.shape) / 4.0 for x in (A, B, c))
+                kind = rng.random()
+                bounds = (ModelDeviationBounds(0.0, 0.0, 0.0) if kind < 0.2
+                          else ModelDeviationBounds(*rng.uniform(0.0, 0.3, size=3)))
+                items.append((cell, int(rng.integers(cell.n_facets)),
+                              AffineModel(A, B, c, np.zeros(n)), bounds))
+            yield box, items
+
+    def assert_same_statuses(self, batches):
+        statuses = set()
+        differ = []
+        for box, items in batches:
+            for item, got in zip(items, predict_exit_facets(items, box)):
+                if got is not sign_row_rule(*item, box):
+                    differ.append((item, box))
+                statuses.add(got)
+        assert differ == []
+        return statuses
+
+    def test_small_inputs(self):
+        statuses = self.assert_same_statuses(self.batches(40, 24, 12, [1, 2, 3]))
+        assert statuses == set(ReachStatus)
+
+    def test_four_inputs_through_highs(self):
+        assert self.assert_same_statuses(self.batches(46, 2, 3, [4])) == set(ReachStatus)
 
 
 class TestSolvedSystems:
@@ -708,7 +810,7 @@ class TestSolvedSystems:
                     systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
                                for pat in patterns]
                     expected += open_patterns(systems)
-                    if first_feasible(systems) is None and (
+                    if not any_feasible(systems) and (
                             bounds.eps_A, bounds.eps_B, bounds.eps_c) != (0.0, 0.0, 0.0):
                         failed.append((cell, facet, j, model, bounds))
             for cell, facet, j, model, bounds in failed:

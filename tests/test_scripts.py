@@ -31,7 +31,7 @@ ONE_D = {
 # Small settings: each script runs in well under a second per scenario.
 SCRIPTS = {
     "sysid_sweep.py": ["--samples", "10", "--time-steps", "1e-3", "--seeds", "1"],
-    "prediction_accuracy.py": ["--hops", "1"],
+    "prediction_accuracy.py": ["--hops", "1", "2", "4"],
 }
 
 
@@ -56,9 +56,13 @@ def test_bundled_scenario(name):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     if name == "prediction_accuracy.py":
-        assert proc.stdout.strip() == (
+        assert proc.stdout.splitlines() == [
             "hops=1: 477/1520 edges decided (462 exists, 15 absent, "
-            "1043 uncertain), unsound: 0")
+            "1043 uncertain), unsound: 0",
+            "hops=2: 124/1520 edges decided (111 exists, 13 absent, "
+            "1396 uncertain), unsound: 0",
+            "hops=4: 93/1520 edges decided (80 exists, 13 absent, "
+            "1427 uncertain), unsound: 0"]
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
