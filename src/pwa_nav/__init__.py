@@ -28,7 +28,7 @@ from .graph import (
     uncertain_weight,
     update_graph,
 )
-from .planner import MissionConfig, MissionLog, MissionStatus, run_mission
+from .planner import MissionLog, MissionStatus, run_mission
 from .reach import (
     ModelDeviationBounds,
     PiecewiseInterpolationLaw,

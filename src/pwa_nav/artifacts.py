@@ -65,7 +65,7 @@ def mission_to_dict(log: MissionLog) -> dict:
         "status": log.status.value,
         "initial_cell": log.initial_cell,
         "target_cell": log.target_cell,
-        "explored": list(log.explored),
+        "explored": list(log.models),
         "iterations": len(log.records),
         "models": {
             str(cid): {

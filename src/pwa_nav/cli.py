@@ -1,4 +1,9 @@
-"""Command-line entry points: plan | truth-graph | sysid-check."""
+"""Command-line entry points: plan | truth-graph | sysid-check.
+
+Exit codes: 0 target reached, 1 bad scenario or option (usage errors too),
+2 stuck, 3 iteration cap, 4 identification failed. The commands let
+ScenarioError and IdentificationError propagate; main alone turns them
+into exit codes 1 and 4."""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from .artifacts import (
 )
 from .dynamics import linearize_at
 from .graph import ReachGraph, ReachStatus, WeightMode, build_reach_graph, update_graph
-from .planner import MissionConfig, MissionConfigError, MissionStatus, run_mission
+from .planner import MissionStatus, run_mission
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .reach import decide_exit_facet  # noqa: F401
 from .render import render_graph_svg, render_trajectory_svg
@@ -44,23 +49,13 @@ def _setup_logging() -> None:
 
 
 def cmd_plan(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
-    try:
-        cfg = MissionConfig(scenario, max_iterations=args.max_iters, seed=args.seed)
-    except MissionConfigError:
+    scenario = load_scenario(args.scenario)
+    if args.max_iters < 1:
         print(f"option error: --max-iters must be positive, got {args.max_iters}",
               file=sys.stderr)
         return EXIT_BAD_SCENARIO
     os.makedirs(args.out, exist_ok=True)
-    try:
-        mission = run_mission(cfg)
-    except IdentificationError as exc:
-        print(f"identification failed: {exc}", file=sys.stderr)
-        return EXIT_SYSID_FAILED
+    mission = run_mission(scenario, args.max_iters, args.seed)
     log.info("mission finished: %s after %d iterations",
              mission.status.value, len(mission.records))
 
@@ -72,10 +67,10 @@ def cmd_plan(args) -> int:
     write_mission_json(os.path.join(args.out, "mission.json"), mission)
     render_trajectory_svg(os.path.join(args.out, "trajectory.svg"),
                           scenario.partition, mission.trajectory,
-                          mission.explored, mission.initial_cell, mission.target_cell)
+                          mission.models, mission.initial_cell, mission.target_cell)
     render_graph_svg(os.path.join(args.out, "graph.svg"),
                      scenario.partition, mission.graph,
-                     mission.explored, mission.initial_cell, mission.target_cell)
+                     mission.models, mission.initial_cell, mission.target_cell)
     return {
         MissionStatus.REACHED_TARGET: EXIT_OK,
         MissionStatus.STUCK: EXIT_STUCK,
@@ -97,11 +92,7 @@ def truth_graph(scenario) -> ReachGraph:
 
 
 def cmd_truth_graph(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+    scenario = load_scenario(args.scenario)
     os.makedirs(args.out, exist_ok=True)
     partition = scenario.partition
     graph = truth_graph(scenario)
@@ -114,25 +105,16 @@ def cmd_truth_graph(args) -> int:
 
 
 def cmd_sysid_check(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+    scenario = load_scenario(args.scenario)
     os.makedirs(args.out, exist_ok=True)
     partition = scenario.partition
     if not 0 <= args.cell < partition.n_cells:
-        print(f"scenario error: cell id {args.cell} out of range", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+        raise ScenarioError(f"cell id {args.cell} out of range")
     center = partition.center(args.cell)
     overrides = {"samples": args.samples, "seed": args.seed}
     cfg = replace(scenario.sysid, **{k: v for k, v in overrides.items() if v is not None})
-    try:
-        model, _final, residual = identify(scenario.field, center, cfg,
-                                           control_box=scenario.control_box)
-    except IdentificationError as exc:
-        print(f"identification failed: {exc}", file=sys.stderr)
-        return EXIT_SYSID_FAILED
+    model, _final, residual = identify(scenario.field, center, cfg,
+                                       control_box=scenario.control_box)
 
     ref = linearize_at(scenario.field, center)
     err_A = np.abs(model.A - ref.A)
@@ -152,8 +134,26 @@ def cmd_sysid_check(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, but 2 means stuck here: exit 1,
+    the code of a bad scenario or option. The subparsers are of this class
+    too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_SCENARIO, f"{self.prog}: error: {message}\n")
+
+
+def non_negative_int(text: str) -> int:
+    """A --seed value: NumPy's generators take non-negative integers only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pwa-nav",
         description="Motion planning under unknown control-affine dynamics "
                     "over a piecewise-affine reachability graph.")
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="run a mission and emit its artifacts")
     plan.add_argument("--scenario", required=True, help="scenario JSON path")
     plan.add_argument("--out", required=True, help="output directory")
-    plan.add_argument("--seed", type=int, default=None, help="override sysid seed")
+    plan.add_argument("--seed", type=non_negative_int, default=None, help="override sysid seed")
     plan.add_argument("--max-iters", type=int, default=400, dest="max_iters")
     plan.set_defaults(func=cmd_plan)
 
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--scenario", required=True)
     check.add_argument("--out", required=True)
     check.add_argument("--cell", type=int, required=True)
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=non_negative_int, default=None)
     check.add_argument("--samples", type=int, default=None,
                        help="override the scenario sample count N")
     check.set_defaults(func=cmd_sysid_check)
@@ -187,7 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_BAD_SCENARIO
+    except IdentificationError as exc:
+        print(f"identification failed: {exc}", file=sys.stderr)
+        return EXIT_SYSID_FAILED
 
 
 if __name__ == "__main__":

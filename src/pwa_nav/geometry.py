@@ -15,6 +15,14 @@ import numpy as np
 FACET_TOL = 1e-9
 
 
+def norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of stacked vectors v (..., n), each as np.linalg.norm
+    takes that of one vector: the square root of v @ v. Every centre
+    distance and vertex norm goes through it, so a distance taken alone and
+    the same distance taken in a stack agree to the last bit."""
+    return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+
+
 class GeometryError(ValueError):
     """Invalid geometric input (degenerate bounds, out-of-range cell id, ...)."""
 

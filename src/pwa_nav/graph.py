@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import AffineModel
-from .geometry import GridPartition
+from .geometry import GridPartition, norm
 from .reach import (
     ReachStatus,
     decide_exit_facets,
@@ -81,7 +81,7 @@ def uncertain_weight(
     c = partition.center(dst_cell)
     total = 0.0
     for e in explored:
-        d = max(float(np.linalg.norm(partition.center(e) - c)), d_floor)
+        d = max(float(norm(partition.center(e) - c)), d_floor)
         total += 1.0 / d
     return gamma * mean_known_weight * total / len(explored)
 
@@ -127,7 +127,7 @@ def update_graph(
                     to_decide.append((edge, cid, facet, model))
                     decide_items.append((cell, facet, model))
         else:
-            dists = np.linalg.norm(centers - partition.center(cid), axis=1)
+            dists = norm(centers - partition.center(cid))
             ref = explored[int(np.argmin(dists))]  # ties: lowest cell id
             bounds = None  # the same for every out-edge of cid
             for nbr, facet in partition.neighbors(cid):

@@ -42,21 +42,6 @@ class MissionStatus(Enum):
     ITERATION_CAP = "iteration_cap"
 
 
-class MissionConfigError(ValueError):
-    pass
-
-
-@dataclass
-class MissionConfig:
-    scenario: "object"  # pwa_nav.scenario.Scenario
-    max_iterations: int = 400
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise MissionConfigError("max_iterations must be positive")
-
-
 @dataclass
 class IterationRecord:
     iteration: int
@@ -76,9 +61,8 @@ class MissionLog:
     status: MissionStatus
     records: list[IterationRecord]
     trajectory: list  # (t, x, u, cell_id)
-    explored: list[int]
     graph: "object"
-    models: dict
+    models: dict  # cell id -> identified model, in the order of exploration
     target_cell: int
     initial_cell: int
 
@@ -99,21 +83,21 @@ def _cell_seed(base_seed: int, cell: int, visit: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_mission(cfg: MissionConfig) -> MissionLog:
-    sc = cfg.scenario
-    partition = sc.partition
-    env = sc.field
-    box = sc.control_box
+def run_mission(scenario, max_iterations: int = 400, seed: int | None = None) -> MissionLog:
+    """Run the mission of a scenario, as parse_scenario accepts it, for at
+    most max_iterations (at least 1) iterations; seed, if given, replaces
+    the scenario's sysid seed. IdentificationError if a cell's samples
+    cannot be fitted."""
+    partition = scenario.partition
+    env = scenario.field
+    box = scenario.control_box
 
-    x = np.asarray(sc.initial_state, dtype=float)
-    try:
-        current = partition.locate(x)
-    except OutOfDomainError as exc:
-        raise MissionConfigError(f"initial_state: {exc}") from exc
-    target = sc.target_cell
+    x = np.asarray(scenario.initial_state, dtype=float)
+    current = partition.locate(x)
+    target = scenario.target_cell
 
-    base_seed = cfg.seed if cfg.seed is not None else sc.sysid.seed
-    graph = build_reach_graph(partition, sc.gamma, sc.weight_mode)
+    base_seed = seed if seed is not None else scenario.sysid.seed
+    graph = build_reach_graph(partition, scenario.gamma, scenario.weight_mode)
     models: dict = {}
     fail_counts: dict[tuple[int, int], int] = {}
     records: list[IterationRecord] = []
@@ -123,14 +107,14 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
 
     if current == target:
         return MissionLog(MissionStatus.REACHED_TARGET, records, trajectory,
-                          [], graph, models, target, current)
+                          graph, models, target, current)
     initial_cell = current
 
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         identified_now = False
         residual = None
         if current not in models:
-            id_cfg = replace(sc.sysid, seed=_cell_seed(base_seed, current, len(models)))
+            id_cfg = replace(scenario.sysid, seed=_cell_seed(base_seed, current, len(models)))
             history: list = []
             model, x, residual = identify(env, x, id_cfg, control_box=box, history=history)
             models[current] = model
@@ -152,7 +136,7 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
                     break
                 continue
 
-        update_graph(graph, partition, models, sc.L_df, sc.L_g, box)
+        update_graph(graph, partition, models, scenario.L_df, scenario.L_g, box)
         path = shortest_path(graph, current, target)
         if path is None:
             _append(records, IterationRecord(
@@ -210,5 +194,4 @@ def run_mission(cfg: MissionConfig) -> MissionLog:
             status = MissionStatus.REACHED_TARGET
             break
 
-    return MissionLog(status, records, trajectory, list(models), graph,
-                      models, target, initial_cell)
+    return MissionLog(status, records, trajectory, graph, models, target, initial_cell)

@@ -35,11 +35,10 @@ one balanced decide_stacks call, then one strict-slack call where the
 balanced slack is not positive. The predictive rule is a set
 condition, free of any order: an edge is Exists iff every vertex has some
 feasible robust orthant system, and Absent iff some vertex has no feasible
-expanded one. Robust-feasible implies expanded-feasible, and at zero radius
-the expanded systems are the robust ones, so expanded systems are built
-only at the robust-failed vertices of edges with a non-zero radius. Each of
-the two stacks is screened once, and the patterns the screen left OPEN at
-the vertices where it settled none FEASIBLE go to one decide_stacks call
+expanded one. Robust-feasible implies expanded-feasible, so expanded
+systems are built only at the robust-failed vertices. Each of the two
+stacks is screened once, and the patterns the screen left OPEN at the
+vertices where it settled none FEASIBLE go to one decide_stacks call
 (_any_feasible). Predictions carry no witness: a transit runs only on a
 definitive edge. The one-system views (vertex_constraint_system,
 robust_vertex_system, expanded_vertex_system) build the stack of their one
@@ -69,7 +68,7 @@ from .feasibility import (
 )
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
 from .feasibility import balance_witnesses_batch, decide_feasibility  # noqa: F401
-from .geometry import Polytope, Simplex, find_containing_simplex, triangulate
+from .geometry import Polytope, Simplex, find_containing_simplex, norm, triangulate
 
 
 class UnboundedTransitError(RuntimeError):
@@ -124,12 +123,6 @@ class _Rows(NamedTuple):
     b: np.ndarray     # (K, n)
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of stacked vectors v (..., n) as np.linalg.norm takes
-    that of one vector: the square root of v @ v."""
-    return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
-
-
 def _row_facet_index(n: int, exit_facet: np.ndarray, vertex: np.ndarray) -> np.ndarray:
     """Facets of the nominal rows of vertex systems of n-D boxes, (K, n) for
     exit facets and vertex indices (K,): the exit facet, then, for every
@@ -162,7 +155,7 @@ def _nominal_rows(items) -> _Rows:
     # Every n-D box has the same unit normals.
     N = items[0][0].normals[_row_facet_index(n, exit_facet, vertex)]
     B = np.stack([model.B for _, _, model, *_ in items])[at]
-    return _Rows(_norm(V), N @ B, -(N @ drift[..., None])[..., 0])
+    return _Rows(norm(V), N @ B, -(N @ drift[..., None])[..., 0])
 
 
 def vertex_constraint_system(
@@ -327,9 +320,8 @@ def predict_exit_facets(items, control_box) -> list[ReachStatus]:
     iff some vertex has no feasible expanded pattern system; UNCERTAIN
     otherwise. Both are set conditions, free of any order over vertices or
     patterns. Robust-feasible vertices are expanded-feasible a fortiori,
-    and at zero radius the expanded systems are the robust ones, so only
-    the robust-failed vertices of items with a non-zero radius can certify
-    absence: their expanded systems alone are built and decided.
+    so only the robust-failed vertices can certify absence: their expanded
+    systems alone are built and decided.
     """
     box = as_control_box(control_box)
     if not items:
@@ -344,13 +336,11 @@ def predict_exit_facets(items, control_box) -> list[ReachStatus]:
     failed = ~_any_feasible(
         _perturbed_rows(rows.A, rows.b, shift, eps_B, box, tighten=True)).reshape(E, V)
 
-    # At zero radius a robust failure is already an expanded failure.
-    zero = (radii == 0.0).all(axis=1)
-    pairs = np.flatnonzero(failed & ~zero[:, None])
+    pairs = np.flatnonzero(failed)
     expandable = _any_feasible(
         _perturbed_rows(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
                         tighten=False))
-    absent = zero.copy()
+    absent = np.zeros(E, dtype=bool)
     absent[pairs[~expandable] // V] = True
     return [ReachStatus.EXISTS if not f.any()
             else ReachStatus.ABSENT if a else ReachStatus.UNCERTAIN
@@ -381,19 +371,14 @@ class PiecewiseInterpolationLaw:
 
     def __init__(self, cell: Polytope, witnesses):
         self.cell = cell
-        self.witnesses = [np.asarray(w, dtype=float) for w in witnesses]
+        witnesses = [np.asarray(w, dtype=float) for w in witnesses]
         self.simplices = triangulate(cell)
-        self._laws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _law(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k not in self._laws:
-            self._laws[k] = _interpolate_on_simplex(self.cell, self.simplices[k], self.witnesses)
-        return self._laws[k]
+        # (F, g) per simplex, in the order of self.simplices.
+        self.laws = [_interpolate_on_simplex(cell, s, witnesses) for s in self.simplices]
 
     def input(self, x):
         x = np.asarray(x, dtype=float)
-        k = find_containing_simplex(self.cell, self.simplices, x)
-        F, g = self._law(k)
+        F, g = self.laws[find_containing_simplex(self.cell, self.simplices, x)]
         return F @ x + g
 
 

@@ -146,6 +146,7 @@ def parse_scenario(data: dict) -> Scenario:
                                  _number(sb["input_scale"], "sysid.input_scale"), vmode,
                                  _integer(sb["seed"], "sysid.seed"))
     _require(sysid.samples >= 1, "sysid.N", "must be positive")
+    _require(sysid.seed >= 0, "sysid.seed", "must be non-negative")
     _require(sysid.time_step > 0, "sysid.T", "must be positive")
     _require(sysid.input_scale > 0, "sysid.input_scale", "must be positive")
     # Inputs are drawn from [-input_scale, input_scale], whose width must be
@@ -195,6 +196,8 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from exc
     return parse_scenario(data)

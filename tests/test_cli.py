@@ -96,6 +96,13 @@ class TestScenarioParsing:
         assert rc == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_file_exits_one(self, tmp_path, name):
+        proc = run_cli("plan", "--scenario", str(tmp_path / name), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert "scenario error: cannot read" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 @pytest.fixture(scope="module")
 def plan_out(tmp_path_factory):
@@ -424,6 +431,60 @@ class TestCmdSysidCheck:
         rc = main(["sysid-check", "--scenario", scenario, "--out", str(tmp_path),
                    "--cell", "99"])
         assert rc == 1
+
+
+class TestUsageErrors:
+    """A usage error exits 1, the code of a bad scenario or option, with
+    argparse's usage text and no traceback: 2 means stuck."""
+
+    @pytest.mark.parametrize("args", [
+        ["plan", "--out", "{o}"],
+        ["bogus"],
+        [],
+        ["plan", "--scenario", "{s}", "--out", "{o}", "--max-iters", "abc"],
+        ["sysid-check", "--scenario", "{s}", "--out", "{o}"],
+    ], ids=["no-scenario", "unknown-command", "no-command", "max-iters-abc", "no-cell"])
+    def test_exits_one(self, tmp_path, args):
+        scenario = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
+        proc = run_cli(*[a.format(s=scenario, o=tmp_path / "o") for a in args])
+        assert proc.returncode == 1, proc.stderr
+        assert "usage:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_zero(self):
+        proc = run_cli("plan", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout
+
+
+class TestNegativeSeeds:
+    """NumPy's generators take non-negative seeds only: a negative seed in
+    the scenario or on the command line exits 1, naming where it came from,
+    with no traceback."""
+
+    ARGS = {"plan": [], "truth-graph": [], "sysid-check": ["--cell", "0"]}
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_scenario_seed(self, tmp_path, command):
+        data = copy.deepcopy(INTEGRATOR_SCENARIO)
+        data["sysid"]["seed"] = -5
+        scenario = write_scenario(tmp_path, data)
+        proc = run_cli(command, "--scenario", scenario, "--out", str(tmp_path / "o"),
+                       *self.ARGS[command])
+        assert proc.returncode == 1, proc.stderr
+        assert "scenario error: field 'sysid.seed'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_option_seed(self, tmp_path, command):
+        scenario = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
+        proc = run_cli(command, "--scenario", scenario, "--out", str(tmp_path / "o"),
+                       *self.ARGS[command], "--seed", "-1")
+        assert proc.returncode == 1, proc.stderr
+        assert "--seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
 
 
 def test_setup_imports_no_scipy(tmp_path):

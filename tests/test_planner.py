@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from pwa_nav.dynamics import AffineField, TerrainField
-from pwa_nav.geometry import GridPartition
+from pwa_nav.geometry import GridPartition, OutOfDomainError
 from pwa_nav.graph import WeightMode
 from pwa_nav.planner import (
     MAX_TRANSIT_STEPS,
     SIM_STEP,
-    MissionConfig,
-    MissionConfigError,
     MissionStatus,
     run_mission,
 )
@@ -45,14 +43,14 @@ class TestMissionOutcomes:
     def test_target_equals_initial(self):
         sc = integrator_scenario()
         sc.target_cell = 0
-        log = run_mission(MissionConfig(sc))
+        log = run_mission(sc)
         assert log.status is MissionStatus.REACHED_TARGET
         assert log.records == []
         assert len(log.trajectory) == 1
 
     def test_single_integrator_reaches_target(self):
         sc = integrator_scenario()
-        log = run_mission(MissionConfig(sc))
+        log = run_mission(sc)
         assert log.status is MissionStatus.REACHED_TARGET
         assert sc.partition.locate(log.trajectory[-1][1]) == 3
 
@@ -60,20 +58,20 @@ class TestMissionOutcomes:
         field = AffineField(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
         sc = make_scenario(field, [[0, 2], [0, 2]], (2, 2),
                            initial=[0.5, 0.5], target_cell=3)
-        log = run_mission(MissionConfig(sc))
+        log = run_mission(sc)
         assert log.status is MissionStatus.STUCK
         assert log.records[-1].outcome == "no_path"
 
     def test_iteration_cap(self):
         # One iteration is never enough to identify and cross two cells.
         sc = integrator_scenario()
-        log = run_mission(MissionConfig(sc, max_iterations=1))
+        log = run_mission(sc, max_iterations=1)
         assert log.status is MissionStatus.ITERATION_CAP
 
     def test_terrain_mini_mission(self):
         sc = make_scenario(TerrainField(), [[-2, 2], [-2, 2]], (4, 4),
                            initial=[1.5, 1.5], target_cell=0, gamma=100.0)
-        log = run_mission(MissionConfig(sc))
+        log = run_mission(sc)
         assert log.status is MissionStatus.REACHED_TARGET
         final = log.trajectory[-1][1]
         assert sc.partition.locate(final) == 0
@@ -91,7 +89,7 @@ class TestSlowTransit:
         field = AffineField([[0.0]], [[b]], [0.0], 1e-6, 1e-6)
         sc = make_scenario(field, [[0.0, 2.0]], (2,), initial=[1.5], target_cell=0)
         sc.control_box = np.array([[0.72, 0.72]])
-        log = run_mission(MissionConfig(sc, max_iterations=1))
+        log = run_mission(sc, max_iterations=1)
         (record,) = log.records
         assert record.identified and record.outcome == "timeout"
         assert record.transit_time == pytest.approx(MAX_TRANSIT_STEPS * SIM_STEP)
@@ -104,7 +102,7 @@ class TestSlowTransit:
 def log():
     sc = make_scenario(TerrainField(), [[-2, 2], [-2, 2]], (4, 4),
                        initial=[1.5, 1.5], target_cell=0, gamma=100.0)
-    return run_mission(MissionConfig(sc))
+    return run_mission(sc)
 
 
 class TestMissionLogInvariants:
@@ -119,9 +117,6 @@ class TestMissionLogInvariants:
         identified = [r.cell for r in log.records if r.identified]
         assert len(identified) == len(set(identified))
 
-    def test_explored_matches_models(self, log):
-        assert set(log.explored) == set(log.models)
-
     def test_transits_use_in_box_witnesses(self, log):
         for (src, dst), edge in log.graph.edges.items():
             if edge.witnesses is not None:
@@ -134,8 +129,8 @@ class TestDeterminism:
     def test_identical_configs_identical_logs(self):
         sc1 = integrator_scenario(seed=99)
         sc2 = integrator_scenario(seed=99)
-        log1 = run_mission(MissionConfig(sc1))
-        log2 = run_mission(MissionConfig(sc2))
+        log1 = run_mission(sc1)
+        log2 = run_mission(sc2)
         assert log1.status is log2.status
         assert len(log1.trajectory) == len(log2.trajectory)
         for (t1, x1, u1, c1), (t2, x2, u2, c2) in zip(log1.trajectory, log2.trajectory):
@@ -143,21 +138,16 @@ class TestDeterminism:
             assert np.array_equal(x1, x2) and np.array_equal(u1, u2)
 
     def test_seed_changes_the_run(self):
-        log1 = run_mission(MissionConfig(integrator_scenario(seed=1)))
-        log2 = run_mission(MissionConfig(integrator_scenario(seed=2)))
+        log1 = run_mission(integrator_scenario(seed=1))
+        log2 = run_mission(integrator_scenario(seed=2))
         x1 = np.array([x for _, x, _, _ in log1.trajectory[:10]])
         x2 = np.array([x for _, x, _, _ in log2.trajectory[:10]])
         assert not np.array_equal(x1, x2)
 
 
 class TestConfigValidation:
-    def test_nonpositive_caps_rejected(self):
-        sc = integrator_scenario()
-        with pytest.raises(MissionConfigError):
-            MissionConfig(sc, max_iterations=0)
-
     def test_initial_state_outside_domain_rejected(self):
         sc = integrator_scenario()
         sc.initial_state = np.array([99.0, 0.5])
-        with pytest.raises(MissionConfigError):
-            run_mission(MissionConfig(sc))
+        with pytest.raises(OutOfDomainError):
+            run_mission(sc)

@@ -775,8 +775,8 @@ class TestSolvedSystems:
         # The LP receives, in stack order, exactly the screen-open pattern
         # systems of the vertices where the screen settled no pattern
         # feasible: robust ones at every vertex, then expanded ones at the
-        # robust-failed vertices of edges with a non-zero radius. Each
-        # pattern stack takes one strict-slack decide_stacks call.
+        # robust-failed vertices. Each pattern stack takes one strict-slack
+        # decide_stacks call.
         calls, solved = [], []
         decide, enumerate_vertices = reach.decide_stacks, feasibility._enumerate_vertices
 
@@ -810,8 +810,7 @@ class TestSolvedSystems:
                     systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
                                for pat in patterns]
                     expected += open_patterns(systems)
-                    if not any_feasible(systems) and (
-                            bounds.eps_A, bounds.eps_B, bounds.eps_c) != (0.0, 0.0, 0.0):
+                    if not any_feasible(systems):
                         failed.append((cell, facet, j, model, bounds))
             for cell, facet, j, model, bounds in failed:
                 expected += open_patterns([
@@ -828,8 +827,8 @@ class TestSolvedSystems:
 
     def test_expanded_systems_are_built_only_at_robust_failures(self, monkeypatch):
         # Every robust system is screened once. Expanded systems are screened
-        # once too, but only at the robust-failed vertices of edges with a
-        # non-zero radius: elsewhere the expanded rule reads none.
+        # once too, but only at the robust-failed vertices: elsewhere the
+        # expanded rule reads none.
         sizes = []
         screen = reach._screen
 
@@ -849,8 +848,7 @@ class TestSolvedSystems:
                 robust_failed = []
                 reference_predict(cell, facet, model, bounds, box, robust_failed)
                 vertices += cell.n_vertices
-                if (bounds.eps_A, bounds.eps_B, bounds.eps_c) != (0.0, 0.0, 0.0):
-                    failed += len(robust_failed)
+                failed += len(robust_failed)
             assert screened_systems == P * (vertices + failed)
             assert failed < vertices
             expanded += failed
