@@ -36,7 +36,8 @@ def write_trajectory_csv(path, trajectory, n: int, m: int) -> None:
     lines = [",".join(header)]
     for t, x, u, cid in trajectory:
         lines.append(",".join(
-            [_fmt(t)] + [_fmt(v) for v in x] + [_fmt(v) for v in u] + [str(cid)]))
+            [_fmt(t)] + [_fmt(v) for v in x.tolist()] + [_fmt(v) for v in u.tolist()]
+            + [str(cid)]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

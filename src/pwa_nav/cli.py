@@ -2,8 +2,8 @@
 
 Exit codes: 0 target reached, 1 bad scenario or option (usage errors too),
 2 stuck, 3 iteration cap, 4 identification failed. The commands let
-ScenarioError and IdentificationError propagate; main alone turns them
-into exit codes 1 and 4."""
+ScenarioError, OptionError and IdentificationError propagate; main alone
+turns them into exit codes 1, 1 and 4."""
 
 from __future__ import annotations
 
@@ -48,13 +48,24 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+class OptionError(Exception):
+    """An option the command cannot use."""
+
+
+def _make_out_dir(path) -> None:
+    """Create the --out directory, or raise OptionError where it cannot be
+    one, say because a file of that name exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OptionError(f"--out {path}: {exc.strerror}") from None
+
+
 def cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.max_iters < 1:
-        print(f"option error: --max-iters must be positive, got {args.max_iters}",
-              file=sys.stderr)
-        return EXIT_BAD_SCENARIO
-    os.makedirs(args.out, exist_ok=True)
+        raise OptionError(f"--max-iters must be positive, got {args.max_iters}")
+    _make_out_dir(args.out)
     mission = run_mission(scenario, args.max_iters, args.seed)
     log.info("mission finished: %s after %d iterations",
              mission.status.value, len(mission.records))
@@ -93,7 +104,7 @@ def truth_graph(scenario) -> ReachGraph:
 
 def cmd_truth_graph(args) -> int:
     scenario = load_scenario(args.scenario)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     partition = scenario.partition
     graph = truth_graph(scenario)
     write_graph_json(os.path.join(args.out, "graph_truth.json"), graph, partition)
@@ -106,10 +117,12 @@ def cmd_truth_graph(args) -> int:
 
 def cmd_sysid_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    os.makedirs(args.out, exist_ok=True)
+    if args.samples is not None and args.samples < 1:
+        raise OptionError(f"--samples must be positive, got {args.samples}")
     partition = scenario.partition
     if not 0 <= args.cell < partition.n_cells:
         raise ScenarioError(f"cell id {args.cell} out of range")
+    _make_out_dir(args.out)
     center = partition.center(args.cell)
     overrides = {"samples": args.samples, "seed": args.seed}
     cfg = replace(scenario.sysid, **{k: v for k, v in overrides.items() if v is not None})
@@ -191,6 +204,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_BAD_SCENARIO
+    except OptionError as exc:
+        print(f"option error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     except IdentificationError as exc:
         print(f"identification failed: {exc}", file=sys.stderr)

@@ -11,8 +11,9 @@ produce them: _screen, one NumPy pass of interval arithmetic over a stack
 that leaves OPEN what it cannot settle, including every system within the
 LP's rounding of a threshold, and decide_stacks, the exact slack LP of every
 system of one stack, each system by itself. The predictive reach rule
-screens each of its pattern stacks once and sends the OPEN systems of the
-vertices the screen left unsettled to one decide_stacks call. A system's
+settles most vertices in closed form before any pattern stack exists; it
+screens the pattern stack of the others once and sends the OPEN systems of
+the vertices the screen left unsettled to one decide_stacks call. A system's
 box may be inverted (a sign pattern's orthant that misses the control box);
 inverted beyond _FEAS_TOL, the screen settles it INFEASIBLE and the LP
 finds it EMPTY.
@@ -262,8 +263,7 @@ def _screen(stack: SystemStack) -> Decisions:
     # Box sides are unit rows once the LP scales them, and it lets a vertex
     # pass each by up to _FEAS_TOL: a box inverted by less is left to the LP.
     lo, hi = box[..., 0], box[..., 1]
-    infeasible |= np.any(
-        lo - hi > _FEAS_TOL + _SCREEN_ROUNDING * (np.abs(lo) + np.abs(hi)), axis=1)
+    infeasible |= np.any(_inverted(lo, hi), axis=1)
 
     # Row-wise interval bounds over the box. A strict row's largest
     # slack reach_hi - b is compared with TOL_STRICT, as the LP compares its
@@ -294,6 +294,12 @@ def _screen(stack: SystemStack) -> Decisions:
     settled = status == FEASIBLE
     return Decisions(status, np.where(settled[:, None], center, np.nan),
                      np.where(settled, margin, 0.0))
+
+
+def _inverted(lo, hi):
+    """Whether box sides [lo, hi] are inverted by more than the screen
+    leaves to the LP (see _screen)."""
+    return lo - hi > _FEAS_TOL + _SCREEN_ROUNDING * (np.abs(lo) + np.abs(hi))
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:

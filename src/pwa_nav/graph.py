@@ -24,7 +24,7 @@ from .geometry import GridPartition, norm
 from .reach import (
     ReachStatus,
     decide_exit_facets,
-    deviation_bounds,
+    deviation_radii,
     predict_exit_facets,
     t0_upper_bound,
 )
@@ -107,7 +107,7 @@ def update_graph(
     The not-yet-definitive out-edges of explored sources are decided in one
     decide_exit_facets batch, and the edges of unexplored sources whose
     anchor changed in one predict_exit_facets batch, with one set of
-    deviation radii per source cell.
+    deviation radii per source cell and one ||A||_2 per anchor.
     """
     if not explored_models:
         raise ValueError("at least one explored model is required")
@@ -117,6 +117,7 @@ def update_graph(
 
     to_decide, decide_items = [], []
     to_predict, predict_items = [], []
+    a_norms = {}  # ||A||_2 of the anchors' models
     for cid in graph.nodes:
         if cid in explored_models:
             model = explored_models[cid]
@@ -135,8 +136,10 @@ def update_graph(
                 if edge.definitive or edge.ref_cell == ref:
                     continue
                 if bounds is None:
-                    bounds = deviation_bounds(explored_models[ref], partition.center(ref),
-                                              partition.center(cid), L_df, L_g)
+                    if ref not in a_norms:
+                        a_norms[ref] = float(np.linalg.norm(explored_models[ref].A, ord=2))
+                    bounds = deviation_radii(a_norms[ref], partition.center(ref),
+                                             partition.center(cid), L_df, L_g)
                 to_predict.append((edge, ref))
                 predict_items.append((partition.cell(cid), facet, explored_models[ref], bounds))
 

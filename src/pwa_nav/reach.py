@@ -28,25 +28,36 @@ decide_exit_facets and predict_exit_facets decide a whole list of edges
 at once; the edges' cells share one dimension n. The nominal rows of every
 vertex of every edge come from stacked array products into one stack
 (_nominal_rows), in which vertex j of edge t is system t * 2^n + j; in
-prediction, vertex j under sign pattern p, of P = 2^m, is system
-(t * 2^n + j) * P + p of the robust stack (_perturbed_rows). The
+prediction, the k-th vertex of a pattern stack (_perturbed_rows) under
+sign pattern p, of P = 2^m, is its system k * P + p. The
 definitive rule runs one pass per vertex index over the edges still open:
 one balanced decide_stacks call, then one strict-slack call where the
 balanced slack is not positive. The predictive rule is a set
 condition, free of any order: an edge is Exists iff every vertex has some
 feasible robust orthant system, and Absent iff some vertex has no feasible
-expanded one. Robust-feasible implies expanded-feasible, so expanded
-systems are built only at the robust-failed vertices. Each of the two
-stacks is screened once, and the patterns the screen left OPEN at the
-vertices where it settled none FEASIBLE go to one decide_stacks call
-(_any_feasible). Predictions carry no witness: a transit runs only on a
-definitive edge. The one-system views (vertex_constraint_system,
-robust_vertex_system, expanded_vertex_system) build the stack of their one
-edge and read their system out of it by index.
+expanded one. Robust-feasible implies expanded-feasible, so the expanded
+rule runs only at the robust-failed vertices. Each rule first settles every
+vertex in closed form (_settle), from its nominal rows, radii and control
+box, with no pattern system built: on every orthant the moved rows are one
+function of u, a . u -+ eps_B ||u||_1, so a row that misses its threshold at
+its per-axis extremes over {lo, hi}, and 0 where the box holds it, fails
+every pattern, and a candidate point (an orthant centre, or a point of
+{lo, 0, hi}^m in the box) that meets every row serves the pattern whose
+orthant holds it. Both tests keep the screen's TOL_STRICT, _FEAS_TOL and
+_SCREEN_ROUNDING margins, so a settled vertex is one that the pattern path
+decides the same way. Only the vertices left open get a pattern stack
+(_perturbed_rows); it is screened once, and the patterns the screen left
+OPEN at the vertices where it settled none FEASIBLE go to one decide_stacks
+call (_any_feasible).
+Predictions carry no witness: a transit runs only on a definitive edge.
+The one-system views (vertex_constraint_system, robust_vertex_system,
+expanded_vertex_system) build the stack of their one edge and read their
+system out of it by index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -56,12 +67,15 @@ import numpy as np
 
 from .dynamics import AffineModel
 from .feasibility import (
+    _FEAS_TOL,
+    _SCREEN_ROUNDING,
     FEASIBLE,
     INFEASIBLE,
     OPEN,
     TOL_STRICT,
     LinearConstraintSystem,
     SystemStack,
+    _inverted,
     _screen,
     as_control_box,
     decide_stacks,
@@ -107,10 +121,15 @@ def deviation_bounds(
 ) -> ModelDeviationBounds:
     """Lipschitz deviation radii between the linearization at x1 (= ref_model)
     and the unknown linearization at x2."""
+    return deviation_radii(float(np.linalg.norm(ref_model.A, ord=2)), x1, x2, L_df, L_g)
+
+
+def deviation_radii(a_norm: float, x1, x2, L_df: float, L_g: float) -> ModelDeviationBounds:
+    """deviation_bounds from a_norm, the spectral norm of the reference
+    model's A, which a graph refresh computes once per anchor."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     d = float(np.linalg.norm(x2 - x1))
-    a_norm = float(np.linalg.norm(ref_model.A, ord=2))
     eps_c = 2.0 * a_norm * d + 0.5 * L_df * d * d + L_df * d * float(np.linalg.norm(x2))
     return ModelDeviationBounds(L_df * d, L_g * d, eps_c)
 
@@ -230,6 +249,23 @@ def sign_patterns(m: int) -> list[tuple[int, ...]]:
     return list(itertools.product((1, -1), repeat=m))
 
 
+def _row_sides(r: int, tighten: bool) -> np.ndarray:
+    """The sign with which the radii move each of r rows: tightening adds
+    -s*eps_B and +shift to the exit row and +s*eps_B and -shift to the
+    invariance rows, as side * (s*eps_B) and -side * shift; expanding flips
+    every sign."""
+    side = np.ones(r)
+    side[0] = -1.0
+    return side if tighten else -side
+
+
+def _halves(lo, hi):
+    """The sides [max(lo, 0), hi] and [lo, min(hi, 0)] that the closed
+    orthants cut from box sides [lo, hi]: those of the axes where s_k > 0,
+    then where s_k < 0."""
+    return (np.maximum(lo, 0.0), hi), (lo, np.minimum(hi, 0.0))
+
+
 def _perturbed_rows(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> SystemStack:
     """The robust (tighten=True) or expanded (tighten=False) systems of K
     vertices under every sign pattern s of sign_patterns(m), vertex-major
@@ -239,18 +275,12 @@ def _perturbed_rows(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> Sys
     K, r, m = A0.shape
     patterns = np.array(sign_patterns(m), dtype=float)
     P = len(patterns)
-    # Tightening adds -s*eps_B and +shift to the exit row and +s*eps_B and
-    # -shift to the invariance rows; expanding flips every sign.
-    side = np.ones(r)
-    side[0] = -1.0
-    if not tighten:
-        side = -side
+    side = _row_sides(r, tighten)
     moved = A0[:, None] + side[:, None] * (patterns[:, None, :] * eps_B[:, None, None, None])
     rhs = np.broadcast_to((b0 - side * shift[:, None])[:, None], (K, P, r))
-    lo, hi = box[:, 0], box[:, 1]
-    orthant = np.where((patterns > 0)[..., None],
-                       np.column_stack([np.maximum(lo, 0.0), hi]),
-                       np.column_stack([lo, np.minimum(hi, 0.0)]))
+    positive, negative = _halves(box[:, 0], box[:, 1])
+    orthant = np.where((patterns > 0)[..., None], np.column_stack(positive),
+                       np.column_stack(negative))
     return SystemStack(moved.reshape(K * P, r, m), rhs.reshape(K * P, r),
                        np.broadcast_to(_exit_row_mask(r), (K * P, r)),
                        np.broadcast_to(orthant, (K, P, m, 2)).reshape(K * P, m, 2))
@@ -311,6 +341,96 @@ def _any_feasible(stack: SystemStack) -> np.ndarray:
     return (status == FEASIBLE).any(axis=1)
 
 
+def _candidates(box: np.ndarray) -> np.ndarray:
+    """The points (C, m) at which _settle tests the rows: the centre of every
+    orthant box that does not miss the control box (m, 2), then every point
+    of {lo, 0, hi}^m inside it, the corners of the orthant boxes."""
+    centres, corners = [], []
+    for lo, hi in box:
+        centres.append([0.5 * (a + b) for a, b in _halves(lo, hi) if a <= b])
+        corners.append([lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi])
+    points = list(itertools.product(*centres)) + list(itertools.product(*corners))
+    return np.array(points, dtype=float).reshape(-1, len(box))
+
+
+def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
+    """Per vertex, whether some system of its _perturbed_rows stack is
+    feasible, in closed form and without the stack: FEASIBLE, INFEASIBLE or
+    OPEN (K,), settled only where _any_feasible decides the same way.
+
+    On the closed orthant of s, ||u||_1 = s . u, so every pattern's row i
+    is the one function a_i . u + side_i eps_B ||u||_1 of u, against the
+    moved right-hand side b_i - side_i shift.
+    - INFEASIBLE where some row misses its threshold everywhere in the box,
+      by the screen's rule: the strict exit row's largest value, the
+      non-strict rows' least. Each is a sum of per-axis extremes over the
+      ends of both halves [max(lo, 0), hi] and [lo, min(hi, 0)] that the
+      screen does not settle inverted, from the very products the pattern
+      rows hold and added in the screen's order, so it bounds every
+      pattern's sum bit for bit. A non-strict
+      row is held to _FEAS_TOL times the widest coefficient of any of its
+      patterns (1 where a pattern's row is constant), and the margin
+      bounds every pattern's. So the screen settles every pattern
+      INFEASIBLE.
+    - FEASIBLE where some point of _candidates clears the strict row's
+      TOL_STRICT and meets every non-strict row, each by the margin, which
+      covers the rounding of this form of the rows: the point lies in the
+      orthant box of some pattern, whose LP, if the screen leaves it OPEN,
+      finds at least the point's slack."""
+    K, r, m = A0.shape
+    side = _row_sides(r, tighten)
+    rhs = b0 - side * shift[:, None]
+    # side * (s_k eps_B), the move of the coefficients where s_k = 1; it
+    # is negated where s_k = -1.
+    moved = np.multiply.outer(eps_B, side)
+    reach_hi = reach_lo = size = widest = 0.0
+    constant = True
+    for k, (lo, hi) in enumerate(box):
+        a = A0[..., k]
+        halves = [(coef, ends) for coef, ends in zip((a + moved, a - moved), _halves(lo, hi))
+                  if not _inverted(*ends)]
+        at = [coef * end for coef, ends in halves for end in ends]
+        reach_hi = reach_hi + functools.reduce(np.maximum, at)
+        reach_lo = reach_lo + functools.reduce(np.minimum, at)
+        widest = functools.reduce(np.maximum, [np.abs(coef) for coef, _ in halves], widest)
+        constant = constant & functools.reduce(np.logical_or, [coef == 0.0 for coef, _ in halves])
+        size = size + (np.abs(a) + eps_B[:, None]) * max(abs(lo), abs(hi))
+    scale = np.where(constant, np.maximum(widest, 1.0), widest)
+    margin = _SCREEN_ROUNDING * (size + np.abs(rhs))
+    infeasible = reach_hi[:, 0] - rhs[:, 0] <= TOL_STRICT - margin[:, 0]
+    for i in range(1, r):
+        infeasible |= reach_lo[:, i] - rhs[:, i] > _FEAS_TOL * scale[:, i] + margin[:, i]
+
+    # Every row at every candidate u is one product: [a | side eps_B] . [u | ||u||_1].
+    rows = np.concatenate([A0, moved[..., None]], axis=2).reshape(K * r, m + 1)
+    U = _candidates(box)
+    feasible = np.zeros(K, dtype=bool)
+    # A block of candidates at a time bounds the working set when 3^m is large.
+    for start in range(0, len(U), 64):
+        u = U[start:start + 64]
+        slack = (np.column_stack([u, np.abs(u).sum(axis=1)]) @ rows.T
+                 - rhs.ravel()).reshape(len(u), K, r)
+        met = slack[..., 0] > TOL_STRICT + margin[:, 0]
+        for i in range(1, r):
+            met &= slack[..., i] <= -margin[:, i]
+        feasible |= met.any(axis=0)
+    return np.where(infeasible, INFEASIBLE, np.where(feasible, FEASIBLE, OPEN))
+
+
+def _some_feasible(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
+    """Whether some pattern system of each of K vertices is feasible, (K,),
+    as _any_feasible decides it over their _perturbed_rows stack: _settle
+    decides what it can, and the stack is built only for the vertices it
+    leaves OPEN."""
+    status = _settle(A0, b0, shift, eps_B, box, tighten)
+    feasible = status == FEASIBLE
+    todo = np.flatnonzero(status == OPEN)
+    if todo.size:
+        feasible[todo] = _any_feasible(
+            _perturbed_rows(A0[todo], b0[todo], shift[todo], eps_B[todo], box, tighten))
+    return feasible
+
+
 def predict_exit_facets(items, control_box) -> list[ReachStatus]:
     """Predictive tri-state statuses of (cell, exit_facet, ref_model,
     bounds) items, for cells with unidentified dynamics, one per item in
@@ -320,8 +440,8 @@ def predict_exit_facets(items, control_box) -> list[ReachStatus]:
     iff some vertex has no feasible expanded pattern system; UNCERTAIN
     otherwise. Both are set conditions, free of any order over vertices or
     patterns. Robust-feasible vertices are expanded-feasible a fortiori,
-    so only the robust-failed vertices can certify absence: their expanded
-    systems alone are built and decided.
+    so only the robust-failed vertices can certify absence: the expanded
+    rule decides them alone. Each rule runs through _some_feasible.
     """
     box = as_control_box(control_box)
     if not items:
@@ -333,13 +453,11 @@ def predict_exit_facets(items, control_box) -> list[ReachStatus]:
     # eps_A ||v|| + eps_c: how far the deviation radii move the right-hand
     # side of every row at v. Unit normals make the ||n|| factors one.
     shift = eps_A * rows.norm + eps_c
-    failed = ~_any_feasible(
-        _perturbed_rows(rows.A, rows.b, shift, eps_B, box, tighten=True)).reshape(E, V)
+    failed = ~_some_feasible(rows.A, rows.b, shift, eps_B, box, tighten=True).reshape(E, V)
 
     pairs = np.flatnonzero(failed)
-    expandable = _any_feasible(
-        _perturbed_rows(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
-                        tighten=False))
+    expandable = _some_feasible(rows.A[pairs], rows.b[pairs], shift[pairs], eps_B[pairs], box,
+                                tighten=False)
     absent = np.zeros(E, dtype=bool)
     absent[pairs[~expandable] // V] = True
     return [ReachStatus.EXISTS if not f.any()

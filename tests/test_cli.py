@@ -428,9 +428,23 @@ class TestCmdSysidCheck:
 
     def test_invalid_cell_exits_one(self, tmp_path):
         scenario = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
-        rc = main(["sysid-check", "--scenario", scenario, "--out", str(tmp_path),
+        rc = main(["sysid-check", "--scenario", scenario, "--out", str(tmp_path / "o"),
                    "--cell", "99"])
         assert rc == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_nonpositive_samples_exit_one(self, tmp_path, samples):
+        # A count below 1 is a bad option, not an identification failure:
+        # only a positive count below n + m + 1 exits 4.
+        scenario = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
+        proc = run_cli("sysid-check", "--scenario", scenario, "--out", str(tmp_path / "o"),
+                       "--cell", "0", "--samples", samples)
+        assert proc.returncode == 1, proc.stderr
+        assert "--samples" in proc.stderr
+        assert "identification failed" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestUsageErrors:
@@ -456,6 +470,27 @@ class TestUsageErrors:
         proc = run_cli("plan", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "usage:" in proc.stdout
+
+
+class TestOutNamesAFile:
+    """An --out that cannot be a directory exits 1 naming --out, with no
+    traceback, and leaves the file as it was."""
+
+    ARGS = {"plan": [], "truth-graph": [], "sysid-check": ["--cell", "0"]}
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_exits_one(self, tmp_path, command, under):
+        scenario = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / "o" if under else taken
+        proc = run_cli(command, "--scenario", scenario, "--out", str(out),
+                       *self.ARGS[command])
+        assert proc.returncode == 1, proc.stderr
+        assert f"option error: --out {out}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert taken.read_text() == "keep\n"
 
 
 class TestNegativeSeeds:

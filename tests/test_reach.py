@@ -19,6 +19,7 @@ from pwa_nav.geometry import (
     GridPartition,
     Polytope,
     find_containing_simplex,
+    norm,
 )
 from pwa_nav.reach import (
     ModelDeviationBounds,
@@ -757,6 +758,93 @@ class TestOrthantsMatchSignRows:
         assert self.assert_same_statuses(self.batches(46, 2, 3, [4])) == set(ReachStatus)
 
 
+class TestClosedFormSettling:
+    """reach._settle decides a vertex in closed form only as the pattern
+    path, _any_feasible over the vertex's full _perturbed_rows stack,
+    decides it, and _some_feasible, which sends the vertices it leaves open
+    down that path, agrees with it everywhere. The draws cover m = 1, 2, 3;
+    boxes symmetric, asymmetric, one-sided, zero-width and missed by an
+    orthant, some within the LP's tolerance of 0; signed zeros in the box,
+    the rows, the radii and the shifts; coefficients a_k = +-eps_B, which
+    make a pattern's row constant; and rows whose slack lies within a few
+    ulps or a few _SCREEN_ROUNDING margins of TOL_STRICT (the exit row) or
+    of the _FEAS_TOL band (an invariance row)."""
+
+    AXES = [(-2.0, 2.0), (-0.5, 3.0), (0.0, 2.0), (-2.0, 0.0), (-0.0, 1.5), (-1.5, -0.0),
+            (0.3, 2.5), (-2.5, -0.4), (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (0.7, 0.7),
+            (1e-10, 1.0), (-1.0, -1e-10), (2e-9, 1.0), (-1.0, -2e-9)]
+
+    @staticmethod
+    def extremes(A0, eps_B, side, box):
+        """Largest and least value (K, r) over the box of every row
+        a . u + side eps_B ||u||_1: per axis a kinked line, so attained at
+        lo, hi or 0 where the box holds it."""
+        axes = [sorted({lo, hi} | ({0.0} if lo <= 0.0 <= hi else set())) for lo, hi in box]
+        U = np.array(list(itertools.product(*axes)))
+        values = A0 @ U.T + side[:, None] * eps_B[:, None, None] * np.abs(U).sum(axis=1)
+        return values.max(axis=2), values.min(axis=2)
+
+    def draw(self, rng, K, r, m, tighten):
+        box = np.array([self.AXES[k] for k in rng.integers(len(self.AXES), size=m)])
+        A0 = rng.normal(size=(K, r, m))
+        dyadic = rng.random(K) < 0.3
+        A0[dyadic] = rng.integers(-4, 5, size=(int(dyadic.sum()), r, m)) / 4.0
+        zero = rng.random((K, r, m)) < 0.15
+        A0[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+        eps_B = rng.choice([0.0, -0.0, 0.25, 0.5], size=K)
+        eps_B[rng.random(K) < 0.4] = rng.uniform(0.0, 0.3)
+        shift = rng.choice([0.0, -0.0, 0.125], size=K)
+        shift[rng.random(K) < 0.5] = rng.uniform(0.0, 0.3)
+        rhs = rng.normal(scale=2.0, size=(K, r))
+        side = reach._row_sides(r, tighten)
+        top, bottom = self.extremes(A0, eps_B, side, box)
+        size = (np.abs(A0) + np.abs(eps_B[:, None, None])).sum(axis=2) * 2.5 + np.abs(top)
+
+        def offset(value, row):
+            """Offsets from a threshold near value: a few ulps of it, or a
+            few screen margins of the row."""
+            return (rng.choice([-4.0, -1.0, 0.0, 1.0, 4.0], size=len(value)) * np.spacing(value)
+                    + rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], size=len(value))
+                    * feasibility._SCREEN_ROUNDING * size[:, row])
+
+        kind = rng.random(K)
+        # The exit row at TOL_STRICT, every invariance row met everywhere.
+        edge = kind < 0.3
+        rhs[edge, 0] = top[edge, 0] - (TOL_STRICT + offset(np.abs(top[:, 0]), 0)[edge])
+        rhs[edge, 1:] = top[edge, 1:] + 1.0
+        # One invariance row at the _FEAS_TOL band of its widest pattern
+        # coefficient, the exit row met everywhere.
+        band = (kind >= 0.3) & (kind < 0.6) & (r > 1)
+        widest = (np.abs(A0[band, -1]) + np.abs(eps_B[band, None])).max(axis=1)
+        rhs[band, 0] = bottom[band, 0] - 1.0
+        rhs[band, 1:] = top[band, 1:] + 1.0
+        rhs[band, -1] = (bottom[band, -1] - feasibility._FEAS_TOL * widest
+                         - offset(np.abs(bottom[:, -1]), -1)[band])
+        b0 = rhs + side * shift[:, None]
+        return A0, b0, shift, eps_B, box
+
+    def test_settled_vertices_agree_with_the_pattern_path(self):
+        rng = np.random.default_rng(31)
+        settled = {FEASIBLE: 0, feasibility.INFEASIBLE: 0, feasibility.OPEN: 0}
+        verdicts = set()
+        for _ in range(90):
+            m, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            tighten = bool(rng.integers(2))
+            A0, b0, shift, eps_B, box = self.draw(rng, 60, r, m, tighten)
+            status = reach._settle(A0, b0, shift, eps_B, box, tighten)
+            want = reach._any_feasible(reach._perturbed_rows(A0, b0, shift, eps_B, box, tighten))
+            assert not np.any((status == FEASIBLE) & ~want)
+            assert not np.any((status == feasibility.INFEASIBLE) & want)
+            assert np.array_equal(reach._some_feasible(A0, b0, shift, eps_B, box, tighten), want)
+            for key in settled:
+                settled[key] += int(np.sum(status == key))
+            left = status == feasibility.OPEN
+            verdicts.update(zip(status[left], want[left]))
+        assert min(settled.values()) > 100
+        # The open vertices, at the thresholds, go either way.
+        assert verdicts == {(feasibility.OPEN, True), (feasibility.OPEN, False)}
+
+
 class TestSolvedSystems:
     """The reach rules solve only the systems that the screen leaves open
     and a verdict may need, and build expanded systems only where the
@@ -771,11 +859,21 @@ class TestSolvedSystems:
         assert decision.status is ReachStatus.ABSENT
         assert sum(chunk_sizes) == 1
 
+    @staticmethod
+    def closed_form(cell, facet, j, model, bounds, box, tighten):
+        """reach._settle's status of one vertex, from its nominal system and
+        its radii, as predict_exit_facets moves them."""
+        nominal = vertex_constraint_system(cell, facet, j, model, box)
+        shift = bounds.eps_A * float(norm(cell.vertices[j])) + bounds.eps_c
+        return reach._settle(nominal.A[None], nominal.b[None], np.array([shift]),
+                             np.array([bounds.eps_B]), box, tighten)[0]
+
     def test_prediction_solves_the_open_patterns_of_unsettled_vertices(self, monkeypatch):
         # The LP receives, in stack order, exactly the screen-open pattern
-        # systems of the vertices where the screen settled no pattern
-        # feasible: robust ones at every vertex, then expanded ones at the
-        # robust-failed vertices. Each pattern stack takes one strict-slack
+        # systems of the vertices that the closed form leaves open and where
+        # the screen settled no pattern feasible: robust ones first, then
+        # expanded ones at the robust-failed vertices. Each pattern stack,
+        # built only where some vertex is open, takes one strict-slack
         # decide_stacks call.
         calls, solved = [], []
         decide, enumerate_vertices = reach.decide_stacks, feasibility._enumerate_vertices
@@ -801,21 +899,28 @@ class TestSolvedSystems:
         for box, group in batches(TestBatchedDecisions().items(22, 120)):
             patterns = sign_patterns(len(box))
             predict_exit_facets([item[:4] for item in group], box)
-            assert calls == [False, False]
             batched = list(solved)
-            expected = []
+            expected, opened = [], [0, 0]  # open robust and expanded vertices
             failed = []
             for cell, facet, model, bounds, _ in group:
                 for j in range(cell.n_vertices):
-                    systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
-                               for pat in patterns]
-                    expected += open_patterns(systems)
-                    if not any_feasible(systems):
+                    status = self.closed_form(cell, facet, j, model, bounds, box, True)
+                    if status == feasibility.OPEN:
+                        opened[0] += 1
+                        systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
+                                   for pat in patterns]
+                        expected += open_patterns(systems)
+                        if not any_feasible(systems):
+                            failed.append((cell, facet, j, model, bounds))
+                    elif status == feasibility.INFEASIBLE:
                         failed.append((cell, facet, j, model, bounds))
             for cell, facet, j, model, bounds in failed:
-                expected += open_patterns([
-                    expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
-                    for pat in patterns])
+                if self.closed_form(cell, facet, j, model, bounds, box, False) == feasibility.OPEN:
+                    opened[1] += 1
+                    expected += open_patterns([
+                        expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
+                        for pat in patterns])
+            assert calls == [False] * sum(n > 0 for n in opened)
             assert len(batched) == len(expected)
             for G, sys in zip(batched, expected):
                 assert np.array_equal(G, feasibility._slack_rows(sys.A, sys.b, sys.strict,
@@ -823,12 +928,13 @@ class TestSolvedSystems:
             total += len(batched)
             calls.clear()
             solved.clear()
-        assert total > 0
+        # The pattern path alone solved 461 systems of these batches.
+        assert total == 123
 
     def test_expanded_systems_are_built_only_at_robust_failures(self, monkeypatch):
-        # Every robust system is screened once. Expanded systems are screened
-        # once too, but only at the robust-failed vertices: elsewhere the
-        # expanded rule reads none.
+        # Pattern stacks are built and screened once, and only for the
+        # vertices the closed form leaves open: robust ones among all
+        # vertices, expanded ones among the robust-failed vertices.
         sizes = []
         screen = reach._screen
 
@@ -837,22 +943,29 @@ class TestSolvedSystems:
             return screen(stack)
 
         monkeypatch.setattr(reach, "_screen", recording)
-        expanded = 0
+        counts = np.zeros(4, dtype=int)  # vertices, robust-failed, open robust, open expanded
         for box, group in batches(TestBatchedDecisions().items(23, 120)):
             P = len(sign_patterns(len(box)))
             predict_exit_facets([item[:4] for item in group], box)
             screened_systems = sum(sizes)
             sizes.clear()
-            vertices = failed = 0
+            batch = np.zeros(4, dtype=int)
             for cell, facet, model, bounds, _ in group:
                 robust_failed = []
                 reference_predict(cell, facet, model, bounds, box, robust_failed)
-                vertices += cell.n_vertices
-                failed += len(robust_failed)
-            assert screened_systems == P * (vertices + failed)
-            assert failed < vertices
-            expanded += failed
-        assert expanded > 0
+                batch[0] += cell.n_vertices
+                batch[1] += len(robust_failed)
+                batch[2] += sum(self.closed_form(cell, facet, j, model, bounds, box, True)
+                                == feasibility.OPEN for j in range(cell.n_vertices))
+                batch[3] += sum(self.closed_form(cell, facet, j, model, bounds, box, False)
+                                == feasibility.OPEN for j in robust_failed)
+            assert screened_systems == P * (batch[2] + batch[3])
+            assert batch[1] < batch[0]
+            counts += batch
+        # 43 of 612 robust vertices and 27 of 374 expanded ones stay open:
+        # 430 pattern systems screened, where building a stack for every
+        # vertex the rules read screened 4,596.
+        assert counts.tolist() == [612, 374, 43, 27]
 
 
 class TestControllerSynthesis:
