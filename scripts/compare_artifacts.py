@@ -6,8 +6,9 @@ this one.
 
 Runs, with each checkout's own src/ on PYTHONPATH, `plan` on the benchmark's
 terrain_mission window at the seeds mission_seeds(REFERENCE_SEED, 8) and at
-HELD_OUT_SEED (both from perfbench/run.py), `plan` on the bundled scenario
-and `truth-graph` on it. Both checkouts get the same scenario files, taken
+HELD_OUT_SEED (both from perfbench/run.py), `plan` on the bundled scenario,
+`truth-graph` on it and `plan --max-iters 10` on it with an 80 x 80 grid,
+the grid-scaling point where graph writing costs the most. Both checkouts get the same scenario files, taken
 from this one. Prints, per output file and per exit code, whether the two
 checkouts wrote the same bytes. Exits 0 when every file is identical, 1
 otherwise.
@@ -43,8 +44,13 @@ def runs(scratch: Path) -> dict[str, list[str]]:
     seeds = bench.mission_seeds(bench.REFERENCE_SEED, 8) + [bench.HELD_OUT_SEED]
     out = {f"window-seed{s}": ["plan", "--scenario", str(window_path), "--seed", str(s)]
            for s in seeds}
+    fine = json.loads(bundled.read_text())
+    fine["grid"] = [80, 80]
+    fine_path = scratch / "grid80.json"
+    fine_path.write_text(json.dumps(fine, indent=1) + "\n")
     out["bundled"] = ["plan", "--scenario", str(bundled)]
     out["truth-graph"] = ["truth-graph", "--scenario", str(bundled)]
+    out["grid80"] = ["plan", "--scenario", str(fine_path), "--max-iters", "10"]
     return out
 
 

@@ -1,5 +1,7 @@
 """File emitters: trajectory CSV, graph JSON, mission JSON. All writes are
-atomic (temp file in the target directory + rename)."""
+atomic (temp file in the target directory + rename). The CSV and the graph
+JSON, the large ones, are written from text templates, in the bytes that
+per-value f-strings and json.dumps write."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import tempfile
 import numpy as np
 
 from .geometry import GridPartition
-from .graph import ReachGraph
+from .graph import ReachGraph, ReachStatus
 from .planner import MissionLog
 
 
@@ -27,38 +29,49 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(path, trajectory, n: int, m: int) -> None:
+    """One row per sample: t, x, u as %.17g, which round-trips a double
+    (f"{v:.17g}" gives the same text), then the cell id."""
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)] + ["cell_id"]
+    row = ",".join(["%.17g"] * (1 + n + m) + ["%s"])
     lines = [",".join(header)]
-    for t, x, u, cid in trajectory:
-        lines.append(",".join(
-            [_fmt(t)] + [_fmt(v) for v in x.tolist()] + [_fmt(v) for v in u.tolist()]
-            + [str(cid)]))
+    lines += [row % (t, *x.tolist(), *u.tolist(), cid) for t, x, u, cid in trajectory]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def graph_to_dict(graph: ReachGraph, partition: GridPartition) -> dict:
-    nodes = [{"id": cid, "center": [float(v) for v in partition.center(cid)]}
-             for cid in graph.nodes]
-    edges = [
-        {
-            "src": src,
-            "dst": dst,
-            "status": edge.status.value,
-            "weight": float(edge.weight),
-            "definitive": bool(edge.definitive),
-        }
-        for (src, dst), edge in sorted(graph.edges.items())
-    ]
-    return {"nodes": nodes, "edges": edges}
+_STATUS_JSON = {status: json.dumps(status.value) for status in ReachStatus}
+# How json writes the floats that float.__repr__ spells inf, -inf and nan.
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_list(items: list[str]) -> str:
+    """A list at indent level one of items already written at level two."""
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 def write_graph_json(path, graph: ReachGraph, partition: GridPartition) -> None:
-    atomic_write_text(path, json.dumps(graph_to_dict(graph, partition), indent=1) + "\n")
+    """The graph as json.dumps(..., indent=1) writes {"nodes": [{"id",
+    "center"}], "edges": [{"src", "dst", "status", "weight", "definitive"}]},
+    edges in (src, dst) order, from one template per node and per edge."""
+    nodes = [
+        '  {\n   "id": %d,\n   "center": [\n    %s\n   ]\n  }'
+        % (cid, ",\n    ".join(map(_json_float, partition.center(cid).tolist())))
+        for cid in graph.nodes
+    ]
+    edges = [
+        '  {\n   "src": %d,\n   "dst": %d,\n   "status": %s,\n   "weight": %s,\n'
+        '   "definitive": %s\n  }'
+        % (src, dst, _STATUS_JSON[edge.status], _json_float(float(edge.weight)),
+           "true" if edge.definitive else "false")
+        for (src, dst), edge in sorted(graph.edges.items())
+    ]
+    parts = ['{\n "nodes": ', _json_list(nodes), ',\n "edges": ', _json_list(edges), "\n}\n"]
+    atomic_write_text(path, "".join(parts))
 
 
 def mission_to_dict(log: MissionLog) -> dict:

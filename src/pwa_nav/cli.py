@@ -2,8 +2,9 @@
 
 Exit codes: 0 target reached, 1 bad scenario or option (usage errors too),
 2 stuck, 3 iteration cap, 4 identification failed. The commands let
-ScenarioError, OptionError and IdentificationError propagate; main alone
-turns them into exit codes 1, 1 and 4."""
+ScenarioError, WeightOverflowError (a gamma too large to search with),
+OptionError and IdentificationError propagate; main alone turns them into
+exit codes 1, 1, 1 and 4."""
 
 from __future__ import annotations
 
@@ -23,7 +24,14 @@ from .artifacts import (
     write_trajectory_csv,
 )
 from .dynamics import linearize_at
-from .graph import ReachGraph, ReachStatus, WeightMode, build_reach_graph, update_graph
+from .graph import (
+    ReachGraph,
+    ReachStatus,
+    WeightMode,
+    WeightOverflowError,
+    build_reach_graph,
+    update_graph,
+)
 from .planner import MissionStatus, run_mission
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
 from .reach import decide_exit_facet  # noqa: F401
@@ -202,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, WeightOverflowError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     except OptionError as exc:

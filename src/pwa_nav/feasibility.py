@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -255,7 +255,7 @@ def _screen(stack: SystemStack) -> Decisions:
     settles a system only as the LP decides it. Sums run term by term, in
     the order of the scalar reference walk, so the two agree to the bit."""
     A, b, strict, box = stack
-    constant = np.all(A == 0.0, axis=2)
+    constant = reduce(np.logical_and, [A[..., k] == 0.0 for k in range(A.shape[2])])
     # A constant non-strict row 0 <= rhs is satisfiable iff rhs >= 0, and the
     # LP accepts it up to _FEAS_TOL. Constant strict rows follow the general
     # strict rule below.
@@ -277,7 +277,7 @@ def _screen(stack: SystemStack) -> Decisions:
     reach_lo = _ordered_sum(np.minimum(at_lo, at_hi))
     size = _ordered_sum(np.maximum(np.abs(at_lo), np.abs(at_hi))) + np.abs(b)
     unreachable = reach_hi - b <= TOL_STRICT - _SCREEN_ROUNDING * size
-    violated = reach_lo - b > _FEAS_TOL * np.abs(A).max(axis=2) + _SCREEN_ROUNDING * size
+    violated = reach_lo - b > _FEAS_TOL * _abs_max(A) + _SCREEN_ROUNDING * size
     infeasible |= np.any(np.where(strict, unreachable, ~constant & violated), axis=1)
 
     # The center settles feasibility when each strict row's slack clears
@@ -300,6 +300,12 @@ def _inverted(lo, hi):
     """Whether box sides [lo, hi] are inverted by more than the screen
     leaves to the LP (see _screen)."""
     return lo - hi > _FEAS_TOL + _SCREEN_ROUNDING * (np.abs(lo) + np.abs(hi))
+
+
+def _abs_max(A: np.ndarray) -> np.ndarray:
+    """np.abs(A).max(axis=-1), exactly, as a loop over the few entries of
+    the last axis, which is quicker than NumPy's reduction over it."""
+    return reduce(np.maximum, [np.abs(A[..., k]) for k in range(A.shape[-1])])
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -423,7 +429,7 @@ def _enumerate_vertices(G, h, box) -> np.ndarray:
     bounds, idx = _subsets(r, k)
     faces, face_of = _faces(r, k)
     # Unit max-norm rows make the tolerances scale-free.
-    scale = np.abs(G).max(axis=2, initial=0.0)
+    scale = _abs_max(G)
     scale[scale == 0.0] = 1.0
     lo, hi = _slack_bounds(box)
     M = np.concatenate(

@@ -8,7 +8,9 @@ so it lies on facet 2d + (bit d of j) of every axis d.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,25 +43,38 @@ class Simplex:
     axes: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _box_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of an n-D box that do not depend on its corners, read-only
+    and shared by every box of that dimension: the unit facet normals
+    (2n, n) and, per vertex, which axes take the high side (2^n, n)."""
+    axes = np.arange(n)
+    normals = np.zeros((2 * n, n))
+    normals[2 * axes, axes] = -1.0
+    normals[2 * axes + 1, axes] = 1.0
+    high_side = (np.arange(2**n)[:, None] >> (n - 1 - axes)) & 1 == 1
+    normals.setflags(write=False)
+    high_side.setflags(write=False)
+    return normals, high_side
+
+
 class Polytope:
     """Axis-aligned box [low, high] with positive widths, as unit-normal
     halfspaces normals . x <= offsets and vertices in itertools.product
     order, both in closed form (see the module docstring). Unit normals
-    make feasibility margins comparable across facets."""
+    make feasibility margins comparable across facets; they are shared by
+    every box of one dimension, so they are read-only."""
 
     def __init__(self, low, high):
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
         if np.any(high <= low):
             raise GeometryError("degenerate box: low >= high")
-        n = len(low)
-        axes = np.arange(n)
         self.low, self.high = low, high
-        self.normals = np.zeros((2 * n, n))
-        self.normals[2 * axes, axes] = -1.0
-        self.normals[2 * axes + 1, axes] = 1.0
-        self.offsets = np.column_stack([-low, high]).ravel()
-        high_side = (np.arange(2**n)[:, None] >> (n - 1 - axes)) & 1 == 1
+        self.normals, high_side = _box_table(len(low))
+        self.offsets = np.empty(2 * len(low))
+        self.offsets[0::2] = -low
+        self.offsets[1::2] = high
         self.vertices = np.where(high_side, high, low)
 
     @classmethod
@@ -78,6 +93,12 @@ class Polytope:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def _frame(self) -> tuple[list[float], list[float]]:
+        """low and the widths high - low as floats, computed once per box
+        for find_containing_simplex."""
+        return self.low.tolist(), (self.high - self.low).tolist()
 
     def violation(self, x) -> float:
         """Maximal signed halfspace violation, max(low - x, x - high); <= 0
@@ -116,6 +137,8 @@ class GridPartition:
         for d in range(self.dim):
             self.edges[d][-1] = bounds[d, 1]
         self.n_cells = int(np.prod(resolution))
+        # How far the flat id moves per step along each axis.
+        self._strides = tuple(int(np.prod(resolution[d + 1:])) for d in range(self.dim))
         self._cells: list[Polytope | None] = [None] * self.n_cells
         # C order: the product runs over the last axis fastest.
         self._centers = np.array(list(itertools.product(
@@ -124,10 +147,17 @@ class GridPartition:
     def multi_index(self, cid: int) -> tuple[int, ...]:
         if not 0 <= cid < self.n_cells:
             raise GeometryError(f"invalid cell id {cid}")
-        return tuple(int(i) for i in np.unravel_index(cid, self.resolution))
+        rest = operator.index(cid)
+        mi = []
+        for stride in self._strides:
+            i, rest = divmod(rest, stride)
+            mi.append(i)
+        return tuple(mi)
 
     def flat_index(self, mi) -> int:
-        return int(np.ravel_multi_index(mi, self.resolution))
+        if len(mi) != self.dim or not all(0 <= i < r for i, r in zip(mi, self.resolution)):
+            raise GeometryError(f"invalid multi-index {tuple(mi)}")
+        return sum(operator.index(i) * stride for i, stride in zip(mi, self._strides))
 
     def cell(self, cid: int) -> Polytope:
         if not 0 <= cid < self.n_cells:
@@ -171,15 +201,14 @@ class GridPartition:
 
     def neighbors(self, cid: int) -> list[tuple[int, int]]:
         """(neighbor id, facet index in cid) pairs, ascending neighbor id."""
-        mi = self.multi_index(cid)
+        cid = operator.index(cid)
         out = []
-        for d in range(self.dim):
-            for step, facet in ((-1, 2 * d), (1, 2 * d + 1)):
-                j = mi[d] + step
-                if 0 <= j < self.resolution[d]:
-                    nb = list(mi)
-                    nb[d] = j
-                    out.append((self.flat_index(nb), facet))
+        for d, (i, r, stride) in enumerate(zip(self.multi_index(cid), self.resolution,
+                                               self._strides)):
+            if i > 0:
+                out.append((cid - stride, 2 * d))
+            if i < r - 1:
+                out.append((cid + stride, 2 * d + 1))
         out.sort()
         return out
 
@@ -209,7 +238,9 @@ def find_containing_simplex(
     of x normalized to [0, 1] over the box, the simplex stepping along axes
     p_0, ..., p_(n-1) has coordinates 1 - y[p_0], y[p_(i-1)] - y[p_i] and
     y[p_(n-1)]."""
-    y = ((np.asarray(x, dtype=float) - cell.low) / (cell.high - cell.low)).tolist()
+    # The subtraction and division of the array form, one float at a time.
+    low, width = cell._frame
+    y = [(v - lo) / w for v, lo, w in zip(np.asarray(x, dtype=float).tolist(), low, width)]
     best_idx, best_min = 0, -np.inf
     for k, s in enumerate(simplices):
         # The minimum over 1 - y[p_0], y[p_(n-1)], then the differences in

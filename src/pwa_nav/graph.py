@@ -14,6 +14,7 @@ by gamma, once per destination cell.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,11 @@ from .reach import (
 )
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
 from .reach import decide_exit_facet, predict_exit_facet  # noqa: F401
+
+
+class WeightOverflowError(ValueError):
+    """gamma so large that the Uncertain edge weights, or their sum, are not
+    finite numbers, so search could not tell routes apart."""
 
 
 class WeightMode(Enum):
@@ -165,6 +171,7 @@ def update_graph(
     w_bar = float(np.mean(exists_weights)) if exists_weights else 1.0
     # The Uncertain weight depends on the destination alone.
     dst_weights: dict[int, float] = {}
+    total = 0.0
     for (src, dst), edge in graph.edges.items():
         assert not (src in explored_models and not edge.definitive), \
             "explored sources must have definitive out-edges"
@@ -172,7 +179,14 @@ def update_graph(
             if dst not in dst_weights:
                 dst_weights[dst] = uncertain_weight(dst, explored, w_bar, graph.gamma, partition)
             edge.weight = dst_weights[dst]
+            total += edge.weight
             summary["reweighted"] += 1
+    # Every route sums fewer Uncertain weights than this total, so with it
+    # finite no route cost overflows and search sees every route.
+    if not math.isfinite(total):
+        raise WeightOverflowError(
+            f"field 'gamma': {graph.gamma!r} is too large: the Uncertain edge weights "
+            f"sum to {total!r}")
     summary["mean_known_weight"] = w_bar
     return summary
 
@@ -192,6 +206,9 @@ def _searchable(graph: ReachGraph):
     for (src, dst), edge in graph.edges.items():
         if edge.status is ReachStatus.ABSENT:
             continue
+        if not math.isfinite(edge.weight):
+            raise ValueError(f"edge ({src}, {dst}) has weight {float(edge.weight)}; "
+                             "search needs finite weights")
         adj[src].append((dst, edge.weight))
         radj[dst].append((src, edge.weight))
     return adj, radj
@@ -216,7 +233,9 @@ def _dijkstra(adj, source):
 
 def shortest_path(graph: ReachGraph, src: int, dst: int) -> list[int] | None:
     """Minimum-weight path over Exists/Uncertain edges; among equal-cost
-    paths the lexicographically smallest node sequence wins."""
+    paths the lexicographically smallest node sequence wins. Raises
+    ValueError on a searchable edge whose weight is not finite: Dijkstra
+    would never relax it and report a route through it as missing."""
     adj, radj = _searchable(graph)
     if src not in adj or dst not in adj:
         raise KeyError("unknown node id")

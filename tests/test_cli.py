@@ -394,6 +394,14 @@ class TestOverflowingScales:
         assert "scenario error: field 'sysid.input_scale'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_gamma_whose_weights_overflow_exits_one(self, tmp_path):
+        # The schema takes any positive gamma; at the first refresh the
+        # Uncertain weights, or their sum, are not finite.
+        proc = self.run_bundled(tmp_path, {("gamma",): 1e308})
+        assert proc.returncode == 1, proc.stderr
+        assert "scenario error: field 'gamma'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("half_width", [6e153, 1e300])
     def test_state_bounds_with_overflowing_diagonal_exit_one(self, tmp_path, half_width):
         # The squared diagonal, 2 (2 half_width)^2, exceeds the largest float.

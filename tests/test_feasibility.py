@@ -303,6 +303,19 @@ def by_shape(systems):
 
 
 class TestScreen:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_abs_max_is_numpys_reduction(self, m):
+        # The screen and the kernel take |A|'s row maximum axis by axis;
+        # max is exact, so the bits, NaN and signed zeros included, match.
+        rng = np.random.default_rng(m)
+        A = rng.normal(size=(50, 3, m)) * 10.0 ** rng.integers(-300, 300, size=(50, 3, m))
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])
+        mask = rng.random(A.shape) < 0.3
+        A[mask] = rng.choice(specials, size=mask.sum())
+        A[0] = -0.0
+        got, want = feasibility._abs_max(A), np.abs(A).max(axis=2)
+        assert got.tobytes() == want.tobytes()
+
     def test_screen_agrees_with_lp_on_random_systems(self):
         for sys in screen_systems(42):
             screened = screen_feasibility(sys)

@@ -159,6 +159,85 @@ class TestBuildGridPartition:
             GridPartition([[0, 1], [0, 1]], (0, 2))
 
 
+def reference_neighbors(part: GridPartition, cid: int) -> list[tuple[int, int]]:
+    """neighbors through NumPy's index conversions, as before it stepped
+    the flat id by strides."""
+    mi = [int(i) for i in np.unravel_index(cid, part.resolution)]
+    out = []
+    for d in range(part.dim):
+        for step, facet in ((-1, 2 * d), (1, 2 * d + 1)):
+            if 0 <= mi[d] + step < part.resolution[d]:
+                nb = list(mi)
+                nb[d] += step
+                out.append((int(np.ravel_multi_index(nb, part.resolution)), facet))
+    return sorted(out)
+
+
+def reference_box(low, high) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """normals, offsets and vertices of the box built afresh, as before
+    boxes shared their normals."""
+    n = len(low)
+    axes = np.arange(n)
+    normals = np.zeros((2 * n, n))
+    normals[2 * axes, axes] = -1.0
+    normals[2 * axes + 1, axes] = 1.0
+    offsets = np.column_stack([-low, high]).ravel()
+    high_side = (np.arange(2**n)[:, None] >> (n - 1 - axes)) & 1 == 1
+    return normals, offsets, np.where(high_side, high, low)
+
+
+class TestIndexArithmetic:
+    """Ids, multi-indices, neighbors and cells agree with NumPy's index
+    conversions and a box built afresh, bit for bit."""
+
+    @pytest.mark.parametrize("resolution", [(1,), (7,), (4, 5), (1, 3), (3, 1), (2, 3, 4),
+                                            (1, 1, 2), (5, 1, 3)])
+    def test_matches_numpy_forms(self, resolution):
+        rng = np.random.default_rng(len(resolution))
+        low = rng.uniform(-5.0, 5.0, size=len(resolution))
+        part = GridPartition(np.column_stack([low, low + rng.uniform(0.5, 3.0, len(low))]),
+                             resolution)
+        for cid in range(part.n_cells):
+            mi = part.multi_index(cid)
+            assert mi == tuple(int(i) for i in np.unravel_index(cid, resolution))
+            assert all(type(i) is int for i in mi)
+            flat = part.flat_index(mi)
+            assert type(flat) is int and flat == cid
+            assert part.flat_index(np.array(mi)) == cid
+            assert part.neighbors(cid) == reference_neighbors(part, cid)
+            assert part.neighbors(np.int64(cid)) == part.neighbors(cid)
+            assert all(type(nb) is int for nb, _ in part.neighbors(np.int64(cid)))
+            cell = part.cell(cid)
+            want_low = np.array([part.edges[d][i] for d, i in enumerate(mi)])
+            want_high = np.array([part.edges[d][i + 1] for d, i in enumerate(mi)])
+            for got, want in zip((cell.normals, cell.offsets, cell.vertices),
+                                 reference_box(want_low, want_high)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("resolution", [(3,), (2, 3), (2, 1, 3)])
+    def test_bad_ids_rejected(self, resolution):
+        part = GridPartition([[0.0, 1.0]] * len(resolution), resolution)
+        for cid in (-1, part.n_cells, part.n_cells + 5):
+            for call in (part.multi_index, part.cell, part.neighbors):
+                with pytest.raises(GeometryError):
+                    call(cid)
+        good = (0,) * len(resolution)
+        bad = [good[:-1], good + (0,)]
+        for d, r in enumerate(resolution):
+            bad += [good[:d] + (r,) + good[d + 1:], good[:d] + (-1,) + good[d + 1:]]
+        for mi in bad:
+            with pytest.raises(GeometryError):
+                part.flat_index(mi)
+            with pytest.raises(ValueError):  # what np.ravel_multi_index raises
+                np.ravel_multi_index(mi, resolution)
+
+    def test_shared_normals_are_read_only(self):
+        part = GridPartition([[0.0, 1.0], [0.0, 1.0]], (2, 2))
+        assert part.cell(0).normals is part.cell(3).normals
+        with pytest.raises(ValueError):
+            part.cell(0).normals[0, 0] = 2.0
+
+
 class TestCommonFacet:
     @pytest.fixture
     def part(self):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pwa_nav.graph import (
     ReachGraph,
     ReachStatus,
     WeightMode,
+    WeightOverflowError,
     build_reach_graph,
     override_absent,
     shortest_path,
@@ -96,6 +98,24 @@ class TestUpdateGraph:
             part.cell(1), part.common_facet(1, 0), model, bounds, BOX
         )
         assert back_edge.status is standalone.status
+
+    @pytest.mark.parametrize("gamma", [1e307, 1e308, sys.float_info.max])
+    def test_overflowing_uncertain_weights_rejected(self, gamma):
+        # 20 Uncertain edges of weights up to gamma sqrt(2): at 1e307 each
+        # weight is finite but their sum is not.
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
+        graph = build_reach_graph(part, gamma=gamma)
+        stuck = AffineModel(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), part.center(4))
+        with pytest.raises(WeightOverflowError, match="field 'gamma'"):
+            update_graph(graph, part, {4: stuck}, 0.03, 0.03, BOX)
+
+    def test_large_finite_gamma_runs(self):
+        part = GridPartition([[0, 3], [0, 3]], (3, 3))
+        graph = build_reach_graph(part, gamma=1e306)
+        stuck = AffineModel(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), part.center(4))
+        summary = update_graph(graph, part, {4: stuck}, 0.03, 0.03, BOX)
+        assert summary["reweighted"] == 20
+        assert shortest_path(graph, 0, 8) is not None
 
     def test_requires_an_explored_model(self):
         part = GridPartition([[0, 2], [0, 1]], (2, 1))
@@ -277,6 +297,19 @@ class TestShortestPath:
             (1, 2, ReachStatus.EXISTS, 1.0),
         ])
         assert shortest_path(g, 0, 2) == [0, 1, 2]
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_non_finite_weight_rejected(self, weight):
+        # Dijkstra never relaxes an infinite edge, so 0 -> 2 would read as
+        # unreachable.
+        g = make_graph(3, [
+            (0, 1, ReachStatus.UNCERTAIN, weight),
+            (1, 2, ReachStatus.UNCERTAIN, 1.0),
+        ])
+        with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
+            shortest_path(g, 0, 2)
+        g.edges[(0, 1)].status = ReachStatus.ABSENT  # not searched, so not read
+        assert shortest_path(g, 0, 2) is None
 
     def test_unknown_node_rejected(self):
         g = make_graph(2, [(0, 1, ReachStatus.EXISTS, 1.0)])
