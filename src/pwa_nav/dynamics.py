@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,10 @@ class AffineModel:
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))
                 and np.all(np.isfinite(self.c))):
             raise ValueError("affine model entries must be finite")
+
+    @cached_property
+    def a_norm(self) -> float:  # ||A||_2, which the deviation radii scale with
+        return float(np.linalg.norm(self.A, ord=2))
 
     def velocity(self, x, u) -> np.ndarray:
         return self.A @ x + self.B @ u + self.c

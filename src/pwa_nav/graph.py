@@ -8,7 +8,7 @@ definitive and one predictive, each of which reach decides over stacked
 vertex systems: the definitive batch in passes over the edges still open,
 the predictive one as one screen and one LP call per pattern stack.
 Uncertain edges are weighted by proximity to the explored region, scaled
-by gamma, once per destination cell.
+by gamma, for every destination cell in one array pass per refresh.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .geometry import GridPartition, norm
 from .reach import (
     ReachStatus,
     decide_exit_facets,
-    deviation_radii,
+    deviation_bounds,
     predict_exit_facets,
     t0_upper_bound,
 )
@@ -72,24 +72,26 @@ def build_reach_graph(
 
 
 def uncertain_weight(
-    dst_cell: int,
+    dst_cell: int | np.ndarray,
     explored,
     mean_known_weight: float,
     gamma: float,
     partition: GridPartition,
-) -> float:
+) -> float | np.ndarray:
     """gamma * w_e_mean * mean over explored cells of 1/d(dst, explored),
-    with center distances floored at half the cell diameter."""
+    with center distances floored at half the cell diameter: a float for one
+    cell id, an array for an array of them, equal bit for bit."""
     if not explored:
         raise ValueError("explored set must be nonempty")
     widths = (partition.bounds[:, 1] - partition.bounds[:, 0]) / np.array(partition.resolution)
     d_floor = 0.5 * float(np.linalg.norm(widths))
     c = partition.center(dst_cell)
-    total = 0.0
+    total = np.zeros(np.shape(dst_cell))
     for e in explored:
-        d = max(float(norm(partition.center(e) - c)), d_floor)
-        total += 1.0 / d
-    return gamma * mean_known_weight * total / len(explored)
+        total += 1.0 / np.maximum(norm(partition.center(e) - c), d_floor)
+    with np.errstate(over="ignore"):  # update_graph rejects a non-finite sum
+        weight = gamma * mean_known_weight * total / len(explored)
+    return weight if np.ndim(dst_cell) else float(weight)
 
 
 def _definitive_weight(graph, partition, cid, facet, model, decision) -> float:
@@ -113,41 +115,43 @@ def update_graph(
     The not-yet-definitive out-edges of explored sources are decided in one
     decide_exit_facets batch, and the edges of unexplored sources whose
     anchor changed in one predict_exit_facets batch, with one set of
-    deviation radii per source cell and one ||A||_2 per anchor.
+    deviation radii per source cell.
     """
     if not explored_models:
         raise ValueError("at least one explored model is required")
     explored = sorted(explored_models)
-    centers = np.array([partition.center(e) for e in explored])
-    summary = {"definitive": 0, "predicted": 0, "reweighted": 0}
+
+    # Nearest explored cell of every unexplored one, one pass per explored
+    # cell and none when all are explored; strict < keeps the lowest id.
+    unexplored = [cid for cid in graph.nodes if cid not in explored_models]
+    points = partition.center(np.array(unexplored, dtype=int))
+    nearest, ref_ids = np.full(len(unexplored), np.inf), np.zeros(len(unexplored), dtype=int)
+    for e in explored if unexplored else ():
+        dists = norm(partition.center(e) - points)
+        ref_ids[dists < nearest] = e
+        nearest = np.minimum(nearest, dists)
 
     to_decide, decide_items = [], []
+    for cid in explored:
+        model = explored_models[cid]
+        cell = partition.cell(cid)
+        for nbr, facet in partition.neighbors(cid):
+            edge = graph.edges[(cid, nbr)]
+            if not edge.definitive:
+                to_decide.append((edge, cid, facet, model))
+                decide_items.append((cell, facet, model))
     to_predict, predict_items = [], []
-    a_norms = {}  # ||A||_2 of the anchors' models
-    for cid in graph.nodes:
-        if cid in explored_models:
-            model = explored_models[cid]
-            cell = partition.cell(cid)
-            for nbr, facet in partition.neighbors(cid):
-                edge = graph.edges[(cid, nbr)]
-                if not edge.definitive:
-                    to_decide.append((edge, cid, facet, model))
-                    decide_items.append((cell, facet, model))
-        else:
-            dists = norm(centers - partition.center(cid))
-            ref = explored[int(np.argmin(dists))]  # ties: lowest cell id
-            bounds = None  # the same for every out-edge of cid
-            for nbr, facet in partition.neighbors(cid):
-                edge = graph.edges[(cid, nbr)]
-                if edge.definitive or edge.ref_cell == ref:
-                    continue
-                if bounds is None:
-                    if ref not in a_norms:
-                        a_norms[ref] = float(np.linalg.norm(explored_models[ref].A, ord=2))
-                    bounds = deviation_radii(a_norms[ref], partition.center(ref),
-                                             partition.center(cid), L_df, L_g)
-                to_predict.append((edge, ref))
-                predict_items.append((partition.cell(cid), facet, explored_models[ref], bounds))
+    for cid, ref in zip(unexplored, ref_ids.tolist()):
+        bounds = None  # the same for every out-edge of cid
+        for nbr, facet in partition.neighbors(cid):
+            edge = graph.edges[(cid, nbr)]
+            if edge.definitive or edge.ref_cell == ref:
+                continue
+            if bounds is None:
+                bounds = deviation_bounds(explored_models[ref], partition.center(ref),
+                                          partition.center(cid), L_df, L_g)
+            to_predict.append((edge, ref))
+            predict_items.append((partition.cell(cid), facet, explored_models[ref], bounds))
 
     for (edge, cid, facet, model), decision in zip(
             to_decide, decide_exit_facets(decide_items, control_box)):
@@ -156,39 +160,36 @@ def update_graph(
         edge.weight = _definitive_weight(graph, partition, cid, facet, model, decision)
         edge.definitive = True
         edge.ref_cell = None
-        summary["definitive"] += 1
     for (edge, ref), status in zip(to_predict, predict_exit_facets(predict_items, control_box)):
         edge.status = status
         edge.ref_cell = ref
         if status is ReachStatus.EXISTS:
             edge.weight = 1.0
-        summary["predicted"] += 1
 
     exists_weights = [
         e.weight for e in graph.edges.values()
         if e.definitive and e.status is ReachStatus.EXISTS
     ]
     w_bar = float(np.mean(exists_weights)) if exists_weights else 1.0
-    # The Uncertain weight depends on the destination alone.
-    dst_weights: dict[int, float] = {}
+    assert all(e.definitive for (src, _), e in graph.edges.items() if src in explored_models), \
+        "explored sources must have definitive out-edges"
+    uncertain = [(dst, e) for (_, dst), e in graph.edges.items()
+                 if e.status is ReachStatus.UNCERTAIN]
     total = 0.0
-    for (src, dst), edge in graph.edges.items():
-        assert not (src in explored_models and not edge.definitive), \
-            "explored sources must have definitive out-edges"
-        if edge.status is ReachStatus.UNCERTAIN:
-            if dst not in dst_weights:
-                dst_weights[dst] = uncertain_weight(dst, explored, w_bar, graph.gamma, partition)
-            edge.weight = dst_weights[dst]
+    if uncertain:  # the Uncertain weight depends on the destination alone
+        weights = uncertain_weight(np.arange(partition.n_cells), explored, w_bar, graph.gamma,
+                                   partition).tolist()
+        for dst, edge in uncertain:
+            edge.weight = weights[dst]
             total += edge.weight
-            summary["reweighted"] += 1
     # Every route sums fewer Uncertain weights than this total, so with it
     # finite no route cost overflows and search sees every route.
     if not math.isfinite(total):
         raise WeightOverflowError(
             f"field 'gamma': {graph.gamma!r} is too large: the Uncertain edge weights "
             f"sum to {total!r}")
-    summary["mean_known_weight"] = w_bar
-    return summary
+    return {"definitive": len(to_decide), "predicted": len(to_predict),
+            "reweighted": len(uncertain), "mean_known_weight": w_bar}
 
 
 def override_absent(graph: ReachGraph, src: int, dst: int) -> None:
@@ -206,9 +207,9 @@ def _searchable(graph: ReachGraph):
     for (src, dst), edge in graph.edges.items():
         if edge.status is ReachStatus.ABSENT:
             continue
-        if not math.isfinite(edge.weight):
+        if not (math.isfinite(edge.weight) and edge.weight >= 0):
             raise ValueError(f"edge ({src}, {dst}) has weight {float(edge.weight)}; "
-                             "search needs finite weights")
+                             "search needs finite nonnegative weights")
         adj[src].append((dst, edge.weight))
         radj[dst].append((src, edge.weight))
     return adj, radj
@@ -217,12 +218,10 @@ def _searchable(graph: ReachGraph):
 def _dijkstra(adj, source):
     dist = {source: 0.0}
     heap = [(0.0, source)]
-    done = set()
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if d > dist[u]:  # u was settled at a lower cost
             continue
-        done.add(u)
         for v, w in adj[u]:
             nd = d + w
             if nd < dist.get(v, np.inf):
@@ -234,21 +233,21 @@ def _dijkstra(adj, source):
 def shortest_path(graph: ReachGraph, src: int, dst: int) -> list[int] | None:
     """Minimum-weight path over Exists/Uncertain edges; among equal-cost
     paths the lexicographically smallest node sequence wins. Raises
-    ValueError on a searchable edge whose weight is not finite: Dijkstra
-    would never relax it and report a route through it as missing."""
+    ValueError on a searchable edge whose weight is negative or not finite:
+    Dijkstra can settle no distance across a negative one, and never
+    relaxes an infinite one, so a route through it would read as missing."""
     adj, radj = _searchable(graph)
     if src not in adj or dst not in adj:
         raise KeyError("unknown node id")
     if src == dst:
         return [src]
-    dist = _dijkstra(adj, src)
-    if dst not in dist:
+    rdist = _dijkstra(radj, dst)  # cost of the cheapest route to dst
+    if src not in rdist:
         return None
-    rdist = _dijkstra(radj, dst)
-    total = dist[dst]
-    tol = 1e-9 * max(1.0, abs(total))
-    # Depth-first along the edges of near-shortest routes, smallest next
-    # node first. A node is entered at most once, so edges lighter than tol
+    tol = 1e-9 * max(1.0, rdist[src])
+    # Depth-first along the edges (cur, v) that start a cheapest route from
+    # cur to dst, w + rdist[v] == rdist[cur] within tol, smallest next node
+    # first. A node is entered at most once, so edges lighter than tol
     # cannot lead the walk round a cycle, and a dead end backtracks; the
     # reverse search's tree edges keep some route to dst open.
     path, seen = [src], {src}
@@ -256,7 +255,7 @@ def shortest_path(graph: ReachGraph, src: int, dst: int) -> list[int] | None:
     while path[-1] != dst:
         cur = path[-1]
         for v, w in options[-1]:
-            if v not in seen and v in rdist and abs(dist[cur] + w + rdist[v] - total) <= tol:
+            if v not in seen and v in rdist and abs(w + rdist[v] - rdist[cur]) <= tol:
                 seen.add(v)
                 path.append(v)
                 options.append(iter(sorted(adj[v])))

@@ -121,16 +121,10 @@ def deviation_bounds(
 ) -> ModelDeviationBounds:
     """Lipschitz deviation radii between the linearization at x1 (= ref_model)
     and the unknown linearization at x2."""
-    return deviation_radii(float(np.linalg.norm(ref_model.A, ord=2)), x1, x2, L_df, L_g)
-
-
-def deviation_radii(a_norm: float, x1, x2, L_df: float, L_g: float) -> ModelDeviationBounds:
-    """deviation_bounds from a_norm, the spectral norm of the reference
-    model's A, which a graph refresh computes once per anchor."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     d = float(np.linalg.norm(x2 - x1))
-    eps_c = 2.0 * a_norm * d + 0.5 * L_df * d * d + L_df * d * float(np.linalg.norm(x2))
+    eps_c = 2.0 * ref_model.a_norm * d + 0.5 * L_df * d * d + L_df * d * float(np.linalg.norm(x2))
     return ModelDeviationBounds(L_df * d, L_g * d, eps_c)
 
 
@@ -460,9 +454,9 @@ def predict_exit_facets(items, control_box) -> list[ReachStatus]:
                                 tighten=False)
     absent = np.zeros(E, dtype=bool)
     absent[pairs[~expandable] // V] = True
-    return [ReachStatus.EXISTS if not f.any()
+    return [ReachStatus.EXISTS if not f
             else ReachStatus.ABSENT if a else ReachStatus.UNCERTAIN
-            for f, a in zip(failed, absent)]
+            for f, a in zip(failed.any(axis=1).tolist(), absent.tolist())]
 
 
 def _interpolate_on_simplex(cell: Polytope, simplex: Simplex, witnesses):
