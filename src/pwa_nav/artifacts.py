@@ -5,11 +5,10 @@ per-value f-strings and json.dumps write."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
-
-import numpy as np
 
 from .geometry import GridPartition
 from .graph import ReachGraph, ReachStatus
@@ -74,39 +73,17 @@ def write_graph_json(path, graph: ReachGraph, partition: GridPartition) -> None:
     atomic_write_text(path, "".join(parts))
 
 
-def mission_to_dict(log: MissionLog) -> dict:
-    return {
+def write_mission_json(path, log: MissionLog) -> None:
+    """The mission's outcome, its identified models and one record per
+    iteration, each record as its IterationRecord fields in field order."""
+    mission = {
         "status": log.status.value,
         "initial_cell": log.initial_cell,
         "target_cell": log.target_cell,
         "explored": list(log.models),
         "iterations": len(log.records),
-        "models": {
-            str(cid): {
-                "A": np.asarray(m.A).tolist(),
-                "B": np.asarray(m.B).tolist(),
-                "c": np.asarray(m.c).tolist(),
-                "center": np.asarray(m.center).tolist(),
-            }
-            for cid, m in log.models.items()
-        },
-        "records": [
-            {
-                "iteration": r.iteration,
-                "cell": r.cell,
-                "identified": r.identified,
-                "path": r.path,
-                "target_edge": list(r.target_edge) if r.target_edge else None,
-                "outcome": r.outcome,
-                "exit_facet": r.exit_facet,
-                "intended_facet": r.intended_facet,
-                "transit_time": r.transit_time,
-                "residual_rms": r.residual_rms,
-            }
-            for r in log.records
-        ],
+        "models": {str(cid): {f.name: getattr(m, f.name).tolist() for f in dataclasses.fields(m)}
+                   for cid, m in log.models.items()},
+        "records": [dataclasses.asdict(r) for r in log.records],
     }
-
-
-def write_mission_json(path, log: MissionLog) -> None:
-    atomic_write_text(path, json.dumps(mission_to_dict(log), indent=1) + "\n")
+    atomic_write_text(path, json.dumps(mission, indent=1) + "\n")

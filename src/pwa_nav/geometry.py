@@ -190,14 +190,9 @@ class GridPartition:
     def common_facet(self, cell_a: int, cell_b: int) -> int | None:
         """Facet index of cell_a shared with cell_b, or None if not
         adjacent (corner contact and self are not adjacency)."""
-        mi_a = self.multi_index(cell_a)
-        mi_b = self.multi_index(cell_b)
-        diff = [b - a for a, b in zip(mi_a, mi_b)]
-        nonzero = [d for d, v in enumerate(diff) if v != 0]
-        if len(nonzero) != 1 or abs(diff[nonzero[0]]) != 1:
-            return None
-        d = nonzero[0]
-        return 2 * d + 1 if diff[d] == 1 else 2 * d
+        if not 0 <= cell_b < self.n_cells:
+            raise GeometryError(f"invalid cell id {cell_b}")
+        return dict(self.neighbors(cell_a)).get(cell_b)
 
     def neighbors(self, cid: int) -> list[tuple[int, int]]:
         """(neighbor id, facet index in cid) pairs, ascending neighbor id."""

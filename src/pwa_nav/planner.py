@@ -93,7 +93,7 @@ def run_mission(scenario, max_iterations: int = 400, seed: int | None = None) ->
     box = scenario.control_box
 
     x = np.asarray(scenario.initial_state, dtype=float)
-    current = partition.locate(x)
+    current = initial_cell = partition.locate(x)
     target = scenario.target_cell
 
     base_seed = seed if seed is not None else scenario.sysid.seed
@@ -105,12 +105,9 @@ def run_mission(scenario, max_iterations: int = 400, seed: int | None = None) ->
     t = 0.0
     status = MissionStatus.ITERATION_CAP
 
-    if current == target:
-        return MissionLog(MissionStatus.REACHED_TARGET, records, trajectory,
-                          graph, models, target, current)
-    initial_cell = current
-
     for iteration in range(1, max_iterations + 1):
+        if current == target:
+            break
         identified_now = False
         residual = None
         if current not in models:
@@ -131,9 +128,6 @@ def run_mission(scenario, max_iterations: int = 400, seed: int | None = None) ->
                     iteration, current, True, None, None, "drifted_during_identification",
                     None, None, 0.0, residual))
                 current = new_cell
-                if current == target:
-                    status = MissionStatus.REACHED_TARGET
-                    break
                 continue
 
         update_graph(graph, partition, models, scenario.L_df, scenario.L_g, box)
@@ -190,8 +184,7 @@ def run_mission(scenario, max_iterations: int = 400, seed: int | None = None) ->
             iteration, current, identified_now, path, (current, nxt), outcome,
             rec.exit_facet, facet, rec.exit_time, residual))
         current = new_cell
-        if current == target:
-            status = MissionStatus.REACHED_TARGET
-            break
 
+    if current == target:
+        status = MissionStatus.REACHED_TARGET
     return MissionLog(status, records, trajectory, graph, models, target, initial_cell)

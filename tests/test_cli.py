@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import pwa_nav
 from pwa_nav.cli import main
 from pwa_nav.graph import ReachStatus
+from pwa_nav.planner import IterationRecord
 from pwa_nav.scenario import ScenarioError, parse_scenario
 
 BUNDLED = Path(__file__).parents[1] / "scenarios" / "terrain.json"
@@ -143,6 +145,14 @@ class TestCmdPlan:
         mission = json.load(open(out / "mission.json"))
         assert mission["status"] == "reached_target"
         assert mission["target_cell"] == 3
+
+    def test_mission_json_keys_follow_the_dataclasses(self, plan_out):
+        _, out = plan_out
+        mission = json.load(open(out / "mission.json"))
+        fields = [f.name for f in dataclasses.fields(IterationRecord)]
+        assert mission["records"] and all(list(r) == fields for r in mission["records"])
+        assert mission["models"] and all(list(m) == ["A", "B", "c", "center"]
+                                         for m in mission["models"].values())
 
     def test_svgs_are_valid_xml(self, plan_out):
         _, out = plan_out
@@ -283,6 +293,52 @@ class TestOneDimensional:
             assert len(rects) == 3
             assert len({el.get("y") for el in rects}) == 1  # one row
             assert all(float(el.get("height")) > 0 for el in rects)
+
+
+LINE_SCENARIO = {
+    "dynamics": {"type": "affine", "A": [[0.0]], "B": [[1.0]], "c": [0.0]},
+    "state_bounds": [[0.0, 4.0]],
+    "grid": [4],
+    "control_box": [[-1.0, 1.0]],
+    "lipschitz": {"L_df": 1e-6, "L_g": 1e-6},
+    "gamma": 10.0,
+    "sysid": {"N": 100, "T": 0.001, "input_scale": 0.1,
+              "velocity_mode": "oracle", "seed": 1},
+    "initial_state": [0.5],
+    "target": [3.5],
+    "weight_mode": "constant",
+}
+
+
+class TestMissionExits:
+    """The mission stops the iteration it enters the target, by a transit
+    or by an identification burst, and not one iteration later."""
+
+    @staticmethod
+    def plan(tmp_path, max_iters, c, start):
+        data = copy.deepcopy(LINE_SCENARIO)
+        data["dynamics"]["c"] = [c]
+        data["initial_state"] = [start]
+        out = tmp_path / "o"
+        rc = main(["plan", "--scenario", write_scenario(tmp_path, data), "--out", str(out),
+                   "--max-iters", str(max_iters)])
+        return rc, json.load(open(out / "mission.json"))
+
+    @pytest.mark.parametrize("max_iters, rc, status", [(5, 0, "reached_target"),
+                                                       (4, 3, "iteration_cap")])
+    def test_transit_enters_target_on_iteration_five(self, tmp_path, max_iters, rc, status):
+        got, mission = self.plan(tmp_path, max_iters, 0.0, 0.5)
+        assert got == rc
+        assert mission["status"] == status
+        assert mission["iterations"] == max_iters
+        assert mission["records"][-1]["outcome"] == "exited"
+
+    def test_identification_drifts_into_target(self, tmp_path):
+        rc, mission = self.plan(tmp_path, 1, 12.0, 2.95)
+        assert rc == 0
+        assert mission["status"] == "reached_target"
+        assert [r["outcome"] for r in mission["records"]] == ["drifted_during_identification"]
+        assert mission["target_cell"] == 3 and mission["explored"] == [2]
 
 
 class TestDebugTrace:

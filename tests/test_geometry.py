@@ -173,6 +173,17 @@ def reference_neighbors(part: GridPartition, cid: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def reference_common_facet(part: GridPartition, cell_a: int, cell_b: int) -> int | None:
+    """common_facet from the two cells' multi-indices, as before it read
+    the facet from neighbors: adjacent cells differ by one along one axis."""
+    diff = [b - a for a, b in zip(part.multi_index(cell_a), part.multi_index(cell_b))]
+    nonzero = [d for d, v in enumerate(diff) if v != 0]
+    if len(nonzero) != 1 or abs(diff[nonzero[0]]) != 1:
+        return None
+    d = nonzero[0]
+    return 2 * d + 1 if diff[d] == 1 else 2 * d
+
+
 def reference_box(low, high) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """normals, offsets and vertices of the box built afresh, as before
     boxes shared their normals."""
@@ -205,6 +216,9 @@ class TestIndexArithmetic:
             assert type(flat) is int and flat == cid
             assert part.flat_index(np.array(mi)) == cid
             assert part.neighbors(cid) == reference_neighbors(part, cid)
+            # Strides coincide along size-1 axes; a facet is still one axis.
+            assert [part.common_facet(cid, other) for other in range(part.n_cells)] == [
+                reference_common_facet(part, cid, other) for other in range(part.n_cells)]
             assert part.neighbors(np.int64(cid)) == part.neighbors(cid)
             assert all(type(nb) is int for nb, _ in part.neighbors(np.int64(cid)))
             cell = part.cell(cid)
@@ -221,6 +235,9 @@ class TestIndexArithmetic:
             for call in (part.multi_index, part.cell, part.neighbors):
                 with pytest.raises(GeometryError):
                     call(cid)
+            for pair in ((cid, 0), (0, cid)):
+                with pytest.raises(GeometryError):
+                    part.common_facet(*pair)
         good = (0,) * len(resolution)
         bad = [good[:-1], good + (0,)]
         for d, r in enumerate(resolution):
