@@ -4,23 +4,23 @@ box-constrained control variable.
 A system is one array form, LinearConstraintSystem(A, b, strict, box): row
 i reads A[i] . u > b[i] where strict[i] and A[i] . u <= b[i] elsewhere, with
 u in the control box. A SystemStack holds N systems of one shape as (N, r, m)
-/ (N, r) / (N, r) / (N, m, 2) arrays, and the outcomes of a stack are one
-Decisions(status, witness, margin) of arrays: status FEASIBLE, INFEASIBLE,
-EMPTY (the slack LP has no point at all) or OPEN (not decided). Two passes
-produce them: _screen, one NumPy pass of interval arithmetic over a stack
-that leaves OPEN what it cannot settle, including every system within the
-LP's rounding of a threshold, and decide_stacks, the exact slack LP of every
-system of one stack, each system by itself. The predictive reach rule
-settles most vertices in closed form before any pattern stack exists; it
-screens the pattern stack of the others once and sends the OPEN systems of
-the vertices the screen left unsettled to one decide_stacks call. A system's
-box may be inverted (a sign pattern's orthant that misses the control box);
-inverted beyond _FEAS_TOL, the screen settles it INFEASIBLE and the LP
-finds it EMPTY.
-decide_feasibility (strict-slack LP of one system), balance_witnesses_batch
-(balanced LP of several systems of one shape) and screen_feasibility (the
-screen of one system) are views that stack their systems and read each
-entry of the Decisions as a FeasibilityResult.
+/ (N, r) / (N, r) / (N, m, 2) arrays, and the exact slack LP of every system
+of a stack, each system by itself (decide_stacks), gives one
+Decisions(status, witness, margin) of arrays: status FEASIBLE, INFEASIBLE or
+EMPTY (the slack LP has no point at all). Before it, _screen, one NumPy pass
+of interval arithmetic over a stack, may rule systems out: it marks
+INFEASIBLE the systems that no input of the box satisfies, by a margin
+beyond the LP's rounding of each threshold, and leaves every other system
+OPEN; it never calls a system feasible. The predictive reach rule settles
+most vertices in closed form before any pattern stack exists; it screens
+the pattern stack of the others once and sends its OPEN systems to one
+decide_stacks call. A system's box may be inverted (a sign pattern's
+orthant that misses the control box); inverted beyond _FEAS_TOL, the screen
+rules it out and the LP finds it EMPTY.
+decide_feasibility (strict-slack LP of one system) and
+balance_witnesses_batch (balanced LP of several systems of one shape) are
+views that stack their systems and read each entry of the Decisions as a
+FeasibilityResult; screen_feasibility is the screen of one system.
 
 Strict inequalities are certified by slack maximization: the system is
 feasible iff the maximal common slack of the strict rows exceeds TOL_STRICT,
@@ -130,25 +130,23 @@ class FeasibilityResult:
     margin: float
 
 
-# Status of one system in a Decisions.
+# Status of one system: OPEN (not decided) comes only from the screen and
+# reach's closed form, never from the LP.
 OPEN, FEASIBLE, INFEASIBLE, EMPTY = 0, 1, 2, 3
 
 
 class Decisions(NamedTuple):
-    """Outcomes of N systems. status (N,) is FEASIBLE, INFEASIBLE, EMPTY
-    (no input fits even with d = 0, which relaxes every strict row to
-    non-strict) or OPEN (not decided); witness (N, m) holds the input where
-    FEASIBLE and NaN elsewhere; margin (N,) is the achieved slack, 0 where
-    EMPTY, OPEN or settled infeasible by the screen."""
+    """Slack-LP outcomes of N systems. status (N,) is FEASIBLE, INFEASIBLE
+    or EMPTY (no input fits even with d = 0, which relaxes every strict row
+    to non-strict); witness (N, m) holds the input where FEASIBLE and NaN
+    elsewhere; margin (N,) is the achieved slack, 0 where EMPTY."""
 
     status: np.ndarray
     witness: np.ndarray
     margin: np.ndarray
 
-    def result(self, i: int) -> FeasibilityResult | None:
-        """System i as a FeasibilityResult; None while it is OPEN."""
-        if self.status[i] == OPEN:
-            return None
+    def result(self, i: int) -> FeasibilityResult:
+        """System i as a FeasibilityResult."""
         if self.status[i] == FEASIBLE:
             return FeasibilityResult(True, self.witness[i].copy(), float(self.margin[i]))
         return FeasibilityResult(False, None, float(self.margin[i]))
@@ -218,15 +216,17 @@ def balance_witnesses_batch(
 
 
 def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
-    """The interval screen of one system (see _screen); None when it is
-    inconclusive."""
-    return _screen(SystemStack.of([sys])).result(0)
+    """The interval screen of one system (see _screen): infeasible with
+    margin 0 where it rules the system out, else None."""
+    if _screen(SystemStack.of([sys]))[0] == INFEASIBLE:
+        return FeasibilityResult(False, None, 0.0)
+    return None
 
 
 def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
-    """The exact slack LP of every system of a stack, with no system OPEN:
-    the balanced LP of balance_witnesses_batch where balanced, else the
-    strict-slack LP of decide_feasibility.
+    """The exact slack LP of every system of a stack: the balanced LP of
+    balance_witnesses_batch where balanced, else the strict-slack LP of
+    decide_feasibility.
 
     With at most _ENUM_MAX_DIM inputs the stack is enumerated _CHUNK_BLOCKS
     systems at a time; with more, each system is one HiGHS LP."""
@@ -243,17 +243,13 @@ def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
     return _decisions(z, G[..., -1].any(axis=1), stack.box)
 
 
-def _screen(stack: SystemStack) -> Decisions:
-    """Cheap interval screen of every system in a stack, consistent with
-    the exact LP's thresholds: INFEASIBLE, FEASIBLE (the witness is the
-    box center) or OPEN where it is inconclusive.
-
-    Either the box is inverted or some row is unsatisfiable over the box
-    (infeasible), or the box center satisfies every row with slack above
-    TOL_STRICT (feasible). Either way the row must miss or clear its
-    threshold by more than the exact LP's rounding, so that the screen
-    settles a system only as the LP decides it. Sums run term by term, in
-    the order of the scalar reference walk, so the two agree to the bit."""
+def _screen(stack: SystemStack) -> np.ndarray:
+    """Cheap interval screen of every system in a stack, (N,): INFEASIBLE
+    where the box is inverted or some row is unsatisfiable over the box,
+    OPEN elsewhere. The row must miss its threshold by more than the exact
+    LP's rounding, so that the screen rules out only systems the LP finds
+    infeasible or empty. Sums run term by term, in the order of the scalar
+    reference walk, so the two agree to the bit."""
     A, b, strict, box = stack
     constant = reduce(np.logical_and, [A[..., k] == 0.0 for k in range(A.shape[2])])
     # A constant non-strict row 0 <= rhs is satisfiable iff rhs >= 0, and the
@@ -279,21 +275,7 @@ def _screen(stack: SystemStack) -> Decisions:
     unreachable = reach_hi - b <= TOL_STRICT - _SCREEN_ROUNDING * size
     violated = reach_lo - b > _FEAS_TOL * _abs_max(A) + _SCREEN_ROUNDING * size
     infeasible |= np.any(np.where(strict, unreachable, ~constant & violated), axis=1)
-
-    # The center settles feasibility when each strict row's slack clears
-    # TOL_STRICT by the same rounding margin: the LP's optimum, rounded, may
-    # fall to TOL_STRICT where the center's slack is an ulp above it.
-    center = 0.5 * (lo + hi)
-    val = _ordered_sum(A * center[:, None, :])
-    slack = val - b
-    cleared = slack > TOL_STRICT + _SCREEN_ROUNDING * size
-    feasible = (np.all(np.where(strict, cleared, val <= b), axis=1)
-                & np.all(lo <= hi, axis=1))
-    margin = np.minimum(DELTA_CAP, np.where(strict, slack, np.inf).min(axis=1, initial=np.inf))
-    status = np.where(infeasible, INFEASIBLE, np.where(feasible, FEASIBLE, OPEN))
-    settled = status == FEASIBLE
-    return Decisions(status, np.where(settled[:, None], center, np.nan),
-                     np.where(settled, margin, 0.0))
+    return np.where(infeasible, INFEASIBLE, OPEN)
 
 
 def _inverted(lo, hi):

@@ -87,10 +87,6 @@ class Polytope:
         return len(self.low)
 
     @property
-    def n_facets(self) -> int:
-        return 2 * self.dim
-
-    @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 

@@ -72,26 +72,25 @@ def build_reach_graph(
 
 
 def uncertain_weight(
-    dst_cell: int | np.ndarray,
+    dst_cells: np.ndarray,
     explored,
     mean_known_weight: float,
     gamma: float,
     partition: GridPartition,
-) -> float | np.ndarray:
-    """gamma * w_e_mean * mean over explored cells of 1/d(dst, explored),
-    with center distances floored at half the cell diameter: a float for one
-    cell id, an array for an array of them, equal bit for bit."""
+) -> np.ndarray:
+    """gamma * w_e_mean * mean over explored cells of 1/d(dst, explored) for
+    every cell id of dst_cells, with center distances floored at half the
+    cell diameter."""
     if not explored:
         raise ValueError("explored set must be nonempty")
     widths = (partition.bounds[:, 1] - partition.bounds[:, 0]) / np.array(partition.resolution)
     d_floor = 0.5 * float(np.linalg.norm(widths))
-    c = partition.center(dst_cell)
-    total = np.zeros(np.shape(dst_cell))
+    c = partition.center(dst_cells)
+    total = np.zeros(np.shape(dst_cells))
     for e in explored:
         total += 1.0 / np.maximum(norm(partition.center(e) - c), d_floor)
     with np.errstate(over="ignore"):  # update_graph rejects a non-finite sum
-        weight = gamma * mean_known_weight * total / len(explored)
-    return weight if np.ndim(dst_cell) else float(weight)
+        return gamma * mean_known_weight * total / len(explored)
 
 
 def _definitive_weight(graph, partition, cid, facet, model, decision) -> float:

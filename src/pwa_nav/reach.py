@@ -46,9 +46,8 @@ every pattern, and a candidate point (an orthant centre, or a point of
 orthant holds it. Both tests keep the screen's TOL_STRICT, _FEAS_TOL and
 _SCREEN_ROUNDING margins, so a settled vertex is one that the pattern path
 decides the same way. Only the vertices left open get a pattern stack
-(_perturbed_rows); it is screened once, and the patterns the screen left
-OPEN at the vertices where it settled none FEASIBLE go to one decide_stacks
-call (_any_feasible).
+(_perturbed_rows); the screen rules out the patterns it can, and the rest
+go to one decide_stacks call (_any_feasible).
 Predictions carry no witness: a transit runs only on a definitive edge.
 The one-system views (vertex_constraint_system, robust_vertex_system,
 expanded_vertex_system) build the stack of their one edge and read their
@@ -123,8 +122,8 @@ def deviation_bounds(
     and the unknown linearization at x2."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    d = float(np.linalg.norm(x2 - x1))
-    eps_c = 2.0 * ref_model.a_norm * d + 0.5 * L_df * d * d + L_df * d * float(np.linalg.norm(x2))
+    d = float(norm(x2 - x1))
+    eps_c = 2.0 * ref_model.a_norm * d + 0.5 * L_df * d * d + L_df * d * float(norm(x2))
     return ModelDeviationBounds(L_df * d, L_g * d, eps_c)
 
 
@@ -326,13 +325,12 @@ def predict_exit_facet(
 
 def _any_feasible(stack: SystemStack) -> np.ndarray:
     """Whether some pattern system of each vertex of a _perturbed_rows stack
-    is feasible, (K,). The screen settles what it can; at the vertices where
-    it settled no pattern FEASIBLE, the patterns it left OPEN go to one
-    decide_stacks call."""
-    status = _screen(stack).status.reshape(-1, 2 ** stack.A.shape[2])
-    solve = (status == OPEN) & ~(status == FEASIBLE).any(axis=1, keepdims=True)
-    status[solve] = decide_stacks(stack.take(solve.ravel()), False).status
-    return (status == FEASIBLE).any(axis=1)
+    is feasible, (K,). The screen rules out the patterns it can; the others
+    go to one decide_stacks call."""
+    status = _screen(stack)
+    solve = status == OPEN
+    status[solve] = decide_stacks(stack.take(solve), False).status
+    return (status == FEASIBLE).reshape(-1, 2 ** stack.A.shape[2]).any(axis=1)
 
 
 def _candidates(box: np.ndarray) -> np.ndarray:
@@ -369,8 +367,8 @@ def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
     - FEASIBLE where some point of _candidates clears the strict row's
       TOL_STRICT and meets every non-strict row, each by the margin, which
       covers the rounding of this form of the rows: the point lies in the
-      orthant box of some pattern, whose LP, if the screen leaves it OPEN,
-      finds at least the point's slack."""
+      orthant box of some pattern, which the screen does not rule out and
+      whose LP finds at least the point's slack."""
     K, r, m = A0.shape
     side = _row_sides(r, tighten)
     rhs = b0 - side * shift[:, None]

@@ -11,6 +11,7 @@ from pwa_nav.feasibility import (
     FEASIBLE,
     INFEASIBLE,
     OPEN,
+    Decisions,
     FeasibilityResult,
     TOL_STRICT,
     LinearConstraintSystem,
@@ -201,8 +202,8 @@ class TestBruteForceAgreement:
 
 def reference_screen(sys):
     """The interval screen as a scalar walk over the rows, stopping at the
-    first conclusive row: an inverted box, then interval bounds over the
-    box, then the box center."""
+    first that rules the system out: a constant non-strict row, an inverted
+    box, then interval bounds over the box; None where none does."""
     lo = sys.box[:, 0].tolist()
     hi = sys.box[:, 1].tolist()
     rows = list(zip(sys.A.tolist(), sys.b.tolist(), sys.strict.tolist()))
@@ -241,21 +242,7 @@ def reference_screen(sys):
             reach = sum(min(c * l, c * h) for c, l, h in zip(a, lo, hi))
             if reach - rhs > feasibility._FEAS_TOL * max(abs(c) for c in a) + rounding(a, rhs):
                 return FeasibilityResult(False, None, 0.0)
-    if any(l > h for l, h in zip(lo, hi)):
-        return None  # inverted by less than the LP tolerates
-    center = [0.5 * (l + h) for l, h in zip(lo, hi)]
-    margin = DELTA_CAP
-    for a, rhs, strict in rows:
-        val = sum(c * x for c, x in zip(a, center))
-        if strict:
-            # The center's slack clears TOL_STRICT by the rounding margin.
-            slack = val - rhs
-            if slack <= TOL_STRICT + rounding(a, rhs):
-                return None
-            margin = min(margin, slack)
-        elif val > rhs:
-            return None
-    return FeasibilityResult(True, np.array(center), margin)
+    return None
 
 
 def screened_decision(sys):
@@ -266,10 +253,12 @@ def screened_decision(sys):
 
 
 def screened_stack(stack):
-    """The Decisions of a stack as the screen settles them, with the exact
-    LP deciding the systems it leaves OPEN."""
-    decisions = feasibility._screen(stack)
-    rest = np.flatnonzero(decisions.status == OPEN)
+    """The Decisions of a stack with the screen ruling systems out (margin
+    0) and the exact LP deciding the systems it leaves OPEN."""
+    status = feasibility._screen(stack)
+    n_sys, _, dim = stack.A.shape
+    decisions = Decisions(status, np.full((n_sys, dim), np.nan), np.zeros(n_sys))
+    rest = np.flatnonzero(status == OPEN)
     for field, values in zip(decisions, decide_stacks(stack.take(rest), False)):
         field[rest] = values
     return decisions
@@ -320,9 +309,18 @@ class TestScreen:
         for sys in screen_systems(42):
             screened = screen_feasibility(sys)
             if screened is not None:
-                assert screened.feasible == decide_feasibility(sys).feasible
-                if screened.feasible:
-                    assert substitute(sys, screened.witness)
+                assert not screened.feasible
+                assert not decide_feasibility(sys).feasible
+
+    def test_screen_only_rules_systems_out(self):
+        # The box center (0, 0) clears u1 > -0.5 by 0.5, yet the screen
+        # leaves the system to the LP: it never calls a system feasible.
+        sys = LinearConstraintSystem([[1.0, 0.0]], [-0.5], [True], [[-1, 1], [-1, 1]])
+        assert screen_feasibility(sys) is None
+        assert decide_feasibility(sys).feasible
+        for group in by_shape(screen_systems(42)):
+            status = feasibility._screen(SystemStack.of(group))
+            assert set(status.tolist()) <= {INFEASIBLE, OPEN}
 
     def test_screen_matches_row_walk(self):
         conclusive = 0
@@ -332,7 +330,7 @@ class TestScreen:
             if ref is not None:
                 assert_same_result(screened, ref)
                 conclusive += 1
-        assert conclusive > 600
+        assert conclusive > 300
 
     def test_stacked_screen_matches_row_walk(self):
         # Whole same-shape stacks in one pass: each system must come out as
@@ -360,7 +358,7 @@ class TestScreen:
         box[:, 0] = [[0.5, 0.0], [1e-12, 0.0]]
         stack = SystemStack(np.ones((2, 1, m)), np.full((2, 1), -10.0),
                             np.ones((2, 1), dtype=bool), box)
-        assert feasibility._screen(stack).status.tolist() == [INFEASIBLE, OPEN]
+        assert feasibility._screen(stack).tolist() == [INFEASIBLE, OPEN]
         assert decide_stacks(stack.take([0]), False).status.tolist() == [EMPTY]
 
     @pytest.mark.parametrize("rhs, feasible", [
@@ -368,12 +366,11 @@ class TestScreen:
     @pytest.mark.parametrize("box", [BOX_1D, BOX_2D])
     def test_constant_strict_row_threshold(self, rhs, feasible, box):
         # 0 . u > rhs holds with slack -rhs, which must exceed TOL_STRICT; a
-        # right-hand side in (-TOL_STRICT, 0] is a conclusive infeasibility.
+        # right-hand side in (-TOL_STRICT, 0] is a conclusive infeasibility,
+        # and a feasible row is left to the LP.
         m = len(box)
         sys = LinearConstraintSystem(np.zeros((1, m)), [rhs], [True], box)
-        screened = screen_feasibility(sys)
-        assert screened is not None
-        assert screened.feasible is feasible
+        assert (screen_feasibility(sys) is None) is feasible
         assert decide_feasibility(sys).feasible is feasible
         res = screened_stack(SystemStack.of([sys])).result(0)
         assert res.feasible is feasible
@@ -387,10 +384,10 @@ class TestScreen:
         ([1.0, 1.0], 2.0 - TOL_STRICT, True, False),
         # Lower reach -2 equals rhs, which settles nothing.
         ([1.0, 1.0], -2.0, False, False),
-        # The center's slack equals TOL_STRICT, which settles nothing.
+        # Rows the box meets settle nothing: the screen never settles a
+        # system feasible.
         ([1.0, 1.0], -TOL_STRICT, True, False),
-        # The center lies on a non-strict row: settled feasible.
-        ([1.0, 1.0], 0.0, False, True),
+        ([1.0, 1.0], 0.0, False, False),
         # A largest slack below TOL_STRICT: settled infeasible.
         ([1.0, 1.0], 2.0 - 0.999 * TOL_STRICT, True, True),
     ])
@@ -417,7 +414,8 @@ def ulps_around(x: float, k: int) -> list[float]:
 
 class TestScreenThreshold:
     """Strict rows whose largest slack over the box lies within a few ulps of
-    TOL_STRICT: the screen may settle them only as the LP decides them."""
+    TOL_STRICT: the screen may rule them out only where the LP finds them
+    infeasible."""
 
     ROWS = [
         ([1.0, 1.0], [[-1.0, 1.0], [-1.0, 1.0]]),
@@ -462,9 +460,9 @@ class TestScreenThreshold:
 class TestSeveralRowThreshold:
     """Systems of two to four rows whose strict rows have a slack within six
     ulps of TOL_STRICT at the box center, constant strict rows 0 > rhs among
-    them, with non-strict rows through or above the center: the center
-    settles feasibility, and a constant strict row infeasibility, only
-    where the LP decides the same."""
+    them, with non-strict rows through or above the center: the screen
+    rules a system out, by a constant strict row, only where the LP finds
+    it infeasible."""
 
     @staticmethod
     def stack(seed, m, rows, count):
@@ -486,16 +484,16 @@ class TestSeveralRowThreshold:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_screened_and_unscreened_agree(self, m):
-        settled = lp_feasible = 0
+        lp_feasible = lp_infeasible = 0
         for rows in (2, 3, 4):
             stack = self.stack(800 + 10 * m + rows, m, rows, 1000)
             screened = screened_stack(stack).status == FEASIBLE
             plain = decide_stacks(stack, False).status == FEASIBLE
             assert screened.tolist() == plain.tolist()
-            settled += int(np.sum(feasibility._screen(stack).status != OPEN))
             lp_feasible += int(plain.sum())
-        # The screen settles some of them, and the LP finds many feasible.
-        assert settled > 0 and lp_feasible > 1000
+            lp_infeasible += int((~plain).sum())
+        # Both sides of the threshold are exercised.
+        assert lp_feasible > 1000 and lp_infeasible > 500
 
 
 class TestNonStrictThreshold:
@@ -556,7 +554,7 @@ class TestNonStrictThreshold:
         settled_infeasible = lp_feasible = 0
         for group in by_shape(systems):
             stack = SystemStack.of(group)
-            screen = feasibility._screen(stack).status
+            screen = feasibility._screen(stack)
             screened = screened_stack(stack).status == FEASIBLE
             plain = decide_stacks(stack, False).status == FEASIBLE
             assert screened.tolist() == plain.tolist()

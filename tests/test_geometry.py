@@ -77,7 +77,7 @@ def random_box(rng, n: int) -> Polytope:
 class TestPolytope:
     def test_unit_box_combinatorics(self):
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
-        assert cell.n_facets == 4
+        assert len(cell.normals) == 4
         assert cell.n_vertices == 4
         assert all(len(facets) == 2 for facets in reference_incidence(cell))
 
@@ -119,7 +119,7 @@ class TestPolytope:
         # Sum over facets of (facet measure * outward normal) vanishes.
         cell = Polytope.box([-3.0, 1.0, 0.0], [4.0, 2.5, 9.0])
         total = sum(
-            facet_measure(cell, i) * cell.normals[i] for i in range(cell.n_facets)
+            facet_measure(cell, i) * cell.normals[i] for i in range(2 * cell.dim)
         )
         assert np.allclose(total, 0.0, atol=1e-9)
 
@@ -135,7 +135,7 @@ class TestBuildGridPartition:
         part = GridPartition([[0, 1], [0, 1]], (1, 1))
         assert part.n_cells == 1
         cell = part.cell(0)
-        assert cell.n_facets == 4 and cell.n_vertices == 4
+        assert len(cell.normals) == 4 and cell.n_vertices == 4
 
     def test_shared_facet_opposing_normals(self):
         part = GridPartition([[0, 2], [0, 1]], (2, 1))

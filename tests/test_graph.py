@@ -53,25 +53,27 @@ class TestBuildReachGraph:
 class TestUncertainWeight:
     def test_single_explored_at_distance_two(self):
         part = GridPartition([[0, 4], [0, 1]], (4, 1))
-        w = uncertain_weight(2, [0], mean_known_weight=1.0, gamma=100.0, partition=part)
+        w, = uncertain_weight(np.array([2]), [0], mean_known_weight=1.0, gamma=100.0,
+                              partition=part)
         assert w == pytest.approx(100.0 * 1.0 * (1.0 / 2.0) / 1)
 
     def test_two_explored_at_unit_distance(self):
         part = GridPartition([[0, 4], [0, 1]], (4, 1))
-        w = uncertain_weight(1, [0, 2], mean_known_weight=1.0, gamma=100.0, partition=part)
+        w, = uncertain_weight(np.array([1]), [0, 2], mean_known_weight=1.0, gamma=100.0,
+                              partition=part)
         assert w == pytest.approx(100.0 * (1.0 + 1.0) / 2)
 
     def test_doubling_distances_halves_weight(self):
         part1 = GridPartition([[0, 4], [0, 0.1]], (4, 1))
         part2 = GridPartition([[0, 8], [0, 0.1]], (4, 1))
-        w1 = uncertain_weight(3, [0], 1.0, 100.0, part1)
-        w2 = uncertain_weight(3, [0], 1.0, 100.0, part2)
+        w1, = uncertain_weight(np.array([3]), [0], 1.0, 100.0, part1)
+        w2, = uncertain_weight(np.array([3]), [0], 1.0, 100.0, part2)
         assert w1 == pytest.approx(2 * w2)
 
     def test_distance_floor_guards_small_separations(self):
         # Adjacent centers 1 apart but the cell diameter is ~2.24.
         part = GridPartition([[0, 4], [0, 2]], (4, 1))
-        w = uncertain_weight(1, [0], 1.0, 1.0, part)
+        w, = uncertain_weight(np.array([1]), [0], 1.0, 1.0, part)
         d_floor = 0.5 * np.hypot(1.0, 2.0)
         assert w == pytest.approx(1.0 / d_floor)
 
@@ -86,13 +88,19 @@ class TestUncertainWeight:
         cells = np.arange(part.n_cells)
         weights = uncertain_weight(cells, explored, 1.3, 7.0, part)
         assert weights.shape == (part.n_cells,)
-        assert weights.tolist() == [uncertain_weight(int(c), explored, 1.3, 7.0, part)
-                                    for c in cells]
+        widths = (part.bounds[:, 1] - part.bounds[:, 0]) / np.array(part.resolution)
+        d_floor = 0.5 * float(np.linalg.norm(widths))
+        for c in cells.tolist():
+            total = 0.0
+            for e in explored:
+                d = float(np.linalg.norm(part.center(e) - part.center(c)))
+                total += 1.0 / max(d, d_floor)
+            assert weights[c] == 7.0 * 1.3 * total / len(explored)
 
     def test_empty_explored_rejected(self):
         part = GridPartition([[0, 2], [0, 1]], (2, 1))
         with pytest.raises(ValueError):
-            uncertain_weight(1, [], 1.0, 1.0, part)
+            uncertain_weight(np.array([1]), [], 1.0, 1.0, part)
 
 
 class TestUpdateGraph:
@@ -247,9 +255,10 @@ class TestUpdateGraph:
                      if e.status is ReachStatus.UNCERTAIN]
         assert summary["reweighted"] == len(uncertain) > 0
         assert len(calls) == 1 and np.array_equal(calls[0], np.arange(part.n_cells))
+        weights = uncertain_weight(np.arange(part.n_cells), [5], summary["mean_known_weight"],
+                                   graph.gamma, part)
         for dst, edge in uncertain:
-            assert edge.weight == uncertain_weight(dst, [5], summary["mean_known_weight"],
-                                                   graph.gamma, part)
+            assert edge.weight == weights[dst]
 
     def test_no_uncertain_weight_without_uncertain_edges(self, monkeypatch):
         calls = []

@@ -282,7 +282,7 @@ class TestRowBuildersMatchReference:
             model = AffineModel(rng.normal(size=(n, n)), rng.normal(size=(n, m)),
                                 rng.normal(size=n), np.zeros(n))
             bounds = ModelDeviationBounds(*rng.uniform(0, 0.5, size=3))
-            facet = int(rng.integers(cell.n_facets))
+            facet = int(rng.integers(2 * cell.dim))
             j = int(rng.integers(cell.n_vertices))
             pattern = sign_patterns(m)[rng.integers(2**m)]
             box = np.tile([-5.0, 5.0], (m, 1))
@@ -370,8 +370,7 @@ class TestOppositeRowIsRedundant:
         for (old_shape, new_shape), pairs in groups.items():
             old, new = (SystemStack.of(list(systems)) for systems in zip(*pairs))
             dropped += len(pairs) * (old_shape[0] - new_shape[0])
-            for got, want in zip(feasibility._screen(new), feasibility._screen(old)):
-                assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(feasibility._screen(new), feasibility._screen(old))
             for balanced in (False, True):
                 got, want = (decide_stacks(stack, balanced) for stack in (new, old))
                 assert np.array_equal(got.status, want.status)
@@ -522,12 +521,9 @@ def reference_decide(cell, facet, model, box):
 
 
 def any_feasible(systems):
-    """The set rule at one vertex: whether some of its pattern systems is
-    settled FEASIBLE by the screen, or decided FEASIBLE by the LP among
-    those the screen leaves open."""
-    screens = [screen_feasibility(sys) for sys in systems]
-    return any(decide_feasibility(sys).feasible if res is None else res.feasible
-               for sys, res in zip(systems, screens))
+    """The set rule at one vertex: whether the LP finds some of its pattern
+    systems feasible."""
+    return any(decide_feasibility(sys).feasible for sys in systems)
 
 
 def reference_predict(cell, facet, model, bounds, box, robust_failed=None):
@@ -650,7 +646,7 @@ class TestBatchedDecisions:
             else:
                 bounds = ModelDeviationBounds(*rng.uniform(1.0, 5.0, size=3))
             box = np.tile([-2.0, 2.0], (m, 1))
-            out.append((cell, int(rng.integers(cell.n_facets)), model, bounds, box))
+            out.append((cell, int(rng.integers(2 * cell.dim)), model, bounds, box))
         return out
 
     def test_predictions_match_single_edges(self, chunk_sizes):
@@ -735,7 +731,7 @@ class TestOrthantsMatchSignRows:
                 kind = rng.random()
                 bounds = (ModelDeviationBounds(0.0, 0.0, 0.0) if kind < 0.2
                           else ModelDeviationBounds(*rng.uniform(0.0, 0.3, size=3)))
-                items.append((cell, int(rng.integers(cell.n_facets)),
+                items.append((cell, int(rng.integers(2 * cell.dim)),
                               AffineModel(A, B, c, np.zeros(n)), bounds))
             yield box, items
 
@@ -870,11 +866,10 @@ class TestSolvedSystems:
 
     def test_prediction_solves_the_open_patterns_of_unsettled_vertices(self, monkeypatch):
         # The LP receives, in stack order, exactly the screen-open pattern
-        # systems of the vertices that the closed form leaves open and where
-        # the screen settled no pattern feasible: robust ones first, then
-        # expanded ones at the robust-failed vertices. Each pattern stack,
-        # built only where some vertex is open, takes one strict-slack
-        # decide_stacks call.
+        # systems of the vertices that the closed form leaves open: robust
+        # ones first, then expanded ones at the robust-failed vertices. Each
+        # pattern stack, built only where some vertex is open, takes one
+        # strict-slack decide_stacks call.
         calls, solved = [], []
         decide, enumerate_vertices = reach.decide_stacks, feasibility._enumerate_vertices
 
@@ -890,10 +885,7 @@ class TestSolvedSystems:
         monkeypatch.setattr(feasibility, "_enumerate_vertices", recording)
 
         def open_patterns(systems):
-            screens = [screen_feasibility(sys) for sys in systems]
-            if any(res is not None and res.feasible for res in screens):
-                return []
-            return [sys for sys, res in zip(systems, screens) if res is None]
+            return [sys for sys in systems if screen_feasibility(sys) is None]
 
         total = 0
         for box, group in batches(TestBatchedDecisions().items(22, 120)):
