@@ -30,11 +30,12 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_trajectory_csv(path, trajectory, n: int, m: int) -> None:
     """One row per sample: t, x, u as %.17g, which round-trips a double
-    (f"{v:.17g}" gives the same text), then the cell id."""
+    (f"{v:.17g}" gives the same text), then the cell id. x and u are
+    sequences of floats, as the planner's samples are."""
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)] + ["cell_id"]
     row = ",".join(["%.17g"] * (1 + n + m) + ["%s"])
     lines = [",".join(header)]
-    lines += [row % (t, *x.tolist(), *u.tolist(), cid) for t, x, u, cid in trajectory]
+    lines += [row % (t, *x, *u, cid) for t, x, u, cid in trajectory]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -1,12 +1,17 @@
 """Ground-truth control-affine systems, linearization oracles, and fixed-step
 closed-loop integration with facet-exit detection.
 
-Every matrix product that feeds an artifact (F @ x in the interpolation
-law, g(x) @ u and A @ x in the fields) stays one NumPy call on the same
-shapes: OpenBLAS may fuse its multiply-adds, so a scalar rewrite of even a
-2 x 2 product changes the last bits of a trajectory. The integrators save
-work only by not repeating an evaluation: `rk4_step` takes a precomputed
-first stage, which the caller already has from the sample it recorded.
+Transits and identification bursts integrate on Python floats: a state,
+an input and a velocity are tuples of floats, and one RK4 (`rk4_step`)
+serves both. Only the matrix-vector products stay NumPy calls on the same
+arrays and shapes (F x in the interpolation law, g(x) u in the terrain
+field, A x and B u in an affine field): OpenBLAS may fuse their
+multiply-adds, so a scalar rewrite of even a 2 x 2 product changes the last
+bits of a trajectory. They are taken with ndarray.dot, which gives the bits
+of the @ operator (the tests' array-form references use @) at less call
+overhead. Every other operation, the saturation clamp and the exit test
+included, is the IEEE operation the array form applied, one float at a
+time, so the floats are those of the array form bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class AffineModel:
 class ControlAffineField:
     """Abstract x' = f(x) + g(x) u with declared Lipschitz constants for
     grad f and g. Subclasses give the drift, its Jacobian and the control
-    matrix in closed form."""
+    matrix in closed form, and the velocity on floats."""
 
     n: int
     m: int
@@ -69,8 +74,11 @@ class ControlAffineField:
     def jacobian_drift(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def velocity(self, x, u) -> np.ndarray:
-        return self.drift(x) + self.control_matrix(x) @ np.asarray(u, dtype=float)
+    def velocity(self, x, u) -> tuple[float, ...]:
+        """f(x) + g(x) u at the state x under the input u, both sequences of
+        floats, as a tuple of floats: the values of
+        drift(x) + control_matrix(x) @ u, bit for bit."""
+        raise NotImplementedError
 
 
 class TerrainField(ControlAffineField):
@@ -82,21 +90,29 @@ class TerrainField(ControlAffineField):
     L_df = 0.03
     L_g = 0.03
 
-    # drift and control_matrix work on Python floats: the same IEEE
-    # operations as on NumPy scalars, at a fraction of the cost.
+    # The formulas work on Python floats: the same IEEE operations as on
+    # NumPy scalars, at a fraction of the cost.
+    @staticmethod
+    def _drift(x0, x1):
+        return (-0.5 * math.sin(0.1 * x0 - 0.2 * x1) - 4.5,
+                -0.2 * math.sin(0.3 * x0 - 0.1 * x1) - 4.5)
+
+    @staticmethod
+    def _control_matrix(x0, x1):
+        return [[1.0 + 0.02 * x0, 0.02 * x1],
+                [-0.02 * x0, 1.0 - 0.02 * x1]]
+
     def drift(self, x):
-        x0, x1 = np.asarray(x, dtype=float).tolist()
-        return np.array([
-            -0.5 * math.sin(0.1 * x0 - 0.2 * x1) - 4.5,
-            -0.2 * math.sin(0.3 * x0 - 0.1 * x1) - 4.5,
-        ])
+        return np.array(self._drift(*np.asarray(x, dtype=float).tolist()))
 
     def control_matrix(self, x):
-        x0, x1 = np.asarray(x, dtype=float).tolist()
-        return np.array([
-            [1.0 + 0.02 * x0, 0.02 * x1],
-            [-0.02 * x0, 1.0 - 0.02 * x1],
-        ])
+        return np.array(self._control_matrix(*np.asarray(x, dtype=float).tolist()))
+
+    def velocity(self, x, u):
+        x0, x1 = x
+        f0, f1 = self._drift(x0, x1)
+        g0, g1 = np.array(self._control_matrix(x0, x1)).dot(u).tolist()
+        return (f0 + g0, f1 + g1)
 
     def jacobian_drift(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,6 +135,7 @@ class AffineField(ControlAffineField):
         self.m = self.B.shape[1]
         self.L_df = max(L_df, 1e-12)
         self.L_g = max(L_g, 1e-12)
+        self._c = self.c.tolist()
 
     def drift(self, x):
         return self.A @ np.asarray(x, dtype=float) + self.c
@@ -128,6 +145,10 @@ class AffineField(ControlAffineField):
 
     def jacobian_drift(self, x):
         return self.A
+
+    def velocity(self, x, u):
+        ax, bu = self.A.dot(x).tolist(), self.B.dot(u).tolist()
+        return tuple([(a + c) + b for a, c, b in zip(ax, self._c, bu)])
 
 
 def linearize_at(field: ControlAffineField, x_e) -> AffineModel:
@@ -151,24 +172,38 @@ class ExitRecord:
     exit_time: float
     exit_facet: int | None
     outcome: ExitOutcome
-    samples: list = field(default_factory=list)  # (t, x, u) along the run
+    samples: list = field(default_factory=list)  # (t, x, u) along the run, x and u float tuples
 
 
 def saturation(control_box):
     """The map u -> u clamped componentwise into control_box, an (m, 2)
-    array of [low, high] rows. It clamps one input or a stack of them, with
-    the values of np.clip."""
+    array of [low, high] rows, on a sequence of floats. It returns a float
+    tuple with the values of np.clip, NaN and signed zeros included: NaN in
+    u or in a bound propagates, and an input equal to a bound takes the
+    bound, so a zero input against a zero bound takes the bound's sign."""
     box = np.asarray(control_box, dtype=float)
-    low, high = box[:, 0].copy(), box[:, 1].copy()
-    return lambda u: np.minimum(np.maximum(u, low), high)
+    lows, highs = box[:, 0].tolist(), box[:, 1].tolist()
+
+    def clamp(u):
+        # np.clip is min(max(u, low), high), each taking u where u is NaN.
+        u = [v if v > lo or v != v else lo for v, lo in zip(u, lows)]
+        return tuple([v if v < hi or v != v else hi for v, hi in zip(u, highs)])
+
+    return clamp
 
 
-def rk4_step(velocity, x, dt: float, k1) -> np.ndarray:
-    """One classical RK4 step from the first stage k1 = velocity(x)."""
-    k2 = velocity(x + 0.5 * dt * k1)
-    k3 = velocity(x + 0.5 * dt * k2)
-    k4 = velocity(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def rk4_step(velocity, x, dt: float, k1) -> tuple[float, ...]:
+    """One classical RK4 step on floats from the state x and its first stage
+    k1 = velocity(x), float sequences, with the operations of the array form
+    in its order: x + (0.5 dt) k for the middle stages, x + dt k3 for the
+    last, then x + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)."""
+    h = 0.5 * dt
+    k2 = velocity([a + h * k for a, k in zip(x, k1)])
+    k3 = velocity([a + h * k for a, k in zip(x, k2)])
+    k4 = velocity([a + dt * k for a, k in zip(x, k3)])
+    w = dt / 6.0
+    return tuple([a + w * (((b + 2 * c) + 2 * d) + e)
+                  for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
 
 
 def simulate_closed_loop(
@@ -186,16 +221,21 @@ def simulate_closed_loop(
     BISECT_TIME_TOL; the exit facet is the one with maximal signed halfspace
     violation.
 
-    `law` is anything exposing input(x) -> u; the applied input is clamped
-    componentwise into control_box.
+    `law` is anything exposing input(x) -> u on float sequences; the
+    applied input is clamped componentwise into control_box.
 
     The law and the field are evaluated once per state: the input recorded
     with a sample is the one the next step's first stage uses, and that
     stage, f(x) + g(x) u, serves the full step and every trial step of the
     exit bisection.
+
+    The state is integrated on floats, which overflow to inf and NaN
+    without a warning (none comes from the products either). A state
+    holding NaN has a NaN violation and is never outside the cell, so a
+    transit that overflows to NaN runs on to t_max and times out there.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not cell.contains(x0, tol=EXIT_TOL):
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    if not cell.contains(x, tol=EXIT_TOL):
         raise ValueError("initial state lies outside the cell")
     if step <= 0 or t_max <= 0:
         raise ValueError("step and t_max must be positive")
@@ -204,30 +244,32 @@ def simulate_closed_loop(
     def closed_loop(x):
         return field.velocity(x, saturate(law.input(x)))
 
-    u = saturate(law.input(x0))
-    samples = [(0.0, x0.copy(), u)]
-    t, x = 0.0, x0.copy()
-    while t < t_max - 1e-15:
-        dt = min(step, t_max - t)
-        k1 = field.velocity(x, u)
-        x_new = rk4_step(closed_loop, x, dt, k1)
-        if cell.violation(x_new) > EXIT_TOL:
-            # bisect the crossing time within (t, t + dt]
-            lo_dt, hi_dt = 0.0, dt
-            x_hi = x_new
-            while hi_dt - lo_dt > BISECT_TIME_TOL:
-                mid = 0.5 * (lo_dt + hi_dt)
-                x_mid = rk4_step(closed_loop, x, mid, k1)
-                if cell.violation(x_mid) > EXIT_TOL:
-                    hi_dt, x_hi = mid, x_mid
-                else:
-                    lo_dt = mid
-            t_exit = t + hi_dt
-            facet = int(np.argmax(cell.normals @ x_hi - cell.offsets))
-            samples.append((t_exit, x_hi.copy(), saturate(law.input(x_hi))))
-            return ExitRecord(x_hi, t_exit, facet, ExitOutcome.EXITED_FACET, samples)
-        t += dt
-        x = x_new
-        u = saturate(law.input(x))
-        samples.append((t, x.copy(), u))
-    return ExitRecord(x, t, None, ExitOutcome.TIMEOUT, samples)
+    u = saturate(law.input(x))
+    samples = [(0.0, x, u)]
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_max - 1e-15:
+            dt = min(step, t_max - t)
+            k1 = field.velocity(x, u)
+            x_new = rk4_step(closed_loop, x, dt, k1)
+            if cell.violation(x_new) > EXIT_TOL:
+                # bisect the crossing time within (t, t + dt]
+                lo_dt, hi_dt = 0.0, dt
+                x_hi = x_new
+                while hi_dt - lo_dt > BISECT_TIME_TOL:
+                    mid = 0.5 * (lo_dt + hi_dt)
+                    x_mid = rk4_step(closed_loop, x, mid, k1)
+                    if cell.violation(x_mid) > EXIT_TOL:
+                        hi_dt, x_hi = mid, x_mid
+                    else:
+                        lo_dt = mid
+                t_exit = t + hi_dt
+                facet = int(np.argmax(cell.normals @ x_hi - cell.offsets))
+                samples.append((t_exit, x_hi, saturate(law.input(x_hi))))
+                return ExitRecord(np.array(x_hi), t_exit, facet, ExitOutcome.EXITED_FACET,
+                                  samples)
+            t += dt
+            x = x_new
+            u = saturate(law.input(x))
+            samples.append((t, x, u))
+    return ExitRecord(np.array(x), t, None, ExitOutcome.TIMEOUT, samples)

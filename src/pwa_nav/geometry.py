@@ -8,6 +8,7 @@ so it lies on facet 2d + (bit d of j) of every axis d.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -23,6 +24,12 @@ def norm(v: np.ndarray) -> np.ndarray:
     distance and vertex norm goes through it, so a distance taken alone and
     the same distance taken in a stack agree to the last bit."""
     return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+
+
+def _floats(x):
+    """A state as Python floats: an array's tolist(), a float sequence as
+    it is."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
 
 
 class GeometryError(ValueError):
@@ -91,17 +98,20 @@ class Polytope:
         return len(self.vertices)
 
     @cached_property
-    def _frame(self) -> tuple[list[float], list[float]]:
-        """low and the widths high - low as floats, computed once per box
-        for find_containing_simplex."""
-        return self.low.tolist(), (self.high - self.low).tolist()
+    def _frame(self) -> tuple[list[float], list[float], list[float]]:
+        """low, high and the widths high - low as floats, computed once per
+        box for violation and find_containing_simplex."""
+        return self.low.tolist(), self.high.tolist(), (self.high - self.low).tolist()
 
     def violation(self, x) -> float:
-        """Maximal signed halfspace violation, max(low - x, x - high); <= 0
-        means inside. With unit axis normals this is normals @ x - offsets
-        bit for bit, for every finite x; NaN in x gives NaN (never inside)."""
-        x = np.asarray(x, dtype=float)
-        return float(np.maximum(self.low - x, x - self.high).max())
+        """Maximal signed halfspace violation, max(low - x, x - high), of a
+        state given as floats or as an array; <= 0 means inside. With unit
+        axis normals this is normals @ x - offsets bit for bit, for every
+        finite x; NaN in x gives NaN (never inside), as np.max does."""
+        low, high, _ = self._frame
+        x = _floats(x)
+        terms = [lo - v for lo, v in zip(low, x)] + [v - hi for v, hi in zip(x, high)]
+        return math.nan if any(map(math.isnan, terms)) else max(terms)
 
     def contains(self, x, tol: float = FACET_TOL) -> bool:
         return self.violation(x) <= tol
@@ -221,17 +231,17 @@ def triangulate(cell: Polytope) -> list[Simplex]:
 def find_containing_simplex(
     cell: Polytope, simplices: list[Simplex], x, tol: float = 1e-9
 ) -> int:
-    """Index of the first simplex of triangulate(cell) containing x (ties:
-    lowest index). Falls back to the simplex with the least-negative
-    barycentric minimum.
+    """Index of the first simplex of triangulate(cell) containing the state
+    x, floats or an array (ties: lowest index). Falls back to the simplex
+    with the least-negative barycentric minimum.
 
     The barycentric coordinates come in closed form: with y the coordinates
     of x normalized to [0, 1] over the box, the simplex stepping along axes
     p_0, ..., p_(n-1) has coordinates 1 - y[p_0], y[p_(i-1)] - y[p_i] and
     y[p_(n-1)]."""
     # The subtraction and division of the array form, one float at a time.
-    low, width = cell._frame
-    y = [(v - lo) / w for v, lo, w in zip(np.asarray(x, dtype=float).tolist(), low, width)]
+    low, _, width = cell._frame
+    y = [(v - lo) / w for v, lo, w in zip(_floats(x), low, width)]
     best_idx, best_min = 0, -np.inf
     for k, s in enumerate(simplices):
         # The minimum over 1 - y[p_0], y[p_(n-1)], then the differences in

@@ -60,7 +60,7 @@ class IterationRecord:
 class MissionLog:
     status: MissionStatus
     records: list[IterationRecord]
-    trajectory: list  # (t, x, u, cell_id)
+    trajectory: list  # (t, x, u, cell_id), x and u float tuples
     graph: "object"
     models: dict  # cell id -> identified model, in the order of exploration
     target_cell: int
@@ -101,7 +101,7 @@ def run_mission(scenario, max_iterations: int = 400, seed: int | None = None) ->
     models: dict = {}
     fail_counts: dict[tuple[int, int], int] = {}
     records: list[IterationRecord] = []
-    trajectory = [(0.0, x.copy(), np.zeros(env.m), current)]
+    trajectory = [(0.0, tuple(x.tolist()), (0.0,) * env.m, current)]
     t = 0.0
     status = MissionStatus.ITERATION_CAP
 

@@ -483,13 +483,16 @@ class PiecewiseInterpolationLaw:
         self.cell = cell
         witnesses = [np.asarray(w, dtype=float) for w in witnesses]
         self.simplices = triangulate(cell)
-        # (F, g) per simplex, in the order of self.simplices.
-        self.laws = [_interpolate_on_simplex(cell, s, witnesses) for s in self.simplices]
+        # (F, g) per simplex, in the order of self.simplices, g as floats.
+        self.laws = [(F, g.tolist()) for F, g in
+                     (_interpolate_on_simplex(cell, s, witnesses) for s in self.simplices)]
 
-    def input(self, x):
-        x = np.asarray(x, dtype=float)
+    def input(self, x) -> tuple[float, ...]:
+        """F x + g of the simplex containing the state x, a sequence of
+        floats, as a float tuple: F x stays one NumPy product (see the
+        dynamics module), g is added per component."""
         F, g = self.laws[find_containing_simplex(self.cell, self.simplices, x)]
-        return F @ x + g
+        return tuple([a + b for a, b in zip(F.dot(x).tolist(), g)])
 
 
 def t0_upper_bound(

@@ -1,12 +1,13 @@
 """Affine model identification from small random excitations and least
 squares on the extended regressor [x; u; 1].
 
-The burst integrates with `dynamics.rk4_step`, handing it the first stage,
-which in oracle mode is also the recorded velocity, so the field is
-evaluated four times per sample, not five. Velocities come only from the
-field's own `velocity`: its products (g(x) @ u, A @ x) stay NumPy calls,
-since OpenBLAS may fuse their multiply-adds and a scalar rewrite would
-change the last bits of the fitted model."""
+The burst integrates on Python floats with `dynamics.rk4_step`, the RK4 of
+the transits, handing it the first stage, which in oracle mode is also the
+recorded velocity, so the field is evaluated four times per sample, not
+five. Velocities come only from the field's own `velocity`, whose
+matrix-vector products (g(x) u, A x, B u) stay NumPy calls: OpenBLAS may
+fuse their multiply-adds, so a scalar rewrite would change the last bits
+of the fitted model. The samples become arrays once, for the fit."""
 
 from __future__ import annotations
 
@@ -21,10 +22,9 @@ from .dynamics import AffineModel, ControlAffineField, rk4_step, saturation
 COND_LIMIT = 1e12
 
 
-def _finite(a: np.ndarray) -> bool:
-    """Whether every entry of the 1-D array a is finite; a fifth of the cost
-    of np.isfinite(a).all() on the few entries of a state."""
-    return all(map(math.isfinite, a.tolist()))
+def _finite(a) -> bool:
+    """Whether every float of the sequence a is finite."""
+    return all(map(math.isfinite, a))
 
 
 class IdentificationError(RuntimeError):
@@ -68,7 +68,7 @@ def identify(
 
     The state is advanced (never reset) between samples; the caller handles
     any cell change. When `history` is given, the visited (x, u) pairs are
-    appended to it.
+    appended to it, each a float tuple.
 
     All N inputs come from one draw, the same stream as one draw per sample.
     The oracle velocity recorded at x is the first RK4 stage of the step
@@ -79,22 +79,20 @@ def identify(
     n, m = env.n, env.m
     cfg.validate(n, m)
     rng = np.random.default_rng(cfg.seed)
-    x = np.asarray(x_init, dtype=float).copy()
+    x = tuple(np.asarray(x_init, dtype=float).tolist())
     T = cfg.time_step
     N = cfg.samples
-    inputs = saturation(control_box)(
-        rng.uniform(-cfg.input_scale, cfg.input_scale, size=(N, m)))
-    if not (_finite(x) and np.all(np.isfinite(inputs))):
+    clamp = saturation(control_box)
+    inputs = [clamp(u) for u in
+              rng.uniform(-cfg.input_scale, cfg.input_scale, size=(N, m)).tolist()]
+    if not (_finite(x) and all(map(_finite, inputs))):
         raise IdentificationError("the initial state or an input is not finite")
     oracle = cfg.velocity_mode is VelocityMode.ORACLE
 
-    X = np.empty((n + m + 1, N))
-    Xdot = np.empty((n, N))
-    states = np.empty((N, n))
+    states, velocities = [], []
     # Overflow is caught by the finiteness checks, not reported as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(N):
-            u = inputs[i]
+        for i, u in enumerate(inputs):
 
             def velocity(s):
                 if not _finite(s):
@@ -103,18 +101,22 @@ def identify(
 
             k1 = env.velocity(x, u)
             x_new = rk4_step(velocity, x, T, k1)
-            v = k1 if oracle else (x_new - x) / T
+            v = k1 if oracle else tuple([(b - a) / T for a, b in zip(x, x_new)])
             if not (_finite(x_new) and _finite(v)):
                 raise IdentificationError(f"the excitation overflowed at sample {i}")
-            X[:n, i] = x
-            X[n:n + m, i] = u
-            X[-1, i] = 1.0
-            Xdot[:, i] = v
-            states[i] = x
+            states.append(x)
+            velocities.append(v)
             if history is not None:
-                history.append((x.copy(), u.copy()))
+                history.append((x, u))
             x = x_new
 
+    # The regressor columns [x; u; 1] and the velocities, one per sample, in
+    # C order: the memory order of the fit's products picks the BLAS kernel,
+    # and with it the last bits of the model.
+    states = np.array(states)
+    X = np.empty((n + m + 1, N))
+    X[:n], X[n:n + m], X[-1] = states.T, np.array(inputs).T, 1.0
+    Xdot = np.array(velocities).T.copy()
     # A Gram matrix whose entries overflow leaves nothing to fit.
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X @ X.T
@@ -141,4 +143,4 @@ def identify(
         c=theta[:, -1],
         center=states.mean(axis=0),
     )
-    return model, x, residual_rms
+    return model, np.array(x), residual_rms

@@ -5,6 +5,7 @@ import pytest
 
 from pwa_nav.dynamics import (
     AffineField,
+    ControlAffineField,
     ExitOutcome,
     ExitRecord,
     TerrainField,
@@ -13,18 +14,61 @@ from pwa_nav.dynamics import (
     saturation,
     simulate_closed_loop,
 )
-from pwa_nav.geometry import Polytope
+from pwa_nav.geometry import Polytope, find_containing_simplex
 from pwa_nav.reach import PiecewiseInterpolationLaw
 
 
 @dataclass
 class ConstantLaw:
-    """Fixed input u, whatever the state."""
+    """Fixed input u, a float tuple, whatever the state."""
 
-    u: np.ndarray
+    u: tuple
 
     def input(self, x):
         return self.u
+
+
+class ConstantDrift(ControlAffineField):
+    """x' = f, a constant velocity that no input moves."""
+
+    n = m = 2
+
+    def __init__(self, f):
+        self.f = f
+
+    def drift(self, x):
+        return np.array(self.f)
+
+    def control_matrix(self, x):
+        return np.zeros((2, 2))
+
+    def velocity(self, x, u):
+        return self.f
+
+
+class ArrayForm:
+    """A field's velocity as it was computed on arrays, before transits and
+    bursts moved to floats: drift(x) + control_matrix(x) @ u, an array. The
+    references integrate with it."""
+
+    def __init__(self, field):
+        self.field, self.n, self.m = field, field.n, field.m
+
+    def velocity(self, x, u):
+        return self.field.drift(x) + self.field.control_matrix(x) @ np.asarray(u, dtype=float)
+
+
+class ArrayLaw:
+    """PiecewiseInterpolationLaw.input as it was computed on arrays:
+    F @ x + g on the simplex find_containing_simplex picks."""
+
+    def __init__(self, law):
+        self.law = law
+
+    def input(self, x):
+        x = np.asarray(x, dtype=float)
+        F, g = self.law.laws[find_containing_simplex(self.law.cell, self.law.simplices, x)]
+        return F @ x + np.asarray(g)
 
 
 # Wide enough that none of this file's laws saturates against it.
@@ -135,13 +179,13 @@ class TestRK4:
             x0 = rng.normal(size=2)
 
             def vel(x):
-                return A @ x + c
+                return tuple((A @ np.array(x) + c).tolist())
 
             def integrate(step, t_end=1.0):
-                x = x0.copy()
+                x = tuple(x0.tolist())
                 for _ in range(int(round(t_end / step))):
                     x = rk4_step(vel, x, step, vel(x))
-                return x
+                return np.array(x)
 
             # Exact endpoint via matrix exponential of the homogenized system.
             M = np.zeros((3, 3))
@@ -163,9 +207,23 @@ class TestSaturation:
         u = rng.uniform(-3.0, 3.0, size=(200, 3))
         u[:20] = rng.choice([0.0, -0.0, 0.5, -0.5, 2.0, np.nan], size=(20, 3))
         clamp = saturation(box)
-        assert bits(clamp(u)) == bits(np.clip(u, box[:, 0], box[:, 1]))
         for row in u:
-            assert bits(clamp(row)) == bits(np.clip(row, box[:, 0], box[:, 1]))
+            got = clamp(row.tolist())
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert bits(got) == bits(np.clip(row, box[:, 0], box[:, 1]))
+
+    @pytest.mark.parametrize("row", [[-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0],
+                                     [-1.0, -0.0], [0.0, 1.0], [np.nan, 0.0], [-0.0, np.nan]])
+    def test_signed_zeros_and_nan_match_clip(self, row):
+        # Each value against each zero bound: the float comparisons must
+        # pick the same zero as np.clip, whose sign the bits show.
+        values = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan]
+        box = np.array([row, [-0.0, 0.0]])
+        clamp = saturation(box)
+        for a in values:
+            for b in values:
+                want = np.clip(np.array([a, b]), box[:, 0], box[:, 1])
+                assert bits(clamp((a, b))) == bits(want), (a, b)
 
 
 def reference_rk4_step(velocity, x, dt):
@@ -263,12 +321,100 @@ class TestTransitMatchesReference:
             law = PiecewiseInterpolationLaw(cell, witnesses)
             got = simulate_closed_loop(field, law, cell, x0, step=step, t_max=t_max,
                                        control_box=box)
-            law = PiecewiseInterpolationLaw(cell, witnesses)
-            want = reference_simulate_closed_loop(field, law, cell, x0, step, t_max, box)
+            want = reference_simulate_closed_loop(ArrayForm(field), ArrayLaw(law), cell, x0,
+                                                  step, t_max, box)
             assert_same_record(got, want)
             outcomes.add(got.outcome)
             bisected += got.outcome is ExitOutcome.EXITED_FACET
         assert ExitOutcome.TIMEOUT in outcomes and bisected >= 2
+
+    @pytest.mark.parametrize("kind", ["terrain", "affine-m2", "affine-m3"])
+    def test_law_on_diagonal_facets_and_vertices(self, kind):
+        # Where simplices meet, the float law must pick the simplex and add
+        # g exactly as the array form does.
+        rng = np.random.default_rng([43, len(kind)])
+        for _ in range(10):
+            field = self.field(kind, rng)
+            low = rng.uniform(-5.0, 5.0, size=field.n)
+            cell = Polytope.box(low, low + rng.uniform(0.3, 1.5, size=field.n))
+            law = PiecewiseInterpolationLaw(
+                cell, rng.uniform(-3.0, 3.0, size=(cell.n_vertices, field.m)))
+            width = cell.high - cell.low
+            points = [cell.low + t * width for t in np.linspace(0.0, 1.0, 9)]
+            points += list(cell.vertices)
+            for d in range(field.n):
+                for side in (cell.low, cell.high):
+                    x = rng.uniform(cell.low, cell.high)
+                    x[d] = side[d]
+                    points.append(x)
+            for x in points:
+                assert bits(law.input(tuple(x.tolist()))) == bits(ArrayLaw(law).input(x)), x
+
+    @pytest.mark.parametrize("kind", ["terrain", "affine-m2", "affine-m3"])
+    def test_transit_from_the_diagonal(self, kind):
+        rng = np.random.default_rng([44, len(kind)])
+        for _ in range(4):
+            field = self.field(kind, rng)
+            n, m = field.n, field.m
+            low = rng.uniform(-5.0, 5.0, size=n)
+            cell = Polytope.box(low, low + rng.uniform(0.3, 1.5, size=n))
+            law = PiecewiseInterpolationLaw(cell, rng.uniform(-3.0, 3.0, size=(cell.n_vertices, m)))
+            x0 = cell.low + rng.uniform(0.1, 0.9) * (cell.high - cell.low)
+            box = np.tile([-5.0, 5.0], (m, 1))
+            got = simulate_closed_loop(field, law, cell, x0, t_max=0.6, control_box=box)
+            want = reference_simulate_closed_loop(ArrayForm(field), ArrayLaw(law), cell, x0,
+                                                  1e-3, 0.6, box)
+            assert_same_record(got, want)
+
+
+class TestNonFiniteTransit:
+    """The exit test and the integration on floats keep the array form's
+    answers where floats stop being finite."""
+
+    CELL = Polytope.box([0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("x", [(np.nan, 5.0), (5.0, np.nan), (np.nan, -5.0),
+                                   (-5.0, np.nan), (np.nan, 0.5), (np.nan, np.nan)])
+    def test_nan_state_has_nan_violation(self, x):
+        # Python's max() of [nan, 4.0] is nan but of [4.0, nan] is 4.0; the
+        # violation must be NaN, as np.max makes it, whatever the order.
+        want = float(np.max(self.CELL.normals @ np.array(x) - self.CELL.offsets))
+        assert np.isnan(want) and np.isnan(self.CELL.violation(x))
+        assert not self.CELL.violation(x) > 1e-9
+        assert not self.CELL.contains(x)
+
+    def test_nan_state_is_not_exited(self):
+        # x2 reaches the high facet at t = 0.5, but x1 is NaN from the first
+        # step on, so the state never counts as outside: the transit runs to
+        # t_max, as the array form's np.max made it.
+        field = ConstantDrift((np.nan, 1.0))
+        law = ConstantLaw((0.0, 0.0))
+        got = simulate_closed_loop(field, law, self.CELL, (0.5, 0.5), t_max=0.7,
+                                   control_box=BOX)
+        assert got.outcome is ExitOutcome.TIMEOUT
+        assert np.isnan(got.exit_state[0]) and got.exit_state[1] > 1.0
+        with np.errstate(invalid="ignore"):
+            want = reference_simulate_closed_loop(ArrayForm(field), law, self.CELL, (0.5, 0.5),
+                                                  1e-3, 0.7, BOX)
+        assert_same_record(got, want)
+
+    def test_overflow_runs_to_t_max_without_warning(self):
+        # The second stage overflows to inf and the third to NaN (1e200 * inf
+        # + 0 * inf). Floats overflow silently and the products run under
+        # np.errstate, so no RuntimeWarning (an error in this suite) is
+        # raised; the NaN state is never outside the cell, so the transit
+        # times out at t_max with the reference's record.
+        field = AffineField(1e200 * np.eye(2), np.eye(2), np.zeros(2))
+        law = ConstantLaw((0.0, 0.0))
+        got = simulate_closed_loop(field, law, self.CELL, (0.5, 0.5), t_max=0.005,
+                                   control_box=BOX)
+        assert got.outcome is ExitOutcome.TIMEOUT and got.exit_facet is None
+        assert got.exit_time == pytest.approx(0.005) and len(got.samples) == 6
+        assert np.all(np.isnan(got.exit_state))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_simulate_closed_loop(ArrayForm(field), law, self.CELL, (0.5, 0.5),
+                                                  1e-3, 0.005, BOX)
+        assert_same_record(got, want)
 
 
 class TestSimulateClosedLoop:
@@ -276,7 +422,7 @@ class TestSimulateClosedLoop:
         field = AffineField(np.zeros((2, 2)), np.eye(2), np.zeros(2))
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         rec = simulate_closed_loop(
-            field, ConstantLaw(np.array([1.0, 0.0])), cell, (0.0, 0.5), control_box=BOX
+            field, ConstantLaw((1.0, 0.0)), cell, (0.0, 0.5), control_box=BOX
         )
         assert rec.outcome is ExitOutcome.EXITED_FACET
         assert rec.exit_time == pytest.approx(1.0, abs=1e-6)
@@ -287,7 +433,7 @@ class TestSimulateClosedLoop:
         field = AffineField(np.zeros((2, 2)), np.eye(2), np.zeros(2))
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         rec = simulate_closed_loop(
-            field, ConstantLaw(np.zeros(2)), cell, (0.5, 0.5), t_max=0.25, control_box=BOX
+            field, ConstantLaw((0.0, 0.0)), cell, (0.5, 0.5), t_max=0.25, control_box=BOX
         )
         assert rec.outcome is ExitOutcome.TIMEOUT
         assert rec.exit_time == pytest.approx(0.25)
@@ -295,7 +441,7 @@ class TestSimulateClosedLoop:
     def test_terrain_drift_exit(self):
         env = TerrainField()
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
-        rec = simulate_closed_loop(env, ConstantLaw(np.zeros(2)), cell, (0.5, 0.5),
+        rec = simulate_closed_loop(env, ConstantLaw((0.0, 0.0)), cell, (0.5, 0.5),
                                    control_box=BOX)
         assert rec.outcome is ExitOutcome.EXITED_FACET
         # Drift ~ (-4.5, -4.5): exits left or bottom after ~0.5/4.5 seconds.
@@ -306,7 +452,7 @@ class TestSimulateClosedLoop:
     def test_exit_state_on_facet_with_outward_velocity(self):
         env = TerrainField()
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
-        law = ConstantLaw(np.array([0.3, -0.2]))
+        law = ConstantLaw((0.3, -0.2))
         rec = simulate_closed_loop(env, law, cell, (0.5, 0.5), control_box=BOX)
         n = cell.normals[rec.exit_facet]
         b = cell.offsets[rec.exit_facet]
@@ -319,7 +465,7 @@ class TestSimulateClosedLoop:
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         box = np.array([[-0.5, 0.5], [-0.5, 0.5]])
         rec = simulate_closed_loop(
-            field, ConstantLaw(np.array([3.0, 0.0])), cell, (0.0, 0.5),
+            field, ConstantLaw((3.0, 0.0)), cell, (0.0, 0.5),
             control_box=box,
         )
         for _, _, u in rec.samples:
@@ -331,5 +477,5 @@ class TestSimulateClosedLoop:
         field = AffineField(np.zeros((2, 2)), np.eye(2), np.zeros(2))
         cell = Polytope.box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            simulate_closed_loop(field, ConstantLaw(np.zeros(2)), cell, (2.0, 0.5),
+            simulate_closed_loop(field, ConstantLaw((0.0, 0.0)), cell, (2.0, 0.5),
                                  control_box=BOX)
