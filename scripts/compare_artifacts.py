@@ -9,9 +9,9 @@ terrain_mission window at the seeds mission_seeds(REFERENCE_SEED, 8) and at
 HELD_OUT_SEED (both from perfbench/run.py), `plan` on the bundled scenario,
 `truth-graph` on it, `plan --max-iters 10` on it with an 80 x 80 grid, the
 grid-scaling point where graph writing costs the most, and `plan
---max-iters 30` on an affine scenario with four control inputs, where
-HiGHS solves the slack LPs and the pattern screen rules systems out. Both
-checkouts get the same scenario files, taken from this one. Prints, per
+--max-iters 30` on the affine scenario with four control inputs
+(scenarios/affine_m4.json), where the pattern screen rules systems out.
+Both checkouts get the same scenario files, taken from this one. Prints, per
 output file and per exit code, whether the two checkouts wrote the same
 bytes. Exits 0 when every file is identical, 1 otherwise.
 """
@@ -53,22 +53,7 @@ def runs(scratch: Path) -> dict[str, list[str]]:
     out["bundled"] = ["plan", "--scenario", str(bundled)]
     out["truth-graph"] = ["truth-graph", "--scenario", str(bundled)]
     out["grid80"] = ["plan", "--scenario", str(fine_path), "--max-iters", "10"]
-    m4 = {
-        "dynamics": {"type": "affine", "A": [[-0.1, 0.05], [0.02, -0.1]],
-                     "B": [[1, 0.3, -0.2, 0.1], [0.1, 1, 0.2, -0.3]], "c": [-1, -1]},
-        "state_bounds": [[-5, 5], [-5, 5]],
-        "grid": [10, 10],
-        "control_box": [[-1, 1]] * 4,
-        "lipschitz": {"L_df": 0.03, "L_g": 0.03},
-        "gamma": 100,
-        "sysid": {"N": 100, "T": 0.0002, "input_scale": 0.1, "velocity_mode": "oracle",
-                  "seed": 1},
-        "initial_state": [4.5, 4.5],
-        "target": [-4.5, -4.5],
-        "weight_mode": "constant",
-    }
-    m4_path = scratch / "m4.json"
-    m4_path.write_text(json.dumps(m4, indent=1) + "\n")
+    m4_path = ROOT / "scenarios" / "affine_m4.json"
     out["m4"] = ["plan", "--scenario", str(m4_path), "--max-iters", "30"]
     return out
 

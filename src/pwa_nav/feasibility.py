@@ -27,17 +27,14 @@ feasible iff the maximal common slack of the strict rows exceeds TOL_STRICT,
 and the achieved slack doubles as a robustness margin.
 
 The slack LP lives in z = (u, d) with the control box bounding u and
-0 <= d <= DELTA_CAP bounding d, so its feasible set is a polytope. A
-nonempty polytope has a vertex, each vertex solves some m + 1 of the
-constraints as equalities, and the maximum of d is attained at a vertex. For
-m <= 3 inputs every such subset is a candidate, computed in closed form by
-Cramer's rule from one table of cofactor vectors per chunk of stacked
-systems: the feasible candidate with the largest d is the exact optimum,
-returned as the LU solution of its subset, and an empty candidate set
-proves the polytope empty rather than reporting a solver status. Larger m
-goes to HiGHS, one LP per system, whose infeasibility status alone
-certifies emptiness; any other failure raises RuntimeError. SciPy is
-imported only when HiGHS runs.
+0 <= d <= DELTA_CAP bounding d. Its dual has one variable per row, and the
+rows are few (one per state dimension in the reach systems), so one kernel
+solves it for every number of inputs (_optima): it takes the optimum and
+emptiness from the dual's candidate rays, in closed form, and each
+optimum's vertex from the ray that picks it, by one LU solve. An empty
+system is proved empty by a ray of the dual (a Farkas certificate), never
+by a solver status; a system whose vertex the kernel cannot find raises
+RuntimeError unless the dual proves it infeasible.
 """
 
 from __future__ import annotations
@@ -51,35 +48,24 @@ import numpy as np
 
 TOL_STRICT = 1e-7
 DELTA_CAP = 1e6
-# Tight solver tolerances so witnesses satisfy the rows to ~1e-10, well below
-# TOL_STRICT; the defaults (1e-7) would blur the strictness threshold.
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
-# Slack LPs with at most this many control inputs are solved by vertex
-# enumeration; C(r + 2m + 2, m + 1) subsets grow too fast beyond.
-_ENUM_MAX_DIM = 3
-# On rows scaled to unit max-norm: subsets with a smaller determinant are
-# singular, and vertices may violate a row by at most _FEAS_TOL (the
-# roundoff of a 4x4 solve, well below TOL_STRICT).
-_SINGULAR_DET = 1e-12
+# On rows scaled to unit max-norm, a vertex may violate a row or a box side
+# by at most _FEAS_TOL (the roundoff of a small LU solve, well below
+# TOL_STRICT).
 _FEAS_TOL = 1e-9
+# A ray of the dual is the signed minors of r - 1 plane normals (those rows
+# and unit vectors): where all are below this, the planes are dependent up
+# to rounding, and so is a ray's slack sum below it.
+_SINGULAR_DET = 1e-12
 # The exact LP's slack differs from the screen's interval slack of the same
 # row by rounding: at most 0.6 ulp of the row's magnitude (the sum of its
 # largest terms over the box and |b|) on 3,000 random one-row systems. The
 # screen leaves rows this much closer to its thresholds to the LP.
 _SCREEN_ROUNDING = 1e-12
-# Vertex enumeration holds up to C(r + 2k, k) candidate subsets of k rows per
-# system, so a stack is enumerated this many systems at a time; that bounds
-# the working set to about a megabyte whatever the stack size.
-_CHUNK_BLOCKS = 64
 
 
+# Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use: only slack LPs with
-    more than _ENUM_MAX_DIM inputs reach HiGHS, and importing SciPy costs
-    about half a second and 50 MB per process."""
+    """scipy.optimize.linprog, imported on first use."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
@@ -226,21 +212,9 @@ def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
 def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
     """The exact slack LP of every system of a stack: the balanced LP of
     balance_witnesses_batch where balanced, else the strict-slack LP of
-    decide_feasibility.
-
-    With at most _ENUM_MAX_DIM inputs the stack is enumerated _CHUNK_BLOCKS
-    systems at a time; with more, each system is one HiGHS LP."""
-    n_sys, _, dim = stack.A.shape
+    decide_feasibility."""
     G, h = _slack_rows(stack.A, stack.b, stack.strict, balanced)
-    z = np.full((n_sys, dim + 1), np.nan)
-    if dim > _ENUM_MAX_DIM:
-        for t in range(n_sys):
-            z[t] = _highs(G[t], h[t], stack.box[t])
-    else:
-        for start in range(0, n_sys, _CHUNK_BLOCKS):
-            chunk = slice(start, start + _CHUNK_BLOCKS)
-            z[chunk] = _enumerate_vertices(G[chunk], h[chunk], stack.box[chunk])
-    return _decisions(z, G[..., -1].any(axis=1), stack.box)
+    return _decisions(_optima(G, h, stack.box), G[..., -1].any(axis=1), stack.box)
 
 
 def _screen(stack: SystemStack) -> np.ndarray:
@@ -322,134 +296,147 @@ def _decisions(z, carries_slack, box) -> Decisions:
     return Decisions(status, witness, margin)
 
 
-def _slack_bounds(box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds of z = (u, d) from the control box(es)."""
-    pad = np.zeros(box.shape[:-2] + (1,))
-    return (np.concatenate([box[..., 0], pad], axis=-1),
-            np.concatenate([box[..., 1], pad + DELTA_CAP], axis=-1))
-
-
 @lru_cache(maxsize=64)
-def _subsets(n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint matrix of the k variable bounds, (2k, k) as [-I; I], and
-    every k-subset of the n_rows + 2k constraints (rows, then lower, then
-    upper bounds) in lexicographic order, less those holding both bounds of
-    one variable, which are always singular."""
-    bounds = np.concatenate([-np.eye(k), np.eye(k)])
-    idx = np.array([c for c in itertools.combinations(range(n_rows + 2 * k), k)
-                    if not any(n_rows + j in c and n_rows + k + j in c
-                               for j in range(k))],
-                   dtype=np.intp).reshape(-1, k)
-    bounds.setflags(write=False)
-    idx.setflags(write=False)
-    return bounds, idx
-
-
-@lru_cache(maxsize=64)
-def _faces(n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The faces of the k-subsets of _subsets(n_rows, k): every (k - 1)-subset
-    that remains of one when a position is dropped, (F, k - 1) in
-    lexicographic order, and, per k-subset and position i, the index of the
-    face without position i, (S, k)."""
-    idx = _subsets(n_rows, k)[1].tolist()
-    faces = sorted({tuple(s[:i] + s[i + 1:]) for s in idx for i in range(k)})
-    position = {face: f for f, face in enumerate(faces)}
-    face_of = np.array([[position[tuple(s[:i] + s[i + 1:])] for i in range(k)] for s in idx],
-                       dtype=np.intp).reshape(-1, k)
-    faces = np.array(faces, dtype=np.intp).reshape(-1, k - 1)
-    faces.setflags(write=False)
-    face_of.setflags(write=False)
-    return faces, face_of
-
-
-@lru_cache(maxsize=8)
-def _leibniz(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Leibniz expansion of a k x k determinant along its first row:
-    for each permutation p of range(k), the columns p[1:] its product takes
-    from the other rows, (k!, k - 1), and its sign placed in column p[0],
-    (k!, k)."""
-    perms = list(itertools.permutations(range(k)))
-    cols = np.array([p[1:] for p in perms], dtype=np.intp).reshape(len(perms), k - 1)
-    signs = np.zeros((len(perms), k))
-    for t, p in enumerate(perms):
-        inversions = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
-        signs[t, p[0]] = (-1.0) ** inversions
-    cols.setflags(write=False)
-    signs.setflags(write=False)
-    return cols, signs
-
-
-def _cofactors(X: np.ndarray) -> np.ndarray:
-    """Cofactor vectors of stacked faces X (..., k - 1, k): c[..., j] is
-    (-1)^j times the determinant of X without column j, so that a . c is
-    the determinant of the k x k matrix with row a on top of X. k! products
-    of k - 1 entries each, so for small k."""
-    k = X.shape[-1]
-    cols, signs = _leibniz(k)
-    return X[..., np.arange(k - 1), cols].prod(axis=-1) @ signs
-
-
-def _enumerate_vertices(G, h, box) -> np.ndarray:
-    """Exact slack LPs for a stack of same-shape blocks: rows G (B, r, k),
-    h (B, r) and control boxes (B, k - 1, 2), with d the last of the k
-    variables. Returns the optima (B, k), NaN rows for empty blocks.
-
-    Each k-subset of the constraints, solved as equalities, is a candidate
-    vertex; the feasible candidates are the vertices of the bounded feasible
-    set, and the one with the largest d is optimal. The candidates come in
-    closed form from one table of cofactor vectors, one per face of the
-    subsets (see _faces): a subset's determinant is its first row times the
-    cofactors of the face of its other rows, and its vertex is Cramer's
-    rule, the faces' cofactors weighted by the signed right-hand sides over
-    that determinant. These values select the optimum: the regular subsets,
-    the feasible candidates among them and, of those, the largest d, the
-    first in subset order on ties. Cramer's rule is not backward stable, so
-    the optimum returned is the LU solution of the selected subset. Where
-    several vertices attain the largest d to within rounding, the one
-    selected may depend on that rounding; its d and the verdict do not."""
-    n_blocks, r, k = G.shape
-    bounds, idx = _subsets(r, k)
-    faces, face_of = _faces(r, k)
-    # Unit max-norm rows make the tolerances scale-free.
-    scale = _abs_max(G)
-    scale[scale == 0.0] = 1.0
-    lo, hi = _slack_bounds(box)
-    M = np.concatenate(
-        [G / scale[..., None], np.broadcast_to(bounds, (n_blocks, 2 * k, k))], axis=1)
-    q = np.concatenate([h / scale, -lo, hi], axis=1)
-    # adjugate[:, s, i] is the cofactor vector of subset s's face without
-    # position i: row i of the subset's cofactor matrix, up to (-1)^i.
-    adjugate = _cofactors(M[:, faces])[:, face_of]
-    det = (M[:, idx[:, 0]] * adjugate[:, :, 0]).sum(axis=2)
-    signed_q = q[:, idx] * (-1.0) ** np.arange(k)
-    adjugate_q = (signed_q[..., None] * adjugate).sum(axis=2)
-    regular = np.abs(det) > _SINGULAR_DET
-    z = np.divide(adjugate_q, det[..., None], out=np.zeros_like(adjugate_q),
-                  where=regular[..., None])
-    feasible = regular & np.all(
-        z @ M.transpose(0, 2, 1) <= q[:, None, :] + _FEAS_TOL, axis=2)
-    best = np.where(feasible, z[..., -1], -np.inf).argmax(axis=1)
-    found = np.nonzero(feasible[np.arange(n_blocks), best])[0]
-    rows = idx[best[found]]
-    out = np.full((n_blocks, k), np.nan)
-    out[found] = np.linalg.solve(M[found[:, None], rows],
-                                 q[found[:, None], rows][..., None])[..., 0]
+def _ray_planes(m: int, r: int) -> tuple[np.ndarray, ...]:
+    """The rays of _optima's dual of r rows in m inputs, one per choice of
+    r - 1 of its planes c_k = 0 and y_i = 0: per ray and coordinate j, the
+    plane and column indices (R, r, r - 1, r - 1) of the minor whose
+    determinant is y_j up to the sign (-1)^j, those signs, and masks of the
+    inputs (R, m) and rows (R, r) whose plane is not chosen; then the unit
+    normals of the planes y_i = 0 and the box sides [-I; I] of the inputs."""
+    picks = list(itertools.combinations(range(m + r), r - 1))
+    picks = np.array(picks, dtype=np.intp).reshape(len(picks), r - 1)
+    chosen = np.zeros((len(picks), m + r), dtype=bool)
+    chosen[np.arange(len(picks))[:, None], picks] = True
+    minors = np.array([[i for i in range(r) if i != j] for j in range(r)],
+                      dtype=np.intp).reshape(r, r - 1)
+    eye = np.eye(m, m + 1)
+    out = (np.broadcast_arrays(picks[:, None, :, None], minors[None, :, None, :]),
+           (-1.0) ** np.arange(r), ~chosen[:, :m], ~chosen[:, m:], np.eye(r),
+           np.concatenate([-eye, eye]))
+    for a in (*out[0], *out[1:]):
+        a.setflags(write=False)
     return out
 
 
-def _highs(G, h, box) -> np.ndarray:
-    """The slack LP G z <= h over the bounds of z = (u, d) from the control
-    box, by HiGHS. Returns its optimum. Only a certificate of infeasibility
-    (HiGHS status 2) marks the system empty, with an optimum of NaNs; any
-    other failure raises, since reporting it as empty would certify a reach
-    edge Absent on a solver hiccup."""
-    c = np.zeros(G.shape[1])
-    c[-1] = -1.0
-    lo, hi = _slack_bounds(box)
-    res = linprog(c, A_ub=G if len(h) else None, b_ub=h if len(h) else None,
-                  bounds=np.column_stack([lo, hi]), method="highs", options=_LP_OPTIONS)
-    if res.status == 2:
-        return np.full(G.shape[1], np.nan)
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS failed with status {res.status}: {res.message}")
-    return res.x
+def _optima(G, h, box) -> np.ndarray:
+    """Exact slack LPs max d s.t. G z <= h over the bounds of z = (u, d) for
+    a stack of same-shape systems: rows G (N, r, m + 1), h (N, r) and control
+    boxes (N, m, 2). Returns the optima (N, m + 1), NaN rows for empty
+    systems.
+
+    On rows scaled to unit max-norm, the dual has one variable y_i >= 0 per
+    row. With c = G_u^T y, phi(y) = y . h + sum_k max(-c_k lo_k, -c_k hi_k)
+    and sigma = s . y for the slack column s, the optimum is the least
+    phi / sigma over sigma > 0, capped at DELTA_CAP. phi is linear between
+    the planes c_k = 0 and y_i = 0, so it is enough to look at the rays where
+    r - 1 of them meet (_ray_planes), scaled to sum(y) = 1. A system is
+    empty where its box is inverted by more than _FEAS_TOL or a ray has
+    phi < -_FEAS_TOL: no input of the box then meets every row to within
+    _FEAS_TOL. Otherwise the rays are tried in increasing phi / sigma. By
+    complementary slackness a ray picks the vertex on its rows with y_i > 0,
+    with u_k at lo_k where c_k >= 0 and at hi_k where c_k < 0, except on its
+    planes c_k = 0, where u_k comes from the rows. That subset of m + 1
+    constraints is solved by LU, and the first vertex that meets every row
+    and box side to within _FEAS_TOL is optimal. Among tied optima, the one
+    kept may depend on rounding; its d and the verdict do not.
+
+    A system none of whose rows carries the slack is a plain feasibility
+    check: its input is the vertex with a unit slack on every row, the least
+    violation of its rows, and its d is DELTA_CAP. A system with no vertex
+    kept gets d = 0 where a ray shows that no input reaches the slack
+    TOL_STRICT (phi < TOL_STRICT * sigma); any other raises RuntimeError,
+    since an infeasible or empty verdict would certify a reach edge Absent
+    on a kernel fault."""
+    n_sys, r, k = G.shape
+    m = k - 1
+    lo, hi = box[..., 0], box[..., 1]
+    empty = (lo - hi > _FEAS_TOL).any(axis=1)
+    if not n_sys:
+        return np.empty((0, k))
+    if r == 0:
+        # No rows: the lower corner of the box, at the cap.
+        z = np.concatenate([lo, np.full((n_sys, 1), DELTA_CAP)], axis=1)
+        return np.where(empty[:, None], np.nan, z)
+    minors, signs, fixed, tight, units, sides = _ray_planes(m, r)
+    # Constraints W[..., :k] z <= W[..., k]: the rows scaled to unit
+    # max-norm, then the lower and the upper sides of the input box. d is
+    # never bounded on a ray's vertex.
+    scale = _abs_max(G)
+    scale[scale == 0.0] = 1.0
+    W = np.empty((n_sys, r + 2 * m, k + 1))
+    np.divide(G, scale[..., None], out=W[:, :r, :k])
+    np.divide(h, scale, out=W[:, :r, k])
+    W[:, r:, :k] = sides
+    W[:, r:r + m, k] = -lo
+    W[:, r + m:, k] = hi
+    M, q = W[..., :k], W[..., k]
+    carries_slack = G[..., -1].any(axis=1)
+    W[~carries_slack, :r, m] = 1.0
+
+    normals = np.empty((n_sys, m + r, r))
+    normals[:, :m] = W[:, :r, :m].transpose(0, 2, 1)
+    normals[:, m:] = units
+    y = np.linalg.det(normals[:, minors[0], minors[1]]) * signs
+    y = np.where((y < 0.0).any(axis=-1, keepdims=True), -y, y)
+    ray = (y >= 0.0).all(axis=-1) & (y.max(axis=-1) > _SINGULAR_DET)
+    np.divide(y, y.sum(axis=-1, keepdims=True), out=y, where=ray[..., None])
+    # c, sigma and y . h of every ray.
+    csh = y @ W[:, :r]
+    c = csh[..., :m]
+    phi = np.where(ray, csh[..., k] - np.minimum(c * lo[:, None], c * hi[:, None]).sum(axis=-1),
+                   np.inf)
+    sigma = csh[..., m]
+    empty |= (phi < -_FEAS_TOL).any(axis=1)
+    ratio = np.full(phi.shape, np.inf)
+    np.divide(phi, sigma, out=ratio, where=ray & (sigma > _SINGULAR_DET))
+    order = np.argsort(ratio, axis=1, kind="stable")
+
+    z = np.full((n_sys, k), np.nan)
+    todo = np.flatnonzero(~empty)
+    for rank in range(order.shape[1]):
+        best = order[todo, rank]
+        live = ratio[todo, best] < np.inf
+        todo, best = todo[live], best[live]
+        if not len(todo):
+            break
+        cb, fixed_b = c[todo, best], fixed[best]
+        at_lo = fixed_b & (cb >= 0.0)
+        z[todo] = _ray_vertex(M[todo], q[todo], at_lo, fixed_b, tight[best])
+        failed = np.isnan(z[todo, -1])
+        if not failed.any():
+            break
+        # Where c_k is within _FEAS_TOL of 0 the ray lies on that plane too,
+        # and either side of u_k may hold a vertex of the optimal face.
+        tied = fixed_b & (np.abs(cb) <= _FEAS_TOL) & failed[:, None]
+        if tied.any():
+            for flip in np.array(list(itertools.product((False, True), repeat=m)))[1:]:
+                at = np.flatnonzero(np.isnan(z[todo, -1]) & ~(flip & ~tied).any(axis=1))
+                z[todo[at]] = _ray_vertex(M[todo[at]], q[todo[at]], at_lo[at] ^ flip,
+                                          fixed_b[at], tight[best[at]])
+            failed = np.isnan(z[todo, -1])
+        todo = todo[failed]
+    todo = np.flatnonzero(~empty & np.isnan(z[:, -1]))
+    if len(todo):
+        certified = carries_slack[todo] & (phi[todo] < TOL_STRICT * sigma[todo]).any(axis=1)
+        if not certified.all():
+            raise RuntimeError(f"slack LP: no vertex found for {np.sum(~certified)} systems")
+        z[todo, -1] = 0.0
+    # Without a slack row, d is free up to the cap.
+    z[~carries_slack & ~empty, -1] = DELTA_CAP
+    return z
+
+
+def _ray_vertex(M, q, at_lo, fixed, tight):
+    """The vertices of T rays, NaN rows where one misses some constraint
+    M z <= q by more than _FEAS_TOL: each solves its tight rows (T, r) and
+    the lower or the upper side of each fixed input (at_lo and fixed,
+    (T, m)) as equalities, m + 1 constraints in all. d is capped at
+    DELTA_CAP."""
+    subset = np.concatenate([tight, at_lo, fixed & ~at_lo], axis=1)
+    idx = np.nonzero(subset)[1].reshape(len(M), M.shape[2])
+    t = np.arange(len(M))[:, None]
+    z = np.linalg.solve(M[t, idx], q[t, idx][..., None])[..., 0]
+    z[:, -1] = np.minimum(z[:, -1], DELTA_CAP)
+    kept = ((M @ z[..., None])[..., 0] <= q + _FEAS_TOL).all(axis=1)
+    return np.where(kept[:, None], z, np.nan)

@@ -181,11 +181,11 @@ class GridPartition:
     def locate(self, x) -> int:
         """Cell containing x; points on shared facets resolve to the larger
         multi-index. Points within FACET_TOL of the domain boundary clamp
-        inward."""
+        inward; a NaN coordinate lies in no cell."""
         x = np.asarray(x, dtype=float)
         mi = []
         for d in range(self.dim):
-            if x[d] < self.bounds[d, 0] - FACET_TOL or x[d] > self.bounds[d, 1] + FACET_TOL:
+            if not self.bounds[d, 0] - FACET_TOL <= x[d] <= self.bounds[d, 1] + FACET_TOL:
                 raise OutOfDomainError(
                     f"state coordinate {d} = {x[d]} outside [{self.bounds[d, 0]}, {self.bounds[d, 1]}]"
                 )

@@ -17,6 +17,7 @@ from pwa_nav.planner import IterationRecord
 from pwa_nav.scenario import ScenarioError, parse_scenario
 
 BUNDLED = Path(__file__).parents[1] / "scenarios" / "terrain.json"
+AFFINE_M4 = BUNDLED.with_name("affine_m4.json")
 
 INTEGRATOR_SCENARIO = {
     "dynamics": {
@@ -587,16 +588,17 @@ class TestNegativeSeeds:
 
 
 def test_setup_imports_no_scipy(tmp_path):
-    # SciPy serves only HiGHS, for slack LPs with four or more inputs, and
-    # numpy.ma, which np.unique, np.setdiff1d and np.isin import on first
-    # use, costs some 15 ms: neither the program's import and scenario load
-    # nor a short mission may pay for them.
+    # SciPy is only the tests' reference LP solver, at any number of
+    # inputs, and numpy.ma, which np.unique, np.setdiff1d and np.isin
+    # import on first use, costs some 15 ms: neither the program's import
+    # and scenario load nor a short mission may pay for them.
     path = write_scenario(tmp_path, INTEGRATOR_SCENARIO)
     setup = f"from pwa_nav.scenario import load_scenario\nload_scenario({path!r})\n"
-    plan = (f"pwa_nav.cli.main(['plan', '--scenario', {path!r},"
-            f" '--out', {str(tmp_path / 'o')!r}, '--max-iters', '3'])\n")
+    plans = [(f"pwa_nav.cli.main(['plan', '--scenario', {str(scenario)!r},"
+              f" '--out', {str(tmp_path / name)!r}, '--max-iters', '3'])\n")
+             for name, scenario in (("o", path), ("m4", AFFINE_M4))]
     env = dict(os.environ, PYTHONPATH=str(Path(pwa_nav.__file__).parents[1]))
-    for case in (setup, plan):
+    for case in (setup, *plans):
         code = ("import sys, pwa_nav.cli\n" + case
                 + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
                   " or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")

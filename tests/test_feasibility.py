@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from pwa_nav import feasibility
 from pwa_nav.feasibility import (
@@ -352,8 +354,8 @@ class TestScreen:
     def test_inverted_box(self, m):
         # The orthant of a sign pattern that misses the control box leaves
         # an inverted box. Inverted beyond the LP's tolerance, the screen
-        # settles it INFEASIBLE and the LP, by enumeration or HiGHS, finds it
-        # EMPTY; inverted by less, the screen leaves it to the LP.
+        # settles it INFEASIBLE and the LP finds it EMPTY; inverted by less,
+        # the screen leaves it to the LP.
         box = np.tile([-1.0, 1.0], (2, m, 1))
         box[:, 0] = [[0.5, 0.0], [1e-12, 0.0]]
         stack = SystemStack(np.ones((2, 1, m)), np.full((2, 1), -10.0),
@@ -564,9 +566,22 @@ class TestNonStrictThreshold:
         assert settled_infeasible > 50 and lp_feasible > 100
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Calls of feasibility.linprog, which the kernel never makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "linprog", counting)
+    return calls
+
+
 class TestStackedCore:
-    """decide_stacks over stacks longer than one chunk against one system at
-    a time."""
+    """decide_stacks over stacks of many systems against one system at a
+    time."""
 
     @staticmethod
     def fixed_shape_systems(rng, m, rows, count):
@@ -582,7 +597,6 @@ class TestStackedCore:
     def test_chunked_stacks_match_single_systems(self, m):
         rng = np.random.default_rng(770 + m)
         stacks = [self.fixed_shape_systems(rng, m, rows, 150) for rows in (2, 4)]
-        assert len(stacks[0]) > 2 * feasibility._CHUNK_BLOCKS
         plain = [decide_stacks(SystemStack.of(s), False) for s in stacks]
         balanced = [decide_stacks(SystemStack.of(s), True) for s in stacks]
         screened = [screened_stack(SystemStack.of(s)) for s in stacks]
@@ -595,38 +609,26 @@ class TestStackedCore:
                     assert_same_result(balanced[i].result(t), alone[0])
                 assert_same_result(screened[i].result(t), screened_decision(sys))
 
-    @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(feasibility, "linprog", counting)
-        return calls
-
-    def test_large_stacks_share_one_highs_call(self, lp_calls):
+    def test_four_input_stacks_match_highs(self, lp_calls):
+        # Four inputs take the kernel of fewer, with no linprog call.
         rng = np.random.default_rng(780)
-        stacks = [[sys for sys in self.fixed_shape_systems(rng, 4, rows, 12)
-                   if not reference_verdict(sys, False)[1]] for rows in (1, 3)]
+        stacks = [self.fixed_shape_systems(rng, 4, rows, 12) for rows in (1, 3)]
         results = [decide_stacks(SystemStack.of(s), False) for s in stacks]
-        # One HiGHS LP per system.
-        assert len(lp_calls) == sum(map(len, stacks))
+        assert lp_calls == []
         for systems, decisions in zip(stacks, results):
             for sys, status in zip(systems, decisions.status):
-                assert (status == FEASIBLE) == reference_verdict(sys, False)[0]
+                feasible, empty = reference_verdict(sys, False)
+                assert (status == FEASIBLE) == feasible and (status == EMPTY) == empty
 
     def test_empty_block_leaves_the_others_decided(self, lp_calls):
-        # An empty system beside feasible ones: each gets its own verdict
-        # from its own HiGHS LP.
+        # An empty system beside feasible ones: each gets its own verdict.
         empty = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [-2.0], [False], BOX_4D)
         feasible = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [0.5], [True], BOX_4D)
         for balanced in (False, True):
             decisions = decide_stacks(SystemStack.of([feasible, empty, feasible]), balanced)
             assert (decisions.status == FEASIBLE).tolist() == [True, False, True]
             assert decisions.status[1] == EMPTY
-        assert len(lp_calls) == 6
+        assert lp_calls == []
 
 
 class TestBalanceWitness:
@@ -724,31 +726,35 @@ def degenerate_system(rng, m):
 
 
 class TestHighsOracle:
-    """Vertex enumeration (m <= 3) against one HiGHS linprog per system."""
+    """The slack-LP kernel against one HiGHS linprog per system."""
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_verdicts_match_highs(self, m):
+        # Same verdict, emptiness and, where a row carries the slack, margin
+        # as HiGHS, in both forms.
         rng = np.random.default_rng(700 + m)
         systems = [degenerate_system(rng, m) for _ in range(150)]
         systems += [LinearConstraintSystem(np.zeros((0, m)), [], [],
                                            np.tile([-1.0, 1.0], (m, 1)))]
         if m == 2:
             systems += [random_system(rng) for _ in range(100)]
-        disagreements = 0
+        disagreements = margins = 0
         for sys in systems:
-            res = decide_feasibility(sys)
-            disagreements += res.feasible != reference_verdict(sys, False)[0]
-            if res.feasible:
-                assert substitute(sys, res.witness)
-            res = solve_balanced(sys)
-            feasible, empty = reference_verdict(sys, True)
-            disagreements += (res is None) != empty
-            disagreements += (res is not None and res.feasible) != feasible
-            if res is not None and res.feasible:
-                assert substitute(sys, res.witness)
-        assert disagreements == 0
+            for balanced in (False, True):
+                decided = decide_stacks(SystemStack.of([sys]), balanced)
+                res = decided.result(0)
+                feasible, empty = reference_verdict(sys, balanced)
+                disagreements += res.feasible != feasible
+                disagreements += (decided.status[0] == EMPTY) != empty
+                if res.feasible:
+                    assert substitute(sys, res.witness)
+                if not empty and len(sys.b) and (balanced or sys.strict.any()):
+                    d = highs_max_slack(sys, balanced)
+                    assert abs(res.margin - d) <= 1e-12 * max(1.0, abs(d))
+                    margins += 1
+        assert disagreements == 0 and margins > 80
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_batches_match_highs(self, m):
         rng = np.random.default_rng(710 + m)
         for _ in range(60):
@@ -781,22 +787,40 @@ class TestHighsOracle:
         assert balance_witnesses_batch([sys]) is None
 
 
+# Subsets with a smaller determinant are singular, on rows scaled to unit
+# max-norm.
+REFERENCE_SINGULAR_DET = 1e-12
+
+
+def reference_subsets(n_rows, k):
+    """Constraint matrix of the k variable bounds, (2k, k) as [-I; I], and
+    every k-subset of the n_rows + 2k constraints (rows, then lower, then
+    upper bounds) in lexicographic order, less those holding both bounds of
+    one variable."""
+    idx = [c for c in itertools.combinations(range(n_rows + 2 * k), k)
+           if not any(n_rows + j in c and n_rows + k + j in c for j in range(k))]
+    return np.concatenate([-np.eye(k), np.eye(k)]), np.array(idx, dtype=np.intp).reshape(-1, k)
+
+
 def reference_enumerate(G, h, box):
-    """The slack-LP kernel with a determinant and an LU solve of every
-    k-subset, as _enumerate_vertices computed it before its cofactor pass.
-    Returns the optima (B, k), NaN rows for empty blocks, and, per block,
-    whether its optimum is the only feasible candidate within 1e-12
-    (relative) of the largest d."""
+    """The slack LP by vertex enumeration: a determinant and an LU solve of
+    every k-subset of the constraints, the feasible candidate with the
+    largest d optimal, the first in subset order on ties. Returns the optima
+    (B, k), NaN rows for empty blocks, and, per block, whether its optimum
+    is the only feasible candidate within 1e-12 (relative) of the largest
+    d."""
     n_blocks, r, k = G.shape
-    bounds, idx = feasibility._subsets(r, k)
+    bounds, idx = reference_subsets(r, k)
     scale = np.abs(G).max(axis=2, initial=0.0)
     scale[scale == 0.0] = 1.0
-    lo, hi = feasibility._slack_bounds(box)
+    pad = np.zeros((n_blocks, 1))
+    lo = np.concatenate([box[..., 0], pad], axis=1)
+    hi = np.concatenate([box[..., 1], pad + DELTA_CAP], axis=1)
     M = np.concatenate(
         [G / scale[..., None], np.broadcast_to(bounds, (n_blocks, 2 * k, k))], axis=1)
     q = np.concatenate([h / scale, -lo, hi], axis=1)
     sub = M[:, idx]
-    regular = np.abs(np.linalg.det(sub)) > feasibility._SINGULAR_DET
+    regular = np.abs(np.linalg.det(sub)) > REFERENCE_SINGULAR_DET
     where = np.nonzero(regular)
     z = np.zeros(regular.shape + (k,))
     z[where] = np.linalg.solve(sub[where], q[:, idx][where][..., None])[..., 0]
@@ -819,46 +843,42 @@ def gaussian_system(rng, m, rows):
 
 
 def axis_system(rng, m, rows):
-    """Rows of 0 and +-1 entries with dyadic right-hand sides over [-1, 1]^m:
-    every candidate vertex is exact in either kernel, so ties in d are
-    exact too."""
+    """Rows of 0 and +-1 entries with dyadic right-hand sides over [-1, 1]^m,
+    where many vertices tie in d."""
     return LinearConstraintSystem(rng.integers(-1, 2, size=(rows, m)).astype(float),
                                   rng.integers(-6, 7, size=rows) / 4.0,
                                   rng.random(rows) < 0.5, np.tile([-1.0, 1.0], (m, 1)))
 
 
 class TestCofactorKernel:
-    """_enumerate_vertices against reference_enumerate."""
+    """The slack-LP kernel, feasibility._optima, against reference_enumerate."""
 
     @staticmethod
     def stacks(m):
-        """(exact, stack) pairs: stacks of degenerate, Gaussian and
-        axis-aligned systems, of two row counts, one chunk long and longer."""
+        """Stacks of degenerate, Gaussian and axis-aligned systems, of
+        three row counts, short and long."""
         rng = np.random.default_rng(790 + m)
-        for count in (5, 3 * feasibility._CHUNK_BLOCKS // 2):
-            for rows in (2, 5):
-                yield False, SystemStack.of(TestStackedCore.fixed_shape_systems(rng, m, rows, count))
-                yield False, SystemStack.of([gaussian_system(rng, m, rows) for _ in range(count)])
-                yield True, SystemStack.of([axis_system(rng, m, rows) for _ in range(count)])
+        for count in (5, 100):
+            for rows in (2, 3, 5):
+                yield SystemStack.of(TestStackedCore.fixed_shape_systems(rng, m, rows, count))
+                yield SystemStack.of([gaussian_system(rng, m, rows) for _ in range(count)])
+                yield SystemStack.of([axis_system(rng, m, rows) for _ in range(count)])
 
     @pytest.mark.parametrize("balanced", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_reference(self, m, balanced):
         unique = 0
-        for exact, stack in self.stacks(m):
+        for stack in self.stacks(m):
             G, h = feasibility._slack_rows(stack.A, stack.b, stack.strict, balanced)
-            z = feasibility._enumerate_vertices(G, h, stack.box)
+            z = feasibility._optima(G, h, stack.box)
             ref, ref_unique = reference_enumerate(G, h, stack.box)
             empty = np.isnan(ref[:, -1])
-            assert np.array_equal(np.isnan(z), np.isnan(ref))
+            assert np.array_equal(np.isnan(z[:, -1]), empty)
             d, d_ref = z[~empty, -1], ref[~empty, -1]
             assert np.all(np.abs(d - d_ref) <= 1e-12 * np.maximum(1.0, np.abs(d_ref)))
             # The same LU solve of the same subset wherever the optimum is
-            # unique; exact candidates also tie exactly, and both kernels
-            # then pick the first subset in order.
+            # unique.
             assert np.array_equal(z[ref_unique], ref[ref_unique])
-            if exact:
-                assert np.array_equal(z, ref, equal_nan=True)
             unique += ref_unique.sum()
             decisions = decide_stacks(stack, balanced)
             for t in np.flatnonzero(decisions.status == FEASIBLE):
@@ -871,18 +891,8 @@ BOX_4D = np.tile([-1.0, 1.0], (4, 1))
 
 
 class TestHighsPath:
-    """Four or more control inputs still go through HiGHS."""
-
-    @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(feasibility, "linprog", counting)
-        return calls
+    """Four or more control inputs, once HiGHS LPs, take the kernel of
+    fewer; HiGHS is the oracle."""
 
     def test_m4_both_forms(self, lp_calls):
         rng = np.random.default_rng(740)
@@ -896,7 +906,7 @@ class TestHighsPath:
             assert (res is not None and res.feasible) == reference_verdict(sys, True)[0]
             if res is not None and res.feasible:
                 assert substitute(sys, res.witness)
-        assert len(lp_calls) == 60
+        assert lp_calls == []
 
     def test_m4_known_systems(self, lp_calls):
         sys = LinearConstraintSystem([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
@@ -908,22 +918,22 @@ class TestHighsPath:
         empty = LinearConstraintSystem([[1.0, 0.0, 0.0, 0.0]], [-2.0], [False], BOX_4D)
         assert decide_feasibility(empty).margin == 0.0
         assert solve_balanced(empty) is None
-        assert len(lp_calls) == 4
+        assert lp_calls == []
 
     def test_mixed_batch_matches_single_solves(self, lp_calls):
         rng = np.random.default_rng(750)
         systems = [degenerate_system(rng, m) for m in (2, 4, 3, 4, 1)]
         systems = [s for s in systems if reference_verdict(s, True)[1] is False]
         batches = [(group, balance_witnesses_batch(group)) for group in by_shape(systems)]
-        assert len(lp_calls) == sum(sys.dim > 3 for sys in systems)
         for group, batch in batches:
             assert batch is not None
             for sys, res in zip(group, batch):
                 assert res.feasible == solve_balanced(sys).feasible
+        assert lp_calls == []
 
     def test_small_systems_skip_highs(self, lp_calls):
         rng = np.random.default_rng(760)
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4, 5, 6):
             sys = degenerate_system(rng, m)
             decide_feasibility(sys)
             balance_witnesses_batch([sys, sys])
@@ -931,23 +941,164 @@ class TestHighsPath:
 
 
 class TestSolverFailure:
-    """A HiGHS failure other than infeasibility must never certify an empty
-    system, since that would report a reach edge Absent."""
+    """A kernel fault, here no ray's vertex kept, must never certify a
+    system empty or infeasible unless the dual does, since that would
+    report a reach edge Absent."""
 
     @pytest.fixture(autouse=True)
-    def failing_highs(self, monkeypatch):
-        def numerical_difficulties(*args, **kwargs):
-            return OptimizeResult(status=4, success=False, x=None,
-                                  message="numerical difficulties")
-
-        monkeypatch.setattr(feasibility, "linprog", numerical_difficulties)
+    def no_vertex(self, monkeypatch):
+        monkeypatch.setattr(feasibility, "_ray_vertex",
+                            lambda M, q, *masks: np.full(M.shape[::2], np.nan))
 
     def test_decide_feasibility_raises(self):
         sys = LinearConstraintSystem([[1.0, 1.0, 0.0, 0.0]], [1.0], [True], BOX_4D)
-        with pytest.raises(RuntimeError, match="status 4"):
+        with pytest.raises(RuntimeError, match="no vertex"):
+            decide_feasibility(sys)
+        # A plain feasibility check, no row carrying the slack.
+        sys = LinearConstraintSystem([[1.0, 1.0]], [1.0], [False], BOX_2D)
+        with pytest.raises(RuntimeError, match="no vertex"):
             decide_feasibility(sys)
 
     def test_balance_batch_raises(self):
         sys = LinearConstraintSystem([[1.0, 1.0, 0.0, 0.0]], [1.0], [True], BOX_4D)
-        with pytest.raises(RuntimeError, match="status 4"):
+        with pytest.raises(RuntimeError, match="no vertex"):
             balance_witnesses_batch([sys])
+
+    def test_dual_certified_infeasibility_stands(self):
+        # u1 + u2 > 2 - TOL_STRICT / 2 misses TOL_STRICT by the dual alone:
+        # infeasible with margin 0, not empty, whatever the vertices do.
+        sys = LinearConstraintSystem([[1.0, 1.0]], [2.0 - TOL_STRICT / 2], [True], BOX_SMALL)
+        decided = decide_stacks(SystemStack.of([sys]), False)
+        assert decided.status.tolist() == [INFEASIBLE] and decided.margin.tolist() == [0.0]
+
+
+# A 3-D vertex system of the affine scenario with box [-1, 1]^3 (the
+# balanced LP of an exit row and two invariance rows): G[2, 0] = -2.2e-16
+# makes its two best rays tie, and the first one's vertex misses a row.
+TIED_3D = (np.array([[0.09999999999999995, 0.9999999999999989, 0.19999999999999998, 1.0],
+                     [0.9999999999999993, 0.29999999999999966, -0.19999999999999962, 1.0],
+                     [-2.213570490086197e-16, 0.09999999999999927, -0.9999999999999999, 1.0]]),
+           np.array([-0.05999999999955932, 0.1499999999995786, -0.2900000000000097]))
+
+
+class TestDualKernel:
+    """feasibility._optima at its edges: ties, the _FEAS_TOL and TOL_STRICT
+    thresholds, and systems without rows, without a slack row or at the
+    cap."""
+
+    def test_tied_3d_system(self, monkeypatch):
+        G, h = (a[None] for a in TIED_3D)
+        box = np.tile([-1.0, 1.0], (1, 3, 1))
+        solves = []
+        ray_vertex = feasibility._ray_vertex
+
+        def counting(M, q, *masks):
+            solves.append(len(M))
+            return ray_vertex(M, q, *masks)
+
+        monkeypatch.setattr(feasibility, "_ray_vertex", counting)
+        z = feasibility._optima(G, h, box)
+        assert solves == [1, 1]
+        ref, _ = reference_enumerate(G, h, box)
+        assert abs(z[0, -1] - ref[0, -1]) <= 1e-12 and z[0, -1] > TOL_STRICT
+        assert np.all(G[0] @ z[0] <= h[0] + 1e-9)
+
+    # Violations of a non-strict row's least value over the box, in units
+    # of _FEAS_TOL * max |a_i|.
+    VIOLATIONS = [0.0, 0.5, 0.99, 1.01, 2.0]
+
+    @pytest.mark.parametrize("a, box", [([1.0, -2.5], [[-2.0, 3.0], [-1.0, 1.0]]),
+                                        ([0.3], [[-1.0, 1.0]]),
+                                        ([0.1, 0.2, -0.3, 0.4], [[-1.0, 1.0]] * 4)])
+    def test_non_strict_row_tolerance(self, a, box):
+        # One non-strict row is met to within _FEAS_TOL of its largest
+        # coefficient or the system is empty. Alone it is a plain
+        # feasibility check. With the strict row u_1 > lo_1 - 1, whose slack
+        # is 1 at the row's least point, a row that no input meets exactly
+        # may come out infeasible, but never empty.
+        a, box = np.array(a), np.array(box)
+        least = sum(min(c * l, c * h) for c, (l, h) in zip(a, box))
+        strict_row = np.zeros_like(a)
+        strict_row[0] = 1.0
+        for v in self.VIOLATIONS:
+            rhs = least - v * feasibility._FEAS_TOL * np.abs(a).max()
+            alone = decide_stacks(SystemStack.of(
+                [LinearConstraintSystem([a], [rhs], [False], box)]), False)
+            both = decide_stacks(SystemStack.of([LinearConstraintSystem(
+                [a, strict_row], [rhs, box[0, 0] - 1.0], [False, True], box)]), False)
+            if v > 1.0:
+                assert alone.status.tolist() == both.status.tolist() == [EMPTY]
+                continue
+            assert alone.status.tolist() == [FEASIBLE] and alone.margin.tolist() == [DELTA_CAP]
+            assert both.status.tolist() != [EMPTY]
+            if v == 0.0:
+                assert both.status.tolist() == [FEASIBLE]
+                assert both.margin[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_rows_share_the_tolerance(self):
+        # u1 <= 0.3 and u1 >= 0.3 + v * _FEAS_TOL: the input halfway
+        # violates each row by v / 2 * _FEAS_TOL, within the tolerance for
+        # v < 2.
+        for v, status in ((0.5, FEASIBLE), (1.5, FEASIBLE), (2.5, EMPTY)):
+            sys = LinearConstraintSystem([[1.0, 0.0], [-1.0, 0.0]],
+                                         [0.3, -0.3 - v * feasibility._FEAS_TOL],
+                                         [False, False], BOX_SMALL)
+            decided = decide_stacks(SystemStack.of([sys]), False)
+            assert decided.status.tolist() == [status]
+            if status == FEASIBLE:
+                u = decided.witness[0, 0]
+                assert 0.3 - feasibility._FEAS_TOL <= u <= 0.3 + (v + 1) * feasibility._FEAS_TOL
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_balanced_threshold(self, m):
+        # Balanced systems whose optimal uniform slack, moved by shifting
+        # every right-hand side, lies within six ulps of TOL_STRICT: the
+        # kernel's verdict is the enumeration's on either side.
+        rng = np.random.default_rng(830 + m)
+        systems = [gaussian_system(rng, m, 2) for _ in range(300)]
+        for sys in systems:
+            sys.A /= np.abs(sys.A).max(axis=1, keepdims=True)
+        stack = SystemStack.of(systems)
+        G, h = feasibility._slack_rows(stack.A, stack.b, stack.strict, True)
+        d = reference_enumerate(G, h, stack.box)[0][:, -1]
+        keep = np.isfinite(d) & (d < 1.0)
+        shift = np.array(ulps_around(TOL_STRICT, 6))[rng.integers(13, size=keep.sum())] - d[keep]
+        sign = np.where(stack.strict[keep], -1.0, 1.0)
+        moved = SystemStack(stack.A[keep], stack.b[keep] + sign * shift[:, None],
+                            stack.strict[keep], stack.box[keep])
+        G, h = feasibility._slack_rows(moved.A, moved.b, moved.strict, True)
+        ref, unique = reference_enumerate(G, h, moved.box)
+        got = decide_stacks(moved, True)
+        want = np.where(np.isnan(ref[:, -1]), EMPTY,
+                        np.where(ref[:, -1] > TOL_STRICT, FEASIBLE, INFEASIBLE))
+        assert np.array_equal(got.status[unique], want[unique])
+        assert np.all(np.abs(got.margin - TOL_STRICT) < 1e-15)
+        assert 20 < np.sum(want[unique] == FEASIBLE) < unique.sum() - 20
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_no_rows_no_slack_rows_and_cap(self, m):
+        # Verdicts and margins as the enumeration's: no rows at all, only
+        # non-strict rows in the strict-slack form, and strict rows that the
+        # box meets by more than DELTA_CAP.
+        rng = np.random.default_rng(850 + m)
+        box = np.tile([-1.0, 1.0], (m, 1))
+        stacks = [SystemStack.of([LinearConstraintSystem(np.zeros((0, m)), [], [], box)])]
+        for rows in (1, 2, 3):
+            plain = [gaussian_system(rng, m, rows) for _ in range(50)]
+            stacks.append(SystemStack.of([LinearConstraintSystem(s.A, s.b, np.zeros(rows, bool), box)
+                                          for s in plain]))
+            stacks.append(SystemStack.of([LinearConstraintSystem(s.A, s.b - 3e6 * s.strict, s.strict,
+                                                                 box) for s in plain]))
+        for stack in stacks:
+            G, h = feasibility._slack_rows(stack.A, stack.b, stack.strict, False)
+            ref = reference_enumerate(G, h, stack.box)[0]
+            want = feasibility._decisions(ref, G[..., -1].any(axis=1), stack.box)
+            got = decide_stacks(stack, False)
+            assert np.array_equal(got.status, want.status)
+            assert np.array_equal(got.margin, want.margin)
+            # Witnesses meet the non-strict rows to within _FEAS_TOL times
+            # their largest coefficient.
+            for t in np.flatnonzero(got.status == FEASIBLE):
+                A, b, loose = stack.A[t], stack.b[t], ~stack.strict[t]
+                assert np.all(A[loose] @ got.witness[t] - b[loose]
+                              <= feasibility._FEAS_TOL * np.abs(A[loose]).max(axis=1))

@@ -298,6 +298,12 @@ class TestLocate:
         with pytest.raises(OutOfDomainError):
             part.locate((11.0, 0.0))
 
+    @pytest.mark.parametrize("x", [(np.nan, 1.0), (np.nan, np.nan), (1.0, np.nan)])
+    def test_nan_state_out_of_domain(self, x):
+        part = GridPartition([[0, 4], [0, 4]], (4, 4))
+        with pytest.raises(OutOfDomainError, match="coordinate"):
+            part.locate(x)
+
     def test_domain_boundary_clamps_inward(self):
         part = GridPartition([[0, 2], [0, 2]], (2, 2))
         cid = part.locate((2.0, 2.0))

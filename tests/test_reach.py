@@ -584,16 +584,16 @@ def assert_same_decision(got, want):
 
 
 @pytest.fixture
-def chunk_sizes(monkeypatch):
-    """The number of systems in each vertex enumeration, in call order."""
+def kernel_sizes(monkeypatch):
+    """The number of systems in each slack-LP kernel call, in call order."""
     sizes = []
-    enumerate_vertices = feasibility._enumerate_vertices
+    optima = feasibility._optima
 
     def recording(G, h, box):
         sizes.append(len(G))
-        return enumerate_vertices(G, h, box)
+        return optima(G, h, box)
 
-    monkeypatch.setattr(feasibility, "_enumerate_vertices", recording)
+    monkeypatch.setattr(feasibility, "_optima", recording)
     return sizes
 
 
@@ -611,8 +611,7 @@ class TestBatchedDecisions:
     """A batch of edges decides each edge exactly as the edge alone and as
     the one-edge reference rules do.
 
-    Each batch holds its edges REPEATS times, so that some pass solves more
-    than _CHUNK_BLOCKS systems of one shape, and every copy of an edge must
+    Each batch holds its edges REPEATS times, and every copy of an edge must
     come out the same."""
 
     REPEATS = 3
@@ -649,7 +648,7 @@ class TestBatchedDecisions:
             out.append((cell, int(rng.integers(2 * cell.dim)), model, bounds, box))
         return out
 
-    def test_predictions_match_single_edges(self, chunk_sizes):
+    def test_predictions_match_single_edges(self):
         statuses = set()
         for box, group in batches(self.items(20, 240)):
             batch = predict_exit_facets([item[:4] for item in group] * self.REPEATS, box)
@@ -661,9 +660,8 @@ class TestBatchedDecisions:
                 assert got is reference_predict(cell, facet, model, bounds, box)
                 statuses.add(got)
         assert statuses == set(ReachStatus)
-        assert feasibility._CHUNK_BLOCKS in chunk_sizes
 
-    def test_definitive_decisions_match_single_edges(self, chunk_sizes):
+    def test_definitive_decisions_match_single_edges(self):
         statuses = set()
         for box, group in batches(self.items(21, 240)):
             group = [item[:3] for item in group]
@@ -675,7 +673,6 @@ class TestBatchedDecisions:
                 assert_same_decision(got, reference_decide(cell, facet, model, box))
                 statuses.add(got.status)
         assert statuses == {ReachStatus.EXISTS, ReachStatus.ABSENT}
-        assert feasibility._CHUNK_BLOCKS in chunk_sizes
 
     def test_empty_batches(self):
         assert decide_exit_facets([], BOX) == []
@@ -697,8 +694,7 @@ class TestOrthantsMatchSignRows:
     every edge as the sign rows u_k > 0 (s_k > 0), u_k <= 0 (s_k < 0) over
     the whole box did: a sign-row solution lies in the orthant, and the
     closed orthants cover every input. Boxes that exclude 0 (some orthants
-    miss them) and zero-width axes are among the draws; m = 4 goes to
-    HiGHS."""
+    miss them) and zero-width axes are among the draws, and m = 4 too."""
 
     CELLS = [Polytope.box([0.5], [1.5]), UNIT_SQUARE, Polytope.box([2.0, -1.0], [3.0, 0.5]),
              Polytope.box([-1.0, 0.0, 0.5], [0.0, 1.0, 1.5])]
@@ -750,7 +746,7 @@ class TestOrthantsMatchSignRows:
         statuses = self.assert_same_statuses(self.batches(40, 24, 12, [1, 2, 3]))
         assert statuses == set(ReachStatus)
 
-    def test_four_inputs_through_highs(self):
+    def test_four_inputs(self):
         assert self.assert_same_statuses(self.batches(46, 2, 3, [4])) == set(ReachStatus)
 
 
@@ -846,14 +842,14 @@ class TestSolvedSystems:
     and a verdict may need, and build expanded systems only where the
     predictive rule may read them."""
 
-    def test_empty_first_vertex_ends_the_definitive_walk(self, chunk_sizes):
+    def test_empty_first_vertex_ends_the_definitive_walk(self, kernel_sizes):
         # No input at all, and a drift of -1 along the exit normal at the
         # vertices with x1 = 0: the exit row 0 > 1 of vertex 0 is empty
         # even relaxed, while vertices 2 and 3 drift outward.
         model = AffineModel(np.diag([2.0, 0.0]), np.zeros((2, 2)), [-1.0, 0.0], np.zeros(2))
         decision = decide_exit_facets([(UNIT_SQUARE, EXIT_RIGHT, model)], BOX)[0]
         assert decision.status is ReachStatus.ABSENT
-        assert sum(chunk_sizes) == 1
+        assert sum(kernel_sizes) == 1
 
     @staticmethod
     def closed_form(cell, facet, j, model, bounds, box, tighten):
@@ -871,7 +867,7 @@ class TestSolvedSystems:
         # pattern stack, built only where some vertex is open, takes one
         # strict-slack decide_stacks call.
         calls, solved = [], []
-        decide, enumerate_vertices = reach.decide_stacks, feasibility._enumerate_vertices
+        decide, optima = reach.decide_stacks, feasibility._optima
 
         def counting(stack, balanced):
             calls.append(balanced)
@@ -879,10 +875,10 @@ class TestSolvedSystems:
 
         def recording(G, h, box):
             solved.extend(G)
-            return enumerate_vertices(G, h, box)
+            return optima(G, h, box)
 
         monkeypatch.setattr(reach, "decide_stacks", counting)
-        monkeypatch.setattr(feasibility, "_enumerate_vertices", recording)
+        monkeypatch.setattr(feasibility, "_optima", recording)
 
         def open_patterns(systems):
             return [sys for sys in systems if screen_feasibility(sys) is None]
