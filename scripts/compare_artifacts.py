@@ -8,12 +8,14 @@ Runs, with each checkout's own src/ on PYTHONPATH, `plan` on the benchmark's
 terrain_mission window at the seeds mission_seeds(REFERENCE_SEED, 8) and at
 HELD_OUT_SEED (both from perfbench/run.py), `plan` on the bundled scenario,
 `truth-graph` on it, `plan --max-iters 10` on it with an 80 x 80 grid, the
-grid-scaling point where graph writing costs the most, and `plan
---max-iters 30` on the affine scenario with four control inputs
-(scenarios/affine_m4.json), where the pattern screen rules systems out.
-Both checkouts get the same scenario files, taken from this one. Prints, per
-output file and per exit code, whether the two checkouts wrote the same
-bytes. Exits 0 when every file is identical, 1 otherwise.
+grid-scaling point where graph writing costs the most, `plan --max-iters 30`
+on the affine scenario with four control inputs (scenarios/affine_m4.json),
+where the most pattern systems reach the LP kernel, and `plan --max-iters
+40` on the 10 x 10 x 10 affine scenario (scenarios/affine3d.json), whose
+vertex systems have three rows. Both checkouts get the same scenario files,
+taken from this one. Prints, per output file and per exit code, whether the
+two checkouts wrote the same bytes. Exits 0 when every file is identical, 1
+otherwise.
 """
 
 import argparse
@@ -55,6 +57,8 @@ def runs(scratch: Path) -> dict[str, list[str]]:
     out["grid80"] = ["plan", "--scenario", str(fine_path), "--max-iters", "10"]
     m4_path = ROOT / "scenarios" / "affine_m4.json"
     out["m4"] = ["plan", "--scenario", str(m4_path), "--max-iters", "30"]
+    out["affine3d"] = ["plan", "--scenario", str(ROOT / "scenarios" / "affine3d.json"),
+                       "--max-iters", "40"]
     return out
 
 

@@ -1,10 +1,11 @@
 """Command-line entry points: plan | truth-graph | sysid-check.
 
 Exit codes: 0 target reached, 1 bad scenario or option (usage errors too),
-2 stuck, 3 iteration cap, 4 identification failed. The commands let
-ScenarioError, WeightOverflowError (a gamma too large to search with),
-OptionError and IdentificationError propagate; main alone turns them into
-exit codes 1, 1, 1 and 4."""
+2 stuck (no path, or a transit state that is not finite), 3 iteration cap,
+4 identification failed. The commands let ScenarioError,
+WeightOverflowError (a gamma too large to search with), OptionError and
+IdentificationError propagate; main alone turns them into exit codes 1, 1,
+1 and 4."""
 
 from __future__ import annotations
 

@@ -7,20 +7,15 @@ u in the control box. A SystemStack holds N systems of one shape as (N, r, m)
 / (N, r) / (N, r) / (N, m, 2) arrays, and the exact slack LP of every system
 of a stack, each system by itself (decide_stacks), gives one
 Decisions(status, witness, margin) of arrays: status FEASIBLE, INFEASIBLE or
-EMPTY (the slack LP has no point at all). Before it, _screen, one NumPy pass
-of interval arithmetic over a stack, may rule systems out: it marks
-INFEASIBLE the systems that no input of the box satisfies, by a margin
-beyond the LP's rounding of each threshold, and leaves every other system
-OPEN; it never calls a system feasible. The predictive reach rule settles
-most vertices in closed form before any pattern stack exists; it screens
-the pattern stack of the others once and sends its OPEN systems to one
-decide_stacks call. A system's box may be inverted (a sign pattern's
-orthant that misses the control box); inverted beyond _FEAS_TOL, the screen
-rules it out and the LP finds it EMPTY.
+EMPTY (the slack LP has no point at all). The predictive reach rule settles
+most vertices in closed form before any pattern stack exists, and sends the
+pattern stack of the others to one decide_stacks call. A system's box may be
+inverted (a sign pattern's orthant that misses the control box); inverted
+beyond _FEAS_TOL, the LP finds it EMPTY.
 decide_feasibility (strict-slack LP of one system) and
 balance_witnesses_batch (balanced LP of several systems of one shape) are
 views that stack their systems and read each entry of the Decisions as a
-FeasibilityResult; screen_feasibility is the screen of one system.
+FeasibilityResult.
 
 Strict inequalities are certified by slack maximization: the system is
 feasible iff the maximal common slack of the strict rows exceeds TOL_STRICT,
@@ -56,19 +51,19 @@ _FEAS_TOL = 1e-9
 # and unit vectors): where all are below this, the planes are dependent up
 # to rounding, and so is a ray's slack sum below it.
 _SINGULAR_DET = 1e-12
-# The exact LP's slack differs from the screen's interval slack of the same
-# row by rounding: at most 0.6 ulp of the row's magnitude (the sum of its
-# largest terms over the box and |b|) on 3,000 random one-row systems. The
-# screen leaves rows this much closer to its thresholds to the LP.
-_SCREEN_ROUNDING = 1e-12
 
 
-# Unused here; the benchmark tracer (perfbench/tracer.py) wraps this binding.
+# Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first use."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
+
+
+def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
+    """None: no screen rules a system out ahead of the LP."""
+    return None
 
 
 def as_control_box(box) -> np.ndarray:
@@ -116,8 +111,8 @@ class FeasibilityResult:
     margin: float
 
 
-# Status of one system: OPEN (not decided) comes only from the screen and
-# reach's closed form, never from the LP.
+# Status of one system: OPEN (not decided) comes only from reach's closed
+# form, never from the LP.
 OPEN, FEASIBLE, INFEASIBLE, EMPTY = 0, 1, 2, 3
 
 
@@ -201,14 +196,6 @@ def balance_witnesses_batch(
     return [decided.result(i) for i in range(len(systems))]
 
 
-def screen_feasibility(sys: LinearConstraintSystem) -> FeasibilityResult | None:
-    """The interval screen of one system (see _screen): infeasible with
-    margin 0 where it rules the system out, else None."""
-    if _screen(SystemStack.of([sys]))[0] == INFEASIBLE:
-        return FeasibilityResult(False, None, 0.0)
-    return None
-
-
 def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
     """The exact slack LP of every system of a stack: the balanced LP of
     balance_witnesses_batch where balanced, else the strict-slack LP of
@@ -217,59 +204,10 @@ def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
     return _decisions(_optima(G, h, stack.box), G[..., -1].any(axis=1), stack.box)
 
 
-def _screen(stack: SystemStack) -> np.ndarray:
-    """Cheap interval screen of every system in a stack, (N,): INFEASIBLE
-    where the box is inverted or some row is unsatisfiable over the box,
-    OPEN elsewhere. The row must miss its threshold by more than the exact
-    LP's rounding, so that the screen rules out only systems the LP finds
-    infeasible or empty. Sums run term by term, in the order of the scalar
-    reference walk, so the two agree to the bit."""
-    A, b, strict, box = stack
-    constant = reduce(np.logical_and, [A[..., k] == 0.0 for k in range(A.shape[2])])
-    # A constant non-strict row 0 <= rhs is satisfiable iff rhs >= 0, and the
-    # LP accepts it up to _FEAS_TOL. Constant strict rows follow the general
-    # strict rule below.
-    infeasible = np.any(constant & ~strict & (b < -_FEAS_TOL), axis=1)
-    # Box sides are unit rows once the LP scales them, and it lets a vertex
-    # pass each by up to _FEAS_TOL: a box inverted by less is left to the LP.
-    lo, hi = box[..., 0], box[..., 1]
-    infeasible |= np.any(_inverted(lo, hi), axis=1)
-
-    # Row-wise interval bounds over the box. A strict row's largest
-    # slack reach_hi - b is compared with TOL_STRICT, as the LP compares its
-    # slack; a non-strict row's least violation reach_lo - b with the
-    # _FEAS_TOL times its largest coefficient that the LP lets a vertex
-    # violate it by. The LP reaches either by elimination, which rounds
-    # differently, so a row settles infeasibility only when it misses its
-    # threshold by _SCREEN_ROUNDING times the row's magnitude.
-    at_lo, at_hi = A * lo[:, None, :], A * hi[:, None, :]
-    reach_hi = _ordered_sum(np.maximum(at_lo, at_hi))
-    reach_lo = _ordered_sum(np.minimum(at_lo, at_hi))
-    size = _ordered_sum(np.maximum(np.abs(at_lo), np.abs(at_hi))) + np.abs(b)
-    unreachable = reach_hi - b <= TOL_STRICT - _SCREEN_ROUNDING * size
-    violated = reach_lo - b > _FEAS_TOL * _abs_max(A) + _SCREEN_ROUNDING * size
-    infeasible |= np.any(np.where(strict, unreachable, ~constant & violated), axis=1)
-    return np.where(infeasible, INFEASIBLE, OPEN)
-
-
-def _inverted(lo, hi):
-    """Whether box sides [lo, hi] are inverted by more than the screen
-    leaves to the LP (see _screen)."""
-    return lo - hi > _FEAS_TOL + _SCREEN_ROUNDING * (np.abs(lo) + np.abs(hi))
-
-
 def _abs_max(A: np.ndarray) -> np.ndarray:
     """np.abs(A).max(axis=-1), exactly, as a loop over the few entries of
     the last axis, which is quicker than NumPy's reduction over it."""
     return reduce(np.maximum, [np.abs(A[..., k]) for k in range(A.shape[-1])])
-
-
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis from the left, as Python's sum() adds."""
-    total = np.zeros(terms.shape[:-1])
-    for k in range(terms.shape[-1]):
-        total = total + terms[..., k]
-    return total
 
 
 def _slack_rows(A, b, strict, balanced: bool):
@@ -352,8 +290,11 @@ def _optima(G, h, box) -> np.ndarray:
     m = k - 1
     lo, hi = box[..., 0], box[..., 1]
     empty = (lo - hi > _FEAS_TOL).any(axis=1)
-    if not n_sys:
-        return np.empty((0, k))
+    # An input inverted by at most _FEAS_TOL is solved as the point lo,
+    # which meets both of its sides to within _FEAS_TOL. Solved with both
+    # sides, a ray may put it at hi, off the optimum, from where the rows
+    # can carry the other inputs far outside the box.
+    hi = np.maximum(lo, hi)
     if r == 0:
         # No rows: the lower corner of the box, at the cap.
         z = np.concatenate([lo, np.full((n_sys, 1), DELTA_CAP)], axis=1)

@@ -6,7 +6,8 @@ sources get predictions anchored at the nearest explored cell. Each refresh
 collects every edge it must (re)decide and decides them as two batches, one
 definitive and one predictive, each of which reach decides over stacked
 vertex systems: the definitive batch in passes over the edges still open,
-the predictive one as one screen and one LP call per pattern stack.
+the predictive one in closed form where it can, and as one LP call per
+pattern stack elsewhere.
 Uncertain edges are weighted by proximity to the explored region, scaled
 by gamma, for every destination cell in one array pass per refresh.
 """

@@ -7,7 +7,9 @@ STUCK_RETRY_LIMIT times gets its edge overridden to Absent as an empirical,
 uncertified exclusion. A transit times out after TRANSIT_TIMEOUT_FACTOR
 times its closed-form transit-time bound, and after MAX_TRANSIT_STEPS
 integration steps at the latest: the bound grows without limit as the
-certified exit flow falls to TOL_STRICT.
+certified exit flow falls to TOL_STRICT. A transit whose exit state is not
+finite (its state overflowed) ends the mission STUCK: no transit can start
+from it.
 """
 
 from __future__ import annotations
@@ -154,6 +156,12 @@ def run_mission(scenario, max_iterations: int = 400, seed: int | None = None) ->
             trajectory.append((t + ts, xs, us, current))
         t += rec.exit_time
         x = rec.exit_state
+        if not np.all(np.isfinite(x)):
+            _append(records, IterationRecord(
+                iteration, current, identified_now, path, (current, nxt), "non_finite_state",
+                rec.exit_facet, facet, rec.exit_time, residual))
+            status = MissionStatus.STUCK
+            break
 
         if rec.outcome is ExitOutcome.TIMEOUT:
             outcome = "timeout"

@@ -43,11 +43,11 @@ function of u, a . u -+ eps_B ||u||_1, so a row that misses its threshold at
 its per-axis extremes over {lo, hi}, and 0 where the box holds it, fails
 every pattern, and a candidate point (an orthant centre, or a point of
 {lo, 0, hi}^m in the box) that meets every row serves the pattern whose
-orthant holds it. Both tests keep the screen's TOL_STRICT, _FEAS_TOL and
-_SCREEN_ROUNDING margins, so a settled vertex is one that the pattern path
-decides the same way. Only the vertices left open get a pattern stack
-(_perturbed_rows); the screen rules out the patterns it can, and the rest
-go to one decide_stacks call (_any_feasible).
+orthant holds it. Both tests keep the kernel's TOL_STRICT and _FEAS_TOL
+thresholds, by a _SETTLE_ROUNDING margin, so a settled vertex is one that
+the kernel decides the same way. Only the vertices left open get a pattern
+stack (_perturbed_rows), which goes whole to one decide_stacks call
+(_any_feasible).
 Predictions carry no witness: a transit runs only on a definitive edge.
 The one-system views (vertex_constraint_system, robust_vertex_system,
 expanded_vertex_system) build the stack of their one edge and read their
@@ -67,21 +67,25 @@ import numpy as np
 from .dynamics import AffineModel
 from .feasibility import (
     _FEAS_TOL,
-    _SCREEN_ROUNDING,
     FEASIBLE,
     INFEASIBLE,
     OPEN,
     TOL_STRICT,
     LinearConstraintSystem,
     SystemStack,
-    _inverted,
-    _screen,
     as_control_box,
     decide_stacks,
 )
 # Unused here; the benchmark tracer (perfbench/tracer.py) wraps these bindings.
 from .feasibility import balance_witnesses_batch, decide_feasibility  # noqa: F401
 from .geometry import Polytope, Simplex, find_containing_simplex, norm, triangulate
+
+# The kernel's slack of a row differs from its exact largest slack over the
+# box, which _settle sums axis by axis, by rounding: at most 0.83 ulp of the
+# row's magnitude (the sum of its largest terms over the box and |b|) on
+# 3,000 random one-row systems of one to four inputs. _settle leaves rows
+# this much closer to their thresholds to the kernel.
+_SETTLE_ROUNDING = 1e-12
 
 
 class UnboundedTransitError(RuntimeError):
@@ -223,13 +227,16 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
     witness = np.full((E, V, box.shape[0]), np.nan)
     live = np.arange(E)
     for j in range(V):
+        if not live.size:
+            break
         idx = live * V + j
         status, found, _ = decide_stacks(stack.take(idx), True)
         # A positive uniform slack certifies the vertex outright and an
         # empty system fails it outright; otherwise the strict-slack LP
         # decides.
         retry = status == INFEASIBLE
-        status[retry], found[retry], _ = decide_stacks(stack.take(idx[retry]), False)
+        if retry.any():
+            status[retry], found[retry], _ = decide_stacks(stack.take(idx[retry]), False)
         witness[live, j] = found
         live = live[status == FEASIBLE]
     exists = np.zeros(E, dtype=bool)
@@ -325,12 +332,9 @@ def predict_exit_facet(
 
 def _any_feasible(stack: SystemStack) -> np.ndarray:
     """Whether some pattern system of each vertex of a _perturbed_rows stack
-    is feasible, (K,). The screen rules out the patterns it can; the others
-    go to one decide_stacks call."""
-    status = _screen(stack)
-    solve = status == OPEN
-    status[solve] = decide_stacks(stack.take(solve), False).status
-    return (status == FEASIBLE).reshape(-1, 2 ** stack.A.shape[2]).any(axis=1)
+    is feasible, (K,), by one decide_stacks call."""
+    feasible = decide_stacks(stack, False).status == FEASIBLE
+    return feasible.reshape(-1, 2 ** stack.A.shape[2]).any(axis=1)
 
 
 def _candidates(box: np.ndarray) -> np.ndarray:
@@ -348,27 +352,35 @@ def _candidates(box: np.ndarray) -> np.ndarray:
 def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
     """Per vertex, whether some system of its _perturbed_rows stack is
     feasible, in closed form and without the stack: FEASIBLE, INFEASIBLE or
-    OPEN (K,), settled only where _any_feasible decides the same way.
+    OPEN (K,), settled only where _any_feasible, the kernel over every
+    pattern, decides the same way.
 
     On the closed orthant of s, ||u||_1 = s . u, so every pattern's row i
     is the one function a_i . u + side_i eps_B ||u||_1 of u, against the
-    moved right-hand side b_i - side_i shift.
-    - INFEASIBLE where some row misses its threshold everywhere in the box,
-      by the screen's rule: the strict exit row's largest value, the
-      non-strict rows' least. Each is a sum of per-axis extremes over the
-      ends of both halves [max(lo, 0), hi] and [lo, min(hi, 0)] that the
-      screen does not settle inverted, from the very products the pattern
-      rows hold and added in the screen's order, so it bounds every
-      pattern's sum bit for bit. A non-strict
-      row is held to _FEAS_TOL times the widest coefficient of any of its
-      patterns (1 where a pattern's row is constant), and the margin
-      bounds every pattern's. So the screen settles every pattern
-      INFEASIBLE.
+    moved right-hand side b_i - side_i shift. A pattern whose box has a
+    side inverted by more than _FEAS_TOL is EMPTY to the kernel, by its own
+    test on the same _halves floats; the sums below take the ends of the
+    other halves, [max(lo, 0), hi] and [lo, min(hi, 0)], from the very
+    products the pattern rows hold, so each bounds its row over the box of
+    every pattern the kernel solves. The margin covers the rounding by
+    which the kernel's elimination and these sums differ.
+    - INFEASIBLE where some row misses its threshold everywhere in the box.
+      - The strict exit row's largest value exceeds the right-hand side by
+        at most TOL_STRICT, less the margin. The kernel's slack d is the
+        value of that row at its vertex, which the pattern's box holds (its
+        inputs are box sides or solved from the rows, to rounding), less
+        the right-hand side: d <= TOL_STRICT.
+      - A non-strict row's least value exceeds the right-hand side by more
+        than _FEAS_TOL times the widest coefficient of any of its patterns
+        (1 where a pattern's row is constant). The ray of the dual that
+        weighs this row alone, scaled to unit max-norm, then has
+        phi < -_FEAS_TOL: the kernel finds the pattern EMPTY.
     - FEASIBLE where some point of _candidates clears the strict row's
-      TOL_STRICT and meets every non-strict row, each by the margin, which
-      covers the rounding of this form of the rows: the point lies in the
-      orthant box of some pattern, which the screen does not rule out and
-      whose LP finds at least the point's slack."""
+      TOL_STRICT and meets every non-strict row, each by the margin. The
+      point lies in the orthant box of some pattern, whose LP optimum is at
+      least the point's slack. The kernel's d is the ratio phi / sigma of
+      some ray, and no ray's ratio is below the optimum, so it finds that
+      pattern FEASIBLE."""
     K, r, m = A0.shape
     side = _row_sides(r, tighten)
     rhs = b0 - side * shift[:, None]
@@ -380,7 +392,7 @@ def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
     for k, (lo, hi) in enumerate(box):
         a = A0[..., k]
         halves = [(coef, ends) for coef, ends in zip((a + moved, a - moved), _halves(lo, hi))
-                  if not _inverted(*ends)]
+                  if ends[0] - ends[1] <= _FEAS_TOL]
         at = [coef * end for coef, ends in halves for end in ends]
         reach_hi = reach_hi + functools.reduce(np.maximum, at)
         reach_lo = reach_lo + functools.reduce(np.minimum, at)
@@ -388,7 +400,7 @@ def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
         constant = constant & functools.reduce(np.logical_or, [coef == 0.0 for coef, _ in halves])
         size = size + (np.abs(a) + eps_B[:, None]) * max(abs(lo), abs(hi))
     scale = np.where(constant, np.maximum(widest, 1.0), widest)
-    margin = _SCREEN_ROUNDING * (size + np.abs(rhs))
+    margin = _SETTLE_ROUNDING * (size + np.abs(rhs))
     infeasible = reach_hi[:, 0] - rhs[:, 0] <= TOL_STRICT - margin[:, 0]
     for i in range(1, r):
         infeasible |= reach_lo[:, i] - rhs[:, i] > _FEAS_TOL * scale[:, i] + margin[:, i]

@@ -15,6 +15,7 @@ from pwa_nav.cli import main
 from pwa_nav.graph import ReachStatus
 from pwa_nav.planner import IterationRecord
 from pwa_nav.scenario import ScenarioError, parse_scenario
+from test_planner import holed_scenario
 
 BUNDLED = Path(__file__).parents[1] / "scenarios" / "terrain.json"
 AFFINE_M4 = BUNDLED.with_name("affine_m4.json")
@@ -189,6 +190,18 @@ class TestCmdPlan:
         scenario = write_scenario(tmp_path, data)
         rc = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_non_finite_transit_exits_two(self, tmp_path, monkeypatch):
+        # A transit whose state turns NaN ends the mission stuck, and every
+        # artifact is still written.
+        monkeypatch.setattr(pwa_nav.cli, "load_scenario", lambda path: holed_scenario())
+        out = tmp_path / "o"
+        assert main(["plan", "--scenario", "holed.json", "--out", str(out)]) == 2
+        mission = json.loads((out / "mission.json").read_text())
+        assert mission["status"] == "stuck"
+        assert mission["records"][-1]["outcome"] == "non_finite_state"
+        assert {p.name for p in out.iterdir()} == {
+            "trajectory.csv", "graph_final.json", "mission.json", "trajectory.svg", "graph.svg"}
 
     def test_tiny_gamma_reaches_target(self, tmp_path):
         # A 6 x 6 window of the bundled terrain. Uncertain edges of weight

@@ -39,6 +39,25 @@ def integrator_scenario(**kw):
                          initial=[0.5, 0.5], target_cell=3, **kw)
 
 
+class HoledIntegrator(AffineField):
+    """x' = u, with a NaN drift where some coordinate exceeds 0.8: in the
+    outer band of the cell [0, 1]^2 that every exit from it crosses."""
+
+    def __init__(self):
+        super().__init__(np.zeros((2, 2)), np.eye(2), np.zeros(2), 1e-6, 1e-6)
+
+    def velocity(self, x, u):
+        if max(x) > 0.8:
+            return (float("nan"),) * 2
+        return super().velocity(x, u)
+
+
+def holed_scenario():
+    """The integrator mission from [0.5, 0.5] to cell 3, on HoledIntegrator."""
+    return make_scenario(HoledIntegrator(), [[0, 2], [0, 2]], (2, 2),
+                         initial=[0.5, 0.5], target_cell=3)
+
+
 class TestMissionOutcomes:
     def test_target_equals_initial(self):
         sc = integrator_scenario()
@@ -61,6 +80,15 @@ class TestMissionOutcomes:
         log = run_mission(sc)
         assert log.status is MissionStatus.STUCK
         assert log.records[-1].outcome == "no_path"
+
+    def test_non_finite_transit_state_gets_stuck(self):
+        # The first transit runs into the NaN band, and its state stays NaN
+        # to the time limit; no later transit can start from it.
+        log = run_mission(holed_scenario())
+        assert log.status is MissionStatus.STUCK
+        assert [r.outcome for r in log.records] == ["non_finite_state"]
+        assert log.records[0].target_edge[0] == 0
+        assert np.all(np.isnan(log.trajectory[-1][1]))
 
     def test_iteration_cap(self):
         # One iteration is never enough to identify and cross two cells.

@@ -13,7 +13,6 @@ from pwa_nav.feasibility import (
     balance_witnesses_batch,
     decide_feasibility,
     decide_stacks,
-    screen_feasibility,
 )
 from pwa_nav.geometry import (
     GridPartition,
@@ -318,8 +317,8 @@ class TestOppositeRowIsRedundant:
     exit_facet ^ 1, which the exit row implies. Against the systems that
     keep it (reference_rows with opposite=True), the nominal, robust and
     expanded systems must decide alike: the same status in both LP forms,
-    the same screen decisions, and the same witness, to the bit, wherever
-    the optimum with the row kept is the only candidate of its slack."""
+    and the same witness, to the bit, wherever the optimum with the row
+    kept is the only candidate of its slack."""
 
     @staticmethod
     def samples(seed, count):
@@ -370,7 +369,6 @@ class TestOppositeRowIsRedundant:
         for (old_shape, new_shape), pairs in groups.items():
             old, new = (SystemStack.of(list(systems)) for systems in zip(*pairs))
             dropped += len(pairs) * (old_shape[0] - new_shape[0])
-            assert np.array_equal(feasibility._screen(new), feasibility._screen(old))
             for balanced in (False, True):
                 got, want = (decide_stacks(stack, balanced) for stack in (new, old))
                 assert np.array_equal(got.status, want.status)
@@ -759,12 +757,18 @@ class TestClosedFormSettling:
     orthant, some within the LP's tolerance of 0; signed zeros in the box,
     the rows, the radii and the shifts; coefficients a_k = +-eps_B, which
     make a pattern's row constant; and rows whose slack lies within a few
-    ulps or a few _SCREEN_ROUNDING margins of TOL_STRICT (the exit row) or
-    of the _FEAS_TOL band (an invariance row)."""
+    ulps or a few _SETTLE_ROUNDING margins of TOL_STRICT (the exit row) or
+    of the _FEAS_TOL band (an invariance row). Sides at +-_FEAS_TOL and
+    the floats next to them leave an orthant box inverted by _FEAS_TOL
+    and one ulp less or more: the kernel's own threshold for an empty box,
+    at which _settle drops a half."""
 
+    FEAS_TOL_SIDES = [np.nextafter(feasibility._FEAS_TOL, 0.0), feasibility._FEAS_TOL,
+                      np.nextafter(feasibility._FEAS_TOL, 1.0)]
     AXES = [(-2.0, 2.0), (-0.5, 3.0), (0.0, 2.0), (-2.0, 0.0), (-0.0, 1.5), (-1.5, -0.0),
             (0.3, 2.5), (-2.5, -0.4), (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (0.7, 0.7),
             (1e-10, 1.0), (-1.0, -1e-10), (2e-9, 1.0), (-1.0, -2e-9)]
+    AXES += [(float(t), 1.0) for t in FEAS_TOL_SIDES] + [(-1.0, -float(t)) for t in FEAS_TOL_SIDES]
 
     @staticmethod
     def extremes(A0, eps_B, side, box):
@@ -794,10 +798,10 @@ class TestClosedFormSettling:
 
         def offset(value, row):
             """Offsets from a threshold near value: a few ulps of it, or a
-            few screen margins of the row."""
+            few _SETTLE_ROUNDING margins of the row."""
             return (rng.choice([-4.0, -1.0, 0.0, 1.0, 4.0], size=len(value)) * np.spacing(value)
                     + rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], size=len(value))
-                    * feasibility._SCREEN_ROUNDING * size[:, row])
+                    * reach._SETTLE_ROUNDING * size[:, row])
 
         kind = rng.random(K)
         # The exit row at TOL_STRICT, every invariance row met everywhere.
@@ -838,18 +842,20 @@ class TestClosedFormSettling:
 
 
 class TestSolvedSystems:
-    """The reach rules solve only the systems that the screen leaves open
-    and a verdict may need, and build expanded systems only where the
-    predictive rule may read them."""
+    """The reach rules solve only the systems a verdict may need: the
+    pattern systems of the vertices the closed form leaves open, expanded
+    ones only where the predictive rule may read them, and never an empty
+    stack."""
 
     def test_empty_first_vertex_ends_the_definitive_walk(self, kernel_sizes):
         # No input at all, and a drift of -1 along the exit normal at the
         # vertices with x1 = 0: the exit row 0 > 1 of vertex 0 is empty
-        # even relaxed, while vertices 2 and 3 drift outward.
+        # even relaxed, while vertices 2 and 3 drift outward. The walk
+        # stops there, with no kernel call for the closed edge.
         model = AffineModel(np.diag([2.0, 0.0]), np.zeros((2, 2)), [-1.0, 0.0], np.zeros(2))
         decision = decide_exit_facets([(UNIT_SQUARE, EXIT_RIGHT, model)], BOX)[0]
         assert decision.status is ReachStatus.ABSENT
-        assert sum(kernel_sizes) == 1
+        assert kernel_sizes == [1]
 
     @staticmethod
     def closed_form(cell, facet, j, model, bounds, box, tighten):
@@ -861,11 +867,11 @@ class TestSolvedSystems:
                              np.array([bounds.eps_B]), box, tighten)[0]
 
     def test_prediction_solves_the_open_patterns_of_unsettled_vertices(self, monkeypatch):
-        # The LP receives, in stack order, exactly the screen-open pattern
-        # systems of the vertices that the closed form leaves open: robust
-        # ones first, then expanded ones at the robust-failed vertices. Each
-        # pattern stack, built only where some vertex is open, takes one
-        # strict-slack decide_stacks call.
+        # The LP receives, in stack order, every pattern system of the
+        # vertices that the closed form leaves open: robust ones first, then
+        # expanded ones at the robust-failed vertices. Each pattern stack,
+        # built only where some vertex is open, takes one strict-slack
+        # decide_stacks call.
         calls, solved = [], []
         decide, optima = reach.decide_stacks, feasibility._optima
 
@@ -879,10 +885,6 @@ class TestSolvedSystems:
 
         monkeypatch.setattr(reach, "decide_stacks", counting)
         monkeypatch.setattr(feasibility, "_optima", recording)
-
-        def open_patterns(systems):
-            return [sys for sys in systems if screen_feasibility(sys) is None]
-
         total = 0
         for box, group in batches(TestBatchedDecisions().items(22, 120)):
             patterns = sign_patterns(len(box))
@@ -897,7 +899,7 @@ class TestSolvedSystems:
                         opened[0] += 1
                         systems = [robust_vertex_system(cell, facet, j, model, bounds, pat, box)
                                    for pat in patterns]
-                        expected += open_patterns(systems)
+                        expected += systems
                         if not any_feasible(systems):
                             failed.append((cell, facet, j, model, bounds))
                     elif status == feasibility.INFEASIBLE:
@@ -905,9 +907,8 @@ class TestSolvedSystems:
             for cell, facet, j, model, bounds in failed:
                 if self.closed_form(cell, facet, j, model, bounds, box, False) == feasibility.OPEN:
                     opened[1] += 1
-                    expected += open_patterns([
-                        expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
-                        for pat in patterns])
+                    expected += [expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
+                                 for pat in patterns]
             assert calls == [False] * sum(n > 0 for n in opened)
             assert len(batched) == len(expected)
             for G, sys in zip(batched, expected):
@@ -916,27 +917,29 @@ class TestSolvedSystems:
             total += len(batched)
             calls.clear()
             solved.clear()
-        # The pattern path alone solved 461 systems of these batches.
-        assert total == 123
+        # A pattern stack for every vertex the rules read would solve 4,802
+        # systems of these batches.
+        assert total == 630
 
     def test_expanded_systems_are_built_only_at_robust_failures(self, monkeypatch):
-        # Pattern stacks are built and screened once, and only for the
-        # vertices the closed form leaves open: robust ones among all
-        # vertices, expanded ones among the robust-failed vertices.
+        # Pattern stacks are built once, and only for the vertices the
+        # closed form leaves open: robust ones among all vertices, expanded
+        # ones among the robust-failed vertices.
         sizes = []
-        screen = reach._screen
+        perturbed_rows = reach._perturbed_rows
 
-        def recording(stack):
+        def recording(*args):
+            stack = perturbed_rows(*args)
             sizes.append(len(stack.b))
-            return screen(stack)
+            return stack
 
-        monkeypatch.setattr(reach, "_screen", recording)
+        monkeypatch.setattr(reach, "_perturbed_rows", recording)
         counts = np.zeros(4, dtype=int)  # vertices, robust-failed, open robust, open expanded
         for box, group in batches(TestBatchedDecisions().items(23, 120)):
             P = len(sign_patterns(len(box)))
-            predict_exit_facets([item[:4] for item in group], box)
-            screened_systems = sum(sizes)
             sizes.clear()
+            predict_exit_facets([item[:4] for item in group], box)
+            built = sum(sizes)
             batch = np.zeros(4, dtype=int)
             for cell, facet, model, bounds, _ in group:
                 robust_failed = []
@@ -947,13 +950,32 @@ class TestSolvedSystems:
                                 == feasibility.OPEN for j in range(cell.n_vertices))
                 batch[3] += sum(self.closed_form(cell, facet, j, model, bounds, box, False)
                                 == feasibility.OPEN for j in robust_failed)
-            assert screened_systems == P * (batch[2] + batch[3])
+            assert built == P * (batch[2] + batch[3])
             assert batch[1] < batch[0]
             counts += batch
         # 43 of 612 robust vertices and 27 of 374 expanded ones stay open:
-        # 430 pattern systems screened, where building a stack for every
-        # vertex the rules read screened 4,596.
+        # 430 pattern systems built, where building a stack for every
+        # vertex the rules read built 4,596.
         assert counts.tolist() == [612, 374, 43, 27]
+
+    def test_no_decide_stacks_call_gets_zero_systems(self, monkeypatch):
+        # The definitive walk retries with the strict-slack LP only where
+        # some balanced slack is not positive; prediction solves a pattern
+        # stack only where some vertex is open.
+        calls = []
+        decide = reach.decide_stacks
+
+        def recording(stack, balanced):
+            calls.append((balanced, len(stack.b)))
+            return decide(stack, balanced)
+
+        monkeypatch.setattr(reach, "decide_stacks", recording)
+        for box, group in batches(TestBatchedDecisions().items(24, 120)):
+            decide_exit_facets([item[:3] for item in group], box)
+            predict_exit_facets([item[:4] for item in group], box)
+        assert min(size for _, size in calls) > 0
+        # Both LP forms are reached.
+        assert {balanced for balanced, _ in calls} == {False, True}
 
 
 class TestControllerSynthesis:
