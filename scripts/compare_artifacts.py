@@ -12,7 +12,9 @@ grid-scaling point where graph writing costs the most, `plan --max-iters 30`
 on the affine scenario with four control inputs (scenarios/affine_m4.json),
 where the most pattern systems reach the LP kernel, and `plan --max-iters
 40` on the 10 x 10 x 10 affine scenario (scenarios/affine3d.json), whose
-vertex systems have three rows. Both checkouts get the same scenario files,
+vertex systems have three rows, and `plan` on the bundled terrain with the
+one-sided control box [[1e-10, 5], [-5, 5]] (scenarios/onesided.json), some
+of whose sign patterns' orthants miss the box. Both checkouts get the same scenario files,
 taken from this one. Prints, per output file and per exit code, whether the
 two checkouts wrote the same bytes. Exits 0 when every file is identical, 1
 otherwise.
@@ -59,6 +61,7 @@ def runs(scratch: Path) -> dict[str, list[str]]:
     out["m4"] = ["plan", "--scenario", str(m4_path), "--max-iters", "30"]
     out["affine3d"] = ["plan", "--scenario", str(ROOT / "scenarios" / "affine3d.json"),
                        "--max-iters", "40"]
+    out["onesided"] = ["plan", "--scenario", str(ROOT / "scenarios" / "onesided.json")]
     return out
 
 

@@ -9,9 +9,9 @@ of a stack, each system by itself (decide_stacks), gives one
 Decisions(status, witness, margin) of arrays: status FEASIBLE, INFEASIBLE or
 EMPTY (the slack LP has no point at all). The predictive reach rule settles
 most vertices in closed form before any pattern stack exists, and sends the
-pattern stack of the others to one decide_stacks call. A system's box may be
-inverted (a sign pattern's orthant that misses the control box); inverted
-beyond _FEAS_TOL, the LP finds it EMPTY.
+pattern stack of the others to one decide_stacks call. Every box of a stack
+is nonempty, lo <= hi on every input, as as_control_box requires of a
+control box; decide_stacks raises ValueError on an inverted one.
 decide_feasibility (strict-slack LP of one system) and
 balance_witnesses_batch (balanced LP of several systems of one shape) are
 views that stack their systems and read each entry of the Decisions as a
@@ -199,7 +199,9 @@ def balance_witnesses_batch(
 def decide_stacks(stack: SystemStack, balanced: bool) -> Decisions:
     """The exact slack LP of every system of a stack: the balanced LP of
     balance_witnesses_batch where balanced, else the strict-slack LP of
-    decide_feasibility."""
+    decide_feasibility. ValueError where some box has lo > hi."""
+    if np.any(stack.box[..., 0] > stack.box[..., 1]):
+        raise ValueError("empty control box")
     G, h = _slack_rows(stack.A, stack.b, stack.strict, balanced)
     return _decisions(_optima(G, h, stack.box), G[..., -1].any(axis=1), stack.box)
 
@@ -259,9 +261,9 @@ def _ray_planes(m: int, r: int) -> tuple[np.ndarray, ...]:
 
 def _optima(G, h, box) -> np.ndarray:
     """Exact slack LPs max d s.t. G z <= h over the bounds of z = (u, d) for
-    a stack of same-shape systems: rows G (N, r, m + 1), h (N, r) and control
-    boxes (N, m, 2). Returns the optima (N, m + 1), NaN rows for empty
-    systems.
+    a stack of same-shape systems: rows G (N, r, m + 1), h (N, r) and
+    nonempty control boxes (N, m, 2), lo <= hi. Returns the optima
+    (N, m + 1), NaN rows for empty systems.
 
     On rows scaled to unit max-norm, the dual has one variable y_i >= 0 per
     row. With c = G_u^T y, phi(y) = y . h + sum_k max(-c_k lo_k, -c_k hi_k)
@@ -269,9 +271,9 @@ def _optima(G, h, box) -> np.ndarray:
     phi / sigma over sigma > 0, capped at DELTA_CAP. phi is linear between
     the planes c_k = 0 and y_i = 0, so it is enough to look at the rays where
     r - 1 of them meet (_ray_planes), scaled to sum(y) = 1. A system is
-    empty where its box is inverted by more than _FEAS_TOL or a ray has
-    phi < -_FEAS_TOL: no input of the box then meets every row to within
-    _FEAS_TOL. Otherwise the rays are tried in increasing phi / sigma. By
+    empty where a ray has phi < -_FEAS_TOL: no input of the box then meets
+    every row to within _FEAS_TOL. Otherwise the rays are tried in
+    increasing phi / sigma. By
     complementary slackness a ray picks the vertex on its rows with y_i > 0,
     with u_k at lo_k where c_k >= 0 and at hi_k where c_k < 0, except on its
     planes c_k = 0, where u_k comes from the rows. That subset of m + 1
@@ -289,16 +291,9 @@ def _optima(G, h, box) -> np.ndarray:
     n_sys, r, k = G.shape
     m = k - 1
     lo, hi = box[..., 0], box[..., 1]
-    empty = (lo - hi > _FEAS_TOL).any(axis=1)
-    # An input inverted by at most _FEAS_TOL is solved as the point lo,
-    # which meets both of its sides to within _FEAS_TOL. Solved with both
-    # sides, a ray may put it at hi, off the optimum, from where the rows
-    # can carry the other inputs far outside the box.
-    hi = np.maximum(lo, hi)
     if r == 0:
         # No rows: the lower corner of the box, at the cap.
-        z = np.concatenate([lo, np.full((n_sys, 1), DELTA_CAP)], axis=1)
-        return np.where(empty[:, None], np.nan, z)
+        return np.concatenate([lo, np.full((n_sys, 1), DELTA_CAP)], axis=1)
     minors, signs, fixed, tight, units, sides = _ray_planes(m, r)
     # Constraints W[..., :k] z <= W[..., k]: the rows scaled to unit
     # max-norm, then the lower and the upper sides of the input box. d is
@@ -328,7 +323,7 @@ def _optima(G, h, box) -> np.ndarray:
     phi = np.where(ray, csh[..., k] - np.minimum(c * lo[:, None], c * hi[:, None]).sum(axis=-1),
                    np.inf)
     sigma = csh[..., m]
-    empty |= (phi < -_FEAS_TOL).any(axis=1)
+    empty = (phi < -_FEAS_TOL).any(axis=1)
     ratio = np.full(phi.shape, np.inf)
     np.divide(phi, sigma, out=ratio, where=ray & (sigma > _SINGULAR_DET))
     order = np.argsort(ratio, axis=1, kind="stable")

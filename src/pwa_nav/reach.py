@@ -4,7 +4,7 @@ Definitive decisions check, per cell vertex, feasibility of the exit-flow and
 invariance inequalities in that vertex's control input. Predictive decisions
 for cells with unidentified dynamics tighten (robust) or loosen (expanded)
 those rows by deviation radii derived from the Lipschitz constants, branching
-over the 2^m sign patterns of the control components. These are the vertex
+over the sign patterns of the control components. These are the vertex
 conditions of Habets & van Schuppen (2004).
 
 Each vertex system of an n-D box is one array-form system of n nominal
@@ -20,16 +20,17 @@ time. It never decides a verdict.
 
 In prediction, sign pattern s is the closed orthant of s cut from the
 control box: the input box [max(lo, 0), hi] on the axes where s_k > 0 and
-[lo, min(hi, 0)] where s_k < 0, inverted where the box misses the orthant.
-On it ||u||_1 = s . u exactly, so the radius eps_B moves the rows linearly,
-and the closed orthants cover every input.
+[lo, min(hi, 0)] where s_k < 0. Only a pattern whose orthant meets the box,
+lo <= hi on every axis, has a system (_orthant_halves). On it
+||u||_1 = s . u exactly, so the radius eps_B moves the rows linearly, and
+the closed orthants cover every input.
 
 decide_exit_facets and predict_exit_facets decide a whole list of edges
 at once; the edges' cells share one dimension n. The nominal rows of every
 vertex of every edge come from stacked array products into one stack
 (_nominal_rows), in which vertex j of edge t is system t * 2^n + j; in
 prediction, the k-th vertex of a pattern stack (_perturbed_rows) under
-sign pattern p, of P = 2^m, is its system k * P + p. The
+sign pattern p, of the P that meet the box, is its system k * P + p. The
 definitive rule runs one pass per vertex index over the edges still open:
 one balanced decide_stacks call, then one strict-slack call where the
 balanced slack is not positive. The predictive rule is a set
@@ -245,10 +246,6 @@ def decide_exit_facets(items, control_box) -> list[ReachDecision]:
             for ok, w in zip(exists, witness)]
 
 
-def sign_patterns(m: int) -> list[tuple[int, ...]]:
-    return list(itertools.product((1, -1), repeat=m))
-
-
 def _row_sides(r: int, tighten: bool) -> np.ndarray:
     """The sign with which the radii move each of r rows: tightening adds
     -s*eps_B and +shift to the exit row and +s*eps_B and -shift to the
@@ -259,42 +256,46 @@ def _row_sides(r: int, tighten: bool) -> np.ndarray:
     return side if tighten else -side
 
 
-def _halves(lo, hi):
-    """The sides [max(lo, 0), hi] and [lo, min(hi, 0)] that the closed
-    orthants cut from box sides [lo, hi]: those of the axes where s_k > 0,
-    then where s_k < 0."""
-    return (np.maximum(lo, 0.0), hi), (lo, np.minimum(hi, 0.0))
+def _orthant_halves(box: np.ndarray) -> list[list[tuple[int, float, float]]]:
+    """Per axis of the control box (m, 2), the halves (s_k, lo, hi) that
+    the closed orthants cut from its sides [lo, hi], (1, max(lo, 0), hi)
+    then (-1, lo, min(hi, 0)), kept where they meet it, lo <= hi exactly.
+    The sign patterns are the products of one half per axis, in that
+    order, and their orthant boxes the products of the sides; a pattern
+    whose orthant misses the box has no system."""
+    return [[(s, a, b) for s, a, b in ((1, np.maximum(lo, 0.0), hi), (-1, lo, np.minimum(hi, 0.0)))
+             if a <= b] for lo, hi in box]
 
 
 def _perturbed_rows(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> SystemStack:
     """The robust (tighten=True) or expanded (tighten=False) systems of K
-    vertices under every sign pattern s of sign_patterns(m), vertex-major
-    (vertex k under pattern p is system k * 2^m + p): the nominal rows
-    A0 (K, r, m), b0 (K, r) moved by the radii eps_B (K,) and the vertex
-    shifts (K,), over the control box cut by the closed orthant of s."""
+    vertices under every sign pattern s of _orthant_halves(box), of P in
+    all, vertex-major (vertex k under pattern p is system k * P + p): the
+    nominal rows A0 (K, r, m), b0 (K, r) moved by the radii eps_B (K,) and
+    the vertex shifts (K,), over the control box cut by the closed orthant
+    of s."""
     K, r, m = A0.shape
-    patterns = np.array(sign_patterns(m), dtype=float)
-    P = len(patterns)
+    orthants = np.array(list(itertools.product(*_orthant_halves(box))), dtype=float)
+    P = len(orthants)
+    patterns, sides = orthants[..., 0], orthants[..., 1:]
     side = _row_sides(r, tighten)
     moved = A0[:, None] + side[:, None] * (patterns[:, None, :] * eps_B[:, None, None, None])
     rhs = np.broadcast_to((b0 - side * shift[:, None])[:, None], (K, P, r))
-    positive, negative = _halves(box[:, 0], box[:, 1])
-    orthant = np.where((patterns > 0)[..., None], np.column_stack(positive),
-                       np.column_stack(negative))
     return SystemStack(moved.reshape(K * P, r, m), rhs.reshape(K * P, r),
                        np.broadcast_to(_exit_row_mask(r), (K * P, r)),
-                       np.broadcast_to(orthant, (K, P, m, 2)).reshape(K * P, m, 2))
+                       np.broadcast_to(sides, (K, P, m, 2)).reshape(K * P, m, 2))
 
 
 def _perturbed_system(cell, exit_facet, vertex_j, ref_model, bounds, pattern, control_box,
                       tighten: bool) -> LinearConstraintSystem:
     """One system of the _perturbed_rows stack of one edge, over its orthant
-    box; ValueError (empty control box) where the box misses the orthant."""
+    box; ValueError (from list.index) where the orthant of the pattern
+    misses the box, which then has no system."""
+    box = as_control_box(control_box)
+    patterns = [tuple(s for s, _, _ in o) for o in itertools.product(*_orthant_halves(box))]
     rows = _nominal_rows([(cell, exit_facet, ref_model)])
     stack = _perturbed_rows(rows.A, rows.b, bounds.eps_A * rows.norm + bounds.eps_c,
-                            np.full(len(rows.b), bounds.eps_B), as_control_box(control_box),
-                            tighten)
-    patterns = sign_patterns(rows.A.shape[2])
+                            np.full(len(rows.b), bounds.eps_B), box, tighten)
     i = vertex_j * len(patterns) + patterns.index(tuple(pattern))
     return LinearConstraintSystem(stack.A[i], stack.b[i], stack.strict[i], stack.box[i])
 
@@ -330,21 +331,20 @@ def predict_exit_facet(
         predict_exit_facets([(cell, exit_facet, ref_model, bounds)], control_box)[0])
 
 
-def _any_feasible(stack: SystemStack) -> np.ndarray:
-    """Whether some pattern system of each vertex of a _perturbed_rows stack
-    is feasible, (K,), by one decide_stacks call."""
+def _any_feasible(stack: SystemStack, K: int) -> np.ndarray:
+    """Whether some pattern system of each of the K vertices of a
+    _perturbed_rows stack is feasible, (K,), by one decide_stacks call."""
     feasible = decide_stacks(stack, False).status == FEASIBLE
-    return feasible.reshape(-1, 2 ** stack.A.shape[2]).any(axis=1)
+    return feasible.reshape(K, -1).any(axis=1)
 
 
-def _candidates(box: np.ndarray) -> np.ndarray:
+def _candidates(box: np.ndarray, halves) -> np.ndarray:
     """The points (C, m) at which _settle tests the rows: the centre of every
-    orthant box that does not miss the control box (m, 2), then every point
-    of {lo, 0, hi}^m inside it, the corners of the orthant boxes."""
-    centres, corners = [], []
-    for lo, hi in box:
-        centres.append([0.5 * (a + b) for a, b in _halves(lo, hi) if a <= b])
-        corners.append([lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi])
+    orthant box, from the _orthant_halves of the control box (m, 2), then
+    every point of {lo, 0, hi}^m inside it, the corners of the orthant
+    boxes."""
+    centres = [[0.5 * (a + b) for _, a, b in axis] for axis in halves]
+    corners = [[lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi] for lo, hi in box]
     points = list(itertools.product(*centres)) + list(itertools.product(*corners))
     return np.array(points, dtype=float).reshape(-1, len(box))
 
@@ -357,13 +357,12 @@ def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
 
     On the closed orthant of s, ||u||_1 = s . u, so every pattern's row i
     is the one function a_i . u + side_i eps_B ||u||_1 of u, against the
-    moved right-hand side b_i - side_i shift. A pattern whose box has a
-    side inverted by more than _FEAS_TOL is EMPTY to the kernel, by its own
-    test on the same _halves floats; the sums below take the ends of the
-    other halves, [max(lo, 0), hi] and [lo, min(hi, 0)], from the very
-    products the pattern rows hold, so each bounds its row over the box of
-    every pattern the kernel solves. The margin covers the rounding by
-    which the kernel's elimination and these sums differ.
+    moved right-hand side b_i - side_i shift. The sums below take the ends
+    of the halves that meet the box, from _orthant_halves as
+    _perturbed_rows takes them, and the very products the pattern rows
+    hold, so each bounds its row over the box of every pattern system.
+    The margin covers the rounding by which the kernel's elimination and
+    these sums differ.
     - INFEASIBLE where some row misses its threshold everywhere in the box.
       - The strict exit row's largest value exceeds the right-hand side by
         at most TOL_STRICT, less the margin. The kernel's slack d is the
@@ -387,17 +386,17 @@ def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
     # side * (s_k eps_B), the move of the coefficients where s_k = 1; it
     # is negated where s_k = -1.
     moved = np.multiply.outer(eps_B, side)
+    halves = _orthant_halves(box)
     reach_hi = reach_lo = size = widest = 0.0
     constant = True
     for k, (lo, hi) in enumerate(box):
         a = A0[..., k]
-        halves = [(coef, ends) for coef, ends in zip((a + moved, a - moved), _halves(lo, hi))
-                  if ends[0] - ends[1] <= _FEAS_TOL]
-        at = [coef * end for coef, ends in halves for end in ends]
+        axis = [(a + moved if s > 0 else a - moved, ends) for s, *ends in halves[k]]
+        at = [coef * end for coef, ends in axis for end in ends]
         reach_hi = reach_hi + functools.reduce(np.maximum, at)
         reach_lo = reach_lo + functools.reduce(np.minimum, at)
-        widest = functools.reduce(np.maximum, [np.abs(coef) for coef, _ in halves], widest)
-        constant = constant & functools.reduce(np.logical_or, [coef == 0.0 for coef, _ in halves])
+        widest = functools.reduce(np.maximum, [np.abs(coef) for coef, _ in axis], widest)
+        constant = constant & functools.reduce(np.logical_or, [coef == 0.0 for coef, _ in axis])
         size = size + (np.abs(a) + eps_B[:, None]) * max(abs(lo), abs(hi))
     scale = np.where(constant, np.maximum(widest, 1.0), widest)
     margin = _SETTLE_ROUNDING * (size + np.abs(rhs))
@@ -407,7 +406,7 @@ def _settle(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.ndarray:
 
     # Every row at every candidate u is one product: [a | side eps_B] . [u | ||u||_1].
     rows = np.concatenate([A0, moved[..., None]], axis=2).reshape(K * r, m + 1)
-    U = _candidates(box)
+    U = _candidates(box, halves)
     feasible = np.zeros(K, dtype=bool)
     # A block of candidates at a time bounds the working set when 3^m is large.
     for start in range(0, len(U), 64):
@@ -431,7 +430,8 @@ def _some_feasible(A0, b0, shift, eps_B, box: np.ndarray, tighten: bool) -> np.n
     todo = np.flatnonzero(status == OPEN)
     if todo.size:
         feasible[todo] = _any_feasible(
-            _perturbed_rows(A0[todo], b0[todo], shift[todo], eps_B[todo], box, tighten))
+            _perturbed_rows(A0[todo], b0[todo], shift[todo], eps_B[todo], box, tighten),
+            todo.size)
     return feasible
 
 

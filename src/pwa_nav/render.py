@@ -120,7 +120,10 @@ def render_trajectory_svg(path, partition: GridPartition, trajectory,
     canvas = _Canvas(partition)
     elements = _cells(partition, canvas, explored, initial, target)
     if trajectory:
-        pts = canvas.points(np.array([x for _, x, _, _ in trajectory], dtype=float))
-        d = "M " + " L ".join(f"{px:.2f} {py:.2f}" for px, py in pts)
-        elements.append(f'<path d="{d}" fill="none" stroke="#202020" stroke-width="1.5" />')
+        X = np.array([x for _, x, _, _ in trajectory], dtype=float)
+        # The path ends at the first non-finite state, where a transit diverged.
+        X = X[:np.logical_and.accumulate(np.isfinite(X).all(axis=1)).sum()]
+        if len(X):
+            d = "M " + " L ".join(f"{px:.2f} {py:.2f}" for px, py in canvas.points(X))
+            elements.append(f'<path d="{d}" fill="none" stroke="#202020" stroke-width="1.5" />')
     _write_svg(path, elements)

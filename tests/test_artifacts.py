@@ -113,7 +113,12 @@ def reference_trajectory_svg(partition, trajectory, explored=(), initial=None,
                              target=None) -> str:
     canvas = ReferenceCanvas(partition)
     root = reference_svg_root(partition, canvas, explored, initial, target)
-    pts = [canvas.to_px(np.asarray(x)) for _, x, _, _ in trajectory]
+    pts = []
+    for _, x, _, _ in trajectory:
+        # The path ends at the first state that is not finite.
+        if not np.all(np.isfinite(x)):
+            break
+        pts.append(canvas.to_px(np.asarray(x)))
     if pts:
         d = "M " + " L ".join(f"{px:.2f} {py:.2f}" for px, py in pts)
         ET.SubElement(root, "path", {

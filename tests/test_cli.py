@@ -202,6 +202,9 @@ class TestCmdPlan:
         assert mission["records"][-1]["outcome"] == "non_finite_state"
         assert {p.name for p in out.iterdir()} == {
             "trajectory.csv", "graph_final.json", "mission.json", "trajectory.svg", "graph.svg"}
+        # The drawn path ends at the last finite state.
+        svg = (out / "trajectory.svg").read_text()
+        assert "<path" in svg and "nan" not in svg
 
     def test_tiny_gamma_reaches_target(self, tmp_path):
         # A 6 x 6 window of the bundled terrain. Uncertain edges of weight

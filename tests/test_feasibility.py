@@ -232,16 +232,18 @@ class TestScreen:
         got, want = feasibility._abs_max(A), np.abs(A).max(axis=2)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("m", [1, 2, 4])
-    def test_inverted_box(self, m):
-        # The orthant of a sign pattern that misses the control box leaves
-        # an inverted box. Inverted beyond the LP's tolerance, the LP finds
-        # it EMPTY; inverted by less, it solves the system as usual.
-        box = np.tile([-1.0, 1.0], (2, m, 1))
-        box[:, 0] = [[0.5, 0.0], [1e-12, 0.0]]
-        stack = SystemStack(np.ones((2, 1, m)), np.full((2, 1), -10.0),
-                            np.ones((2, 1), dtype=bool), box)
-        assert decide_stacks(stack, False).status.tolist() == [EMPTY, FEASIBLE]
+    def test_inverted_box_raises(self):
+        # A box with lo > hi on some input, by one ulp or more, is no
+        # system: decide_stacks rejects the whole stack, in either LP form.
+        for m in (1, 2, 4):
+            for lo in (np.nextafter(0.0, 1.0), 1e-12, 5e-10, 2e-9, 0.5):
+                box = np.tile([-1.0, 1.0], (3, m, 1))
+                box[1, -1] = [lo, 0.0]
+                stack = SystemStack(np.ones((3, 1, m)), np.full((3, 1), -10.0),
+                                    np.ones((3, 1), dtype=bool), box)
+                for balanced in (False, True):
+                    with pytest.raises(ValueError):
+                        decide_stacks(stack, balanced)
 
     @pytest.mark.parametrize("rhs, feasible", [
         (-5e-8, False), (0.0, False), (-0.999 * TOL_STRICT, False), (-2e-7, True)])
@@ -921,28 +923,6 @@ class TestDualKernel:
             if status == FEASIBLE:
                 u = decided.witness[0, 0]
                 assert 0.3 - feasibility._FEAS_TOL <= u <= 0.3 + (v + 1) * feasibility._FEAS_TOL
-
-    def test_box_inverted_within_tolerance(self):
-        # An input whose sides are inverted by at most _FEAS_TOL is solved
-        # as the point lo. Solved with both sides, the first ray put u_1 at
-        # hi = -5e-10, and the second row carried u_0 1.2e-8 below its box,
-        # so no vertex was kept.
-        A = np.array([[[1.5821443854281076, -0.05099976541131779, 0.5580890704729332],
-                       [0.05099976541131779, -1.2811743058212064, 0.6819673235815089]]])
-        b = np.array([[-1.8881333709625032, -1.0229509853462249]])
-        strict = np.array([[True, False]])
-        flat = np.array([[[1e-10, 1.0], [0.0, 0.0], [-1.5, 0.0]]])
-        want = decide_stacks(SystemStack(A, b, strict, flat), False)
-        assert want.status.tolist() == [FEASIBLE]
-        tol = feasibility._FEAS_TOL
-        for hi in (-1e-12, -5e-10, np.nextafter(-tol, 0.0), -tol, np.nextafter(-tol, -1.0)):
-            box = flat.copy()
-            box[0, 1, 1] = hi
-            got = decide_stacks(SystemStack(A, b, strict, box), False)
-            if hi < -tol:
-                assert got.status.tolist() == [EMPTY]
-            else:
-                assert got.status.tolist() == [FEASIBLE] and got.margin == want.margin
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_balanced_threshold(self, m):

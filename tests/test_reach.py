@@ -33,7 +33,6 @@ from pwa_nav.reach import (
     predict_exit_facet,
     predict_exit_facets,
     robust_vertex_system,
-    sign_patterns,
     t0_upper_bound,
     vertex_constraint_system,
 )
@@ -43,6 +42,12 @@ from test_geometry import barycentric, reference_incidence
 BOX = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 UNIT_SQUARE = Polytope.box([0.0, 0.0], [1.0, 1.0])
 EXIT_RIGHT = 1  # facet x1 = 1 of the unit square
+
+
+def sign_patterns(m):
+    """Every sign pattern of m inputs, axis 0 the most significant, +1
+    before -1: the order of the pattern systems of a vertex."""
+    return list(itertools.product((1, -1), repeat=m))
 
 
 def single_integrator():
@@ -386,8 +391,11 @@ class TestOppositeRowIsRedundant:
 
 class TestPerturbedSystems:
     def test_pattern_count(self):
-        assert len(sign_patterns(2)) == 4
-        assert len(sign_patterns(3)) == 8
+        # A box that holds 0 inside meets all 2^m orthants.
+        for m in (2, 3):
+            stack = reach._perturbed_rows(np.ones((1, 2, m)), np.zeros((1, 2)), np.zeros(1),
+                                          np.zeros(1), np.tile([-5.0, 5.0], (m, 1)), True)
+            assert len(stack.b) == 2 ** m
 
     def test_zero_bounds_reduce_to_nominal_plus_signs(self):
         zero = ModelDeviationBounds(0.0, 0.0, 0.0)
@@ -524,26 +532,38 @@ def any_feasible(systems):
     return any(decide_feasibility(sys).feasible for sys in systems)
 
 
+def pattern_systems(build, cell, facet, j, model, bounds, box):
+    """The systems that the view build (robust_vertex_system or
+    expanded_vertex_system) gives vertex j under every sign pattern whose
+    view does not raise, that is, whose orthant meets the box."""
+    systems = []
+    for pat in sign_patterns(len(box)):
+        try:
+            systems.append(build(cell, facet, j, model, bounds, pat, box))
+        except ValueError:
+            pass
+    return systems
+
+
 def reference_predict(cell, facet, model, bounds, box, robust_failed=None):
     """The predictive status of one edge as the set rule reads it, vertex
-    by vertex: Exists iff every vertex has a feasible robust pattern,
-    Absent iff some vertex has no feasible expanded pattern. The vertices
-    with no feasible robust pattern are appended to robust_failed when
-    given."""
-    patterns = sign_patterns(model.B.shape[1])
+    by vertex, over the patterns of pattern_systems: Exists iff every
+    vertex has a feasible robust pattern, Absent iff some vertex has no
+    feasible expanded pattern. The vertices with no feasible robust pattern
+    are appended to robust_failed when given."""
     if robust_failed is None:
         robust_failed = []
     for j in range(cell.n_vertices):
-        if not any_feasible([robust_vertex_system(cell, facet, j, model, bounds, pat, box)
-                             for pat in patterns]):
+        if not any_feasible(pattern_systems(robust_vertex_system, cell, facet, j, model, bounds,
+                                            box)):
             robust_failed.append(j)
     if not robust_failed:
         return ReachStatus.EXISTS
     if bounds.eps_A == bounds.eps_B == bounds.eps_c == 0.0:
         return ReachStatus.ABSENT
     for j in robust_failed:
-        if not any_feasible([expanded_vertex_system(cell, facet, j, model, bounds, pat, box)
-                             for pat in patterns]):
+        if not any_feasible(pattern_systems(expanded_vertex_system, cell, facet, j, model, bounds,
+                                            box)):
             return ReachStatus.ABSENT
     return ReachStatus.UNCERTAIN
 
@@ -748,20 +768,86 @@ class TestOrthantsMatchSignRows:
         assert self.assert_same_statuses(self.batches(46, 2, 3, [4])) == set(ReachStatus)
 
 
+class TestOneSidedBoxes:
+    """Control boxes with axes on one side of 0, some of whose sides lie
+    within 1e-9 of it: _perturbed_rows builds a system only for the
+    orthants that meet the box, never an inverted orthant box, and the
+    predictive rule reads the reference's statuses over the patterns whose
+    views build a system."""
+
+    NEAR_ZERO = [0.0, -0.0, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9]
+    CELLS = [UNIT_SQUARE, Polytope.box([-1.0, 0.0, 0.5], [0.0, 1.0, 1.5])]
+
+    def box(self, rng, m):
+        """A random box of m axes: one-sided, from a side near 0 or clear
+        of it, zero-width, or around 0."""
+        axes = []
+        for _ in range(m):
+            kind = rng.random()
+            near = float(rng.choice(self.NEAR_ZERO)) if rng.random() < 0.6 else rng.uniform(0, 1)
+            if kind < 0.4:
+                axis = (near, near + rng.uniform(0.5, 3.0))
+            elif kind < 0.8:
+                axis = (-near - rng.uniform(0.5, 3.0), -near)
+            elif kind < 0.9:
+                axis = (near, near)
+            else:
+                axis = (-2.0, 2.0)
+            axes.append(axis)
+        return np.array(axes)
+
+    def test_only_orthants_that_meet_the_box(self):
+        rng = np.random.default_rng(51)
+        dropped = 0
+        for _ in range(300):
+            m, K, r = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            box = self.box(rng, m)
+            stack = reach._perturbed_rows(rng.normal(size=(K, r, m)), rng.normal(size=(K, r)),
+                                          rng.uniform(0, 0.3, size=K),
+                                          rng.uniform(0, 0.3, size=K), box, bool(rng.integers(2)))
+            assert np.all(stack.box[..., 0] <= stack.box[..., 1])
+            # The half [max(lo, 0), hi] meets the box iff hi >= 0, and
+            # [lo, min(hi, 0)] iff lo <= 0.
+            P = int(np.prod((box[:, 1] >= 0.0).astype(int) + (box[:, 0] <= 0.0)))
+            assert len(stack.b) == K * P
+            dropped += P < 2 ** m
+        assert dropped > 200
+
+    def test_predictions_match_the_reference(self):
+        rng = np.random.default_rng(52)
+        statuses = set()
+        for _ in range(30):
+            m = int(rng.integers(1, 4))
+            cell = self.CELLS[rng.integers(len(self.CELLS))]
+            box = self.box(rng, m)
+            items = []
+            for _ in range(4):
+                n = cell.dim
+                model = AffineModel(rng.normal(scale=0.5, size=(n, n)), rng.normal(size=(n, m)),
+                                    rng.normal(scale=2.0, size=n), np.zeros(n))
+                bounds = (ModelDeviationBounds(0.0, 0.0, 0.0) if rng.random() < 0.2
+                          else ModelDeviationBounds(*rng.uniform(0.0, 0.3, size=3)))
+                items.append((cell, int(rng.integers(2 * n)), model, bounds))
+            for item, got in zip(items, predict_exit_facets(items, box)):
+                assert got is reference_predict(*item, box)
+                statuses.add(got)
+        assert statuses == set(ReachStatus)
+
+
 class TestClosedFormSettling:
     """reach._settle decides a vertex in closed form only as the pattern
     path, _any_feasible over the vertex's full _perturbed_rows stack,
     decides it, and _some_feasible, which sends the vertices it leaves open
     down that path, agrees with it everywhere. The draws cover m = 1, 2, 3;
     boxes symmetric, asymmetric, one-sided, zero-width and missed by an
-    orthant, some within the LP's tolerance of 0; signed zeros in the box,
-    the rows, the radii and the shifts; coefficients a_k = +-eps_B, which
-    make a pattern's row constant; and rows whose slack lies within a few
-    ulps or a few _SETTLE_ROUNDING margins of TOL_STRICT (the exit row) or
-    of the _FEAS_TOL band (an invariance row). Sides at +-_FEAS_TOL and
-    the floats next to them leave an orthant box inverted by _FEAS_TOL
-    and one ulp less or more: the kernel's own threshold for an empty box,
-    at which _settle drops a half."""
+    orthant, some within 1e-9 of 0; signed zeros in the box, the rows,
+    the radii and the shifts; coefficients a_k = +-eps_B, which make a
+    pattern's row constant; and rows whose slack lies within a few ulps or
+    a few _SETTLE_ROUNDING margins of TOL_STRICT (the exit row) or of the
+    _FEAS_TOL band (an invariance row). Sides at +-_FEAS_TOL and the floats
+    next to them sit at the exact orthant boundary like any other side
+    near 0: the half they miss has no pattern system, in _settle and in
+    _perturbed_rows alike, however close to 0 the side is."""
 
     FEAS_TOL_SIDES = [np.nextafter(feasibility._FEAS_TOL, 0.0), feasibility._FEAS_TOL,
                       np.nextafter(feasibility._FEAS_TOL, 1.0)]
@@ -828,7 +914,8 @@ class TestClosedFormSettling:
             tighten = bool(rng.integers(2))
             A0, b0, shift, eps_B, box = self.draw(rng, 60, r, m, tighten)
             status = reach._settle(A0, b0, shift, eps_B, box, tighten)
-            want = reach._any_feasible(reach._perturbed_rows(A0, b0, shift, eps_B, box, tighten))
+            want = reach._any_feasible(reach._perturbed_rows(A0, b0, shift, eps_B, box, tighten),
+                                       len(A0))
             assert not np.any((status == FEASIBLE) & ~want)
             assert not np.any((status == feasibility.INFEASIBLE) & want)
             assert np.array_equal(reach._some_feasible(A0, b0, shift, eps_B, box, tighten), want)
